@@ -24,12 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import derive_key, extract_blocks_from_words, stream_bytes, stream_words
+from ._bits import derive_key, stream_words
 from .designs import (
     DesignSampler,
+    _power_table,
     build_sampler,
     design_sample_batch,
-    design_sample_batch_f64,
     sampler_to_json,
     seed_bits,
     symbols_from_bytes,
@@ -189,99 +189,118 @@ def _blend(config: GeneratorConfig, design_vals: np.ndarray) -> np.ndarray:
     return out
 
 
-def _samples_from_symbols(config: GeneratorConfig, symbols: np.ndarray) -> np.ndarray:
-    sampler = config.sampler
-    K = config.kwise_order
-    seeds = symbols.reshape(-1, K)
-    if seeds.dtype == np.float64:
-        vals = design_sample_batch_f64(sampler, seeds)
-    else:
-        vals = design_sample_batch(sampler, seeds)
-    vals = vals.reshape(symbols.shape[0], config.ell, config.n)
-    return _blend(config, vals)
-
-
-def _samples_from_words(config: GeneratorConfig, words: np.ndarray) -> np.ndarray:
-    sampler = config.sampler
-    blocks = extract_blocks_from_words(words, config.ell * config.kwise_order, sampler.block_bits)
-    np.mod(blocks, np.uint64(sampler.q), out=blocks)
-    fam = sampler.family
-    if fam.k * (fam.q - 1) ** 2 < 2**53:
-        return _samples_from_symbols(config, blocks.astype(np.float64))
-    return _samples_from_symbols(config, blocks.astype(np.int64))
-
-
-class _SlabWorkspace:
-    """Reusable buffers for the word-level sampling fast path; avoids
-    reallocating ~100 MB of temporaries per slab on a bandwidth-bound host."""
-
-    def __init__(self, config: GeneratorConfig, capacity: int):
-        sampler = config.sampler
-        m = config.ell * config.kwise_order
-        bb = sampler.block_bits
-        offsets = np.arange(m, dtype=np.int64) * bb
-        self.wi = offsets >> 6
-        self.r = (offsets & 63).astype(np.uint64)
-        self.shift_in = np.uint64(63) - self.r
-        self.shift_out = np.uint64(64 - bb)
-        self.q_u64 = np.uint64(sampler.q)
-        self.hi = np.empty((capacity, m), dtype=np.uint64)
-        self.lo = np.empty((capacity, m), dtype=np.uint64)
-        self.seeds_f = np.empty((capacity * config.ell, config.kwise_order))
-        self.prods = np.empty((capacity * config.ell, config.n))
-        from .designs import _power_table  # local: private helper
-
-        self.powers_f = _power_table(sampler.family).astype(np.float64)
-        self.thr_f = sampler.thresholds.astype(np.float64)
-        self.nodes = sampler.quadrature.nodes
-        self.w = blend_weights(config.delta, config.ell).w
-        self.nwords_needed = int(self.wi[-1]) + 2
-
-    def run(self, config: GeneratorConfig, words: np.ndarray, out: np.ndarray) -> None:
-        cnt = words.shape[0]
-        if words.shape[1] < self.nwords_needed:
-            ext = np.zeros((cnt, self.nwords_needed), dtype=np.uint64)
-            ext[:, : words.shape[1]] = words
-            words = ext
-        hi = self.hi[:cnt]
-        lo = self.lo[:cnt]
-        np.take(words, self.wi, axis=1, out=hi)
-        np.take(words, self.wi + 1, axis=1, out=lo)
-        np.left_shift(hi, self.r, out=hi)
-        np.right_shift(lo, np.uint64(1), out=lo)
-        np.right_shift(lo, self.shift_in, out=lo)
-        np.bitwise_or(hi, lo, out=hi)
-        np.right_shift(hi, self.shift_out, out=hi)
-        np.mod(hi, self.q_u64, out=hi)
-        ell, K, n = config.ell, config.kwise_order, config.n
-        seeds_f = self.seeds_f[: cnt * ell]
-        np.copyto(seeds_f, hi.reshape(cnt * ell, K), casting="unsafe")
-        prods = self.prods[: cnt * ell]
-        np.matmul(seeds_f, self.powers_f, out=prods)
-        np.mod(prods, float(config.q), out=prods)
-        atoms = np.searchsorted(self.thr_f, prods, side="right")
-        vals = self.nodes[atoms].reshape(cnt, ell, n)
-        out.fill(0.0)
-        for i in range(ell):
-            out += self.w[i] * vals[:, i, :]
-
-
-def _samples_from_bytes(config: GeneratorConfig, data: np.ndarray) -> np.ndarray:
-    symbols = symbols_from_bytes(config.sampler, data, config.ell * config.kwise_order)
-    return _samples_from_symbols(config, symbols)
-
-
 def sample(config: GeneratorConfig, seed_bits_data: bytes) -> np.ndarray:
     """One output vector from an explicit bitstream.
 
     Consumes exactly total_seed_bits(config) bits; design i reads the block
-    range [i*K*block_bits, (i+1)*K*block_bits).
+    range [i*K*block_bits, (i+1)*K*block_bits). This byte path shares no
+    code with :func:`sample_batch`'s tile pipeline, which tests compare
+    against it.
     """
     need = total_seed_bits(config)
     if len(seed_bits_data) * 8 < need:
         raise ValueError(f"need {need} seed bits, got {len(seed_bits_data) * 8}")
     data = np.frombuffer(seed_bits_data, dtype=np.uint8)[None, :]
-    return _samples_from_bytes(config, data)[0]
+    symbols = symbols_from_bytes(config.sampler, data, config.ell * config.kwise_order)
+    vals = design_sample_batch(config.sampler, symbols.reshape(config.ell, config.kwise_order))
+    return _blend(config, vals[None])[0]
+
+
+# Philox words per tile, in bytes. A tile's words, blocks and symbols then
+# fit one core's 2 MiB L2 cache, so --jobs workers do not compete for
+# memory bandwidth. Tiles cut the rows anywhere: a row's bytes depend only
+# on its own stream index.
+_TILE_BYTES = 2**18
+# Widest field that one unaligned 8-byte window holds at any bit phase:
+# a field starting at bit 7 of its first byte must end by bit 64.
+_WINDOW_BITS = 57
+
+
+class _TilePipeline:
+    """Tables and tile buffer of :func:`sample_batch` for one plan.
+
+    Each tile runs Philox words -> B-bit blocks -> mod q -> k-wise
+    contraction -> mod q -> atom lookup -> chain-order blend. Blocks are
+    read from unaligned big-endian 8-byte windows of the tile's bytes.
+    """
+
+    def __init__(self, config: GeneratorConfig, nwords: int, rows: int):
+        sampler = config.sampler
+        fam = sampler.family
+        self.ell, self.K, self.q = config.ell, fam.k, fam.q
+        self.nwords = nwords
+        # One zero word after each row backs windows that start in the
+        # row's last 7 bytes.
+        self.words = np.zeros((rows, nwords + 1), dtype=np.uint64)
+        stride = self.words.strides[0]
+        # windows[r, i] is the big-endian 8-byte word at byte i of row r.
+        self.windows = np.ndarray(
+            (rows, stride - 7), dtype=">u8", buffer=self.words, strides=(stride, 1)
+        )
+        B = sampler.block_bits
+        starts = np.arange(self.ell * self.K, dtype=np.int64) * B
+        if B <= _WINDOW_BITS:
+            fields = [(starts, B)]
+        else:
+            # top B-32 bits and low 32 bits, joined as Python ints
+            fields = [(starts, B - 32), (starts + B - 32, 32)]
+        self.fields = [
+            (bits >> 3, (bits & 7).astype(np.uint64), np.uint64(64 - width))
+            for bits, width in fields
+        ]
+        if fam.k * (fam.q - 1) ** 2 < 2**53:
+            self.powers = _power_table(fam).astype(np.float64)
+            self.thresholds = sampler.thresholds.astype(np.float64)
+        else:
+            # Horner steps stay below (q-1)*(x_max+1)
+            exact = (fam.q - 1) * (int(fam.eval_points.max()) + 1) < 2**63
+            self.horner_dtype = np.int64 if exact else object
+            self.points = fam.eval_points.astype(self.horner_dtype)
+            self.powers = None
+            self.thresholds = sampler.thresholds
+        self.nodes = sampler.quadrature.nodes
+        self.w = blend_weights(config.delta, config.ell).w
+
+    def _field(self, rows: int, byte: np.ndarray, shift: np.ndarray, right: np.uint64):
+        vals = np.left_shift(self.windows[:rows, byte], shift, dtype=np.uint64)
+        return np.right_shift(vals, right, out=vals)
+
+    def _symbols(self, rows: int) -> np.ndarray:
+        """Blocks mod q, shape (rows * ell, K)."""
+        q = self.q
+        if len(self.fields) == 1:
+            blocks = self._field(rows, *self.fields[0])
+            # x - (x // q) * q: uint64 division by a scalar is far cheaper than %
+            blocks -= (blocks // np.uint64(q)) * np.uint64(q)
+            sym = blocks.view(np.int64)
+        else:
+            hi, lo = (self._field(rows, *f).astype(object) for f in self.fields)
+            sym = (((hi << 32) | lo) % q).astype(np.int64)
+        return sym.reshape(rows * self.ell, self.K)
+
+    def _contract(self, sym: np.ndarray) -> np.ndarray:
+        """Seed polynomials at every evaluation point, mod q."""
+        q = self.q
+        if self.powers is not None:
+            vals = sym.astype(np.float64) @ self.powers
+            return np.mod(vals, float(q), out=vals)
+        sym = sym.astype(self.horner_dtype, copy=False)
+        acc = np.zeros((sym.shape[0], self.points.size), dtype=self.horner_dtype)
+        for t in range(self.K - 1, -1, -1):
+            acc *= self.points
+            acc += sym[:, t, None]
+            acc %= q
+        return acc.astype(np.int64, copy=False)
+
+    def run(self, words: np.ndarray, out: np.ndarray) -> None:
+        rows = words.shape[0]
+        self.words.view(">u8")[:rows, : self.nwords] = words
+        vals = self._contract(self._symbols(rows))
+        atoms = np.searchsorted(self.thresholds, vals, side="right")
+        vals = self.nodes[atoms].reshape(rows, self.ell, -1)
+        out.fill(0.0)
+        for i in range(self.ell):
+            out += self.w[i] * vals[:, i, :]
 
 
 def sample_batch(
@@ -293,33 +312,13 @@ def sample_batch(
     layout never change the stream.
     """
     key = derive_key(master_seed, "generator", config.n, config.d, config.k, config.epsilon, config.ell)
-    total = total_seed_bits(config)
     out = np.empty((count, config.n))
-    n_symbols = config.ell * config.kwise_order
-    fam = config.sampler.family
-    if config.block_bits <= 57 and fam.k * (fam.q - 1) ** 2 < 2**53:
-        nwords = -(-total // 64)
-        # slabs sized so intermediates stay near cache (~16 MB of words)
-        step = max(1, min(count, 2**21 // max(nwords, 1)))
-        ws = _SlabWorkspace(config, step)
-        for lo in range(0, count, step):
-            hi = min(lo + step, count)
-            words = stream_words(key, start + lo, hi - lo, nwords)
-            ws.run(config, words, out[lo:hi])
-    elif config.block_bits <= 57:
-        nwords = -(-total // 64)
-        step = max(1, 2**22 // max(nwords, 1))
-        for lo in range(0, count, step):
-            hi = min(lo + step, count)
-            words = stream_words(key, start + lo, hi - lo, nwords)
-            out[lo:hi] = _samples_from_words(config, words)
-    else:
-        nbytes = -(-total // 8)
-        step = max(1, 2**26 // max(nbytes, 1))
-        for lo in range(0, count, step):
-            hi = min(lo + step, count)
-            data = stream_bytes(key, start + lo, hi - lo, nbytes)
-            out[lo:hi] = _samples_from_bytes(config, data)
+    nwords = -(-total_seed_bits(config) // 64)
+    rows = max(1, min(count, _TILE_BYTES // (8 * nwords)))
+    pipe = _TilePipeline(config, nwords, rows)
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        pipe.run(stream_words(key, start + lo, hi - lo, nwords), out[lo:hi])
     return out
 
 
