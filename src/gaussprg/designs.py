@@ -19,12 +19,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from ._bits import extract_blocks, extract_blocks_from_words
+from ._bits import extract_blocks
 
 __all__ = [
     "Quadrature1D",
@@ -49,6 +50,10 @@ __all__ = [
 
 _MAX_QUAD_POINTS = 64
 _MAX_PRIME = 2**62
+# From this q on, gap targets are exact rationals. Below it they stay float
+# products, which keeps every smaller plan's thresholds as they were (exact
+# floors would differ for some q in [2^46, 2^53)).
+_EXACT_TARGETS_Q = 2**53
 # Extra bits per field symbol so that mod-q reduction bias is <= 2^-16.
 EXTRA_BLOCK_BITS = 16
 
@@ -275,7 +280,16 @@ def thresholds_from_weights(weights: np.ndarray, q: int) -> np.ndarray:
     M = weights.size
     if q < M:
         raise ValueError(f"q={q} is too coarse for {M} atoms")
-    targets = weights * q
+    if q < _EXACT_TARGETS_Q:
+        targets = weights * q
+    else:
+        # Float products lose the exact gap sum here. A float weight is a
+        # dyadic rational, so Fraction(w) * q floors exactly; dividing by the
+        # weights' exact sum keeps their rounding (~1e-16 * q units) out of
+        # the remainder.
+        exact = [Fraction(w) for w in weights.tolist()]
+        total = sum(exact)
+        targets = [w * q / total for w in exact]
     gaps = [0] * M
     h = M // 2
     for i in range(h):
@@ -301,7 +315,8 @@ def thresholds_from_weights(weights: np.ndarray, q: int) -> np.ndarray:
         j = max(range(h), key=lambda i: (targets[i] - gaps[i], -i), default=0)
         gaps[M - 1 - j] += 1
     thresholds = np.cumsum(np.array(gaps, dtype=np.int64))
-    assert thresholds[-1] == q
+    if thresholds[-1] != q:
+        raise ValueError(f"gap allocation for q={q} does not partition [0, q)")
     return thresholds
 
 
@@ -430,13 +445,6 @@ def symbols_from_bytes(sampler: DesignSampler, data: np.ndarray, n_symbols: int)
     if blocks.dtype == object:
         return np.array([[int(v) % sampler.q for v in row] for row in blocks], dtype=np.int64)
     return blocks % sampler.q
-
-
-def symbols_from_words(sampler: DesignSampler, words: np.ndarray, n_symbols: int) -> np.ndarray:
-    """Word-level fast path of :func:`symbols_from_bytes` (same stream)."""
-    blocks = extract_blocks_from_words(words, n_symbols, sampler.block_bits)
-    np.mod(blocks, np.uint64(sampler.q), out=blocks)
-    return blocks.astype(np.int64)
 
 
 def design_sample_batch_f64(sampler: DesignSampler, seeds_f64: np.ndarray) -> np.ndarray:

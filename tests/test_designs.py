@@ -165,6 +165,27 @@ class TestThresholds:
                 cum = np.cumsum(quad.weights) * q
                 assert np.max(np.abs(th - cum)) < 1.0
 
+    @pytest.mark.parametrize("q", [488000000000011, 2**53 + 5, 487999999999999901, 3903999999999999013])
+    def test_exact_gaps_at_any_q(self, q):
+        # above 2^53 float products w*q lose the exact gap sum; the gaps
+        # must still partition [0, q), stay symmetric and keep every gap
+        # within one unit of its exact target
+        from fractions import Fraction
+
+        quad = gauss_hermite(61)
+        th = thresholds_from_weights(quad.weights, q)
+        assert int(th[-1]) == q
+        gaps = [int(g) for g in np.diff(np.concatenate(([0], th)))]
+        assert gaps == gaps[::-1]
+        exact = [Fraction(w) for w in quad.weights.tolist()]
+        total = sum(exact)
+        assert all(abs(g - w * q / total) <= 1 for g, w in zip(gaps, exact))
+
+    def test_malformed_weights_raise_value_error(self):
+        # weights summing to 0.2 cannot be spread over q units
+        with pytest.raises(ValueError):
+            thresholds_from_weights(np.array([0.1, 0.1]), 11)
+
 
 class TestBuildSampler:
     def test_q_selection_example(self):

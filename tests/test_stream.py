@@ -91,3 +91,18 @@ def test_slicing_never_changes_rows(args, start, count):
     assert out.tobytes() == _reference_batch(args)[start:start + count].tobytes()
     for i in {0, count - 1} if count else ():
         assert out[i].tobytes() == _reference_row(config, SEED, start + i).tobytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (4, 1, 3, 1e-5, 2),  # q ~ 4.9e17 > 2^53, B=75: int64 Horner
+        (4, 1, 3, 5e-6, 2),  # q ~ 3.9e18, B=78: (q-1)*(x_max+1) >= 2^63, object Horner
+    ],
+)
+def test_large_q_plans_sample(args):
+    config = plan(*args)
+    assert config.q > 2**53 and config.block_bits > 57
+    out = sample_batch(config, SEED, 150, start=4)
+    for i in (0, 70, 149):
+        assert out[i].tobytes() == _reference_row(config, SEED, 4 + i).tobytes()
