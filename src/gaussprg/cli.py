@@ -4,7 +4,8 @@ Subcommands map one-to-one onto harness experiments: ``sample`` (emit
 generator output as JSONL), ``moments`` (design moment verification),
 ``fool`` (gap experiments), ``check cw|tail|deriv|prop4`` (verification
 suites) and ``plan`` (print a generator plan with its seed accounting).
-Exit status is 0 iff every configured flag passed.
+Exit status is 0 iff every configured flag passed, and 2, with one
+``gaussprg: error:`` line, for an argument or config file it cannot use.
 """
 
 from __future__ import annotations
@@ -13,15 +14,19 @@ import argparse
 import json
 import sys
 
+from ._bits import normalize_hex_seed
 from .generator import config_to_json, plan
 from .harness import ExperimentSpec, run_experiment
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(parser: argparse.ArgumentParser, path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        parser.error(f"--config {path}: {exc}")
 
 
 def _build_spec(kind: str, cfg: dict, args: argparse.Namespace) -> ExperimentSpec:
@@ -74,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "plan":
-        cfg = _load_config(args.config)
+        cfg = _load_config(parser, args.config)
         config = plan(
             n=int(cfg["n"]),
             d=int(cfg["d"]),
@@ -91,8 +96,14 @@ def main(argv: list[str] | None = None) -> int:
             print(text)
         return 0
 
+    if args.samples is not None and args.samples < 1:
+        parser.error(f"--samples must be >= 1, got {args.samples}")
+    try:
+        normalize_hex_seed(args.seed)
+    except ValueError:
+        parser.error(f"--seed must be hexadecimal, got {args.seed!r}")
     kind = args.check_kind if args.command == "check" else args.command
-    spec = _build_spec(kind, _load_config(args.config), args)
+    spec = _build_spec(kind, _load_config(parser, args.config), args)
     result = run_experiment(spec)
     return 0 if result.passed else 1
 

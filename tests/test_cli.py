@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from gaussprg.cli import main
 
 
@@ -97,6 +99,48 @@ class TestFoolCommand:
         assert run_cli(["fool", "--config", str(cfg), "--seed", "aa", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 2
+
+
+class TestArgumentErrors:
+    """Unusable arguments exit 2 with one ``gaussprg: error:`` line and
+    write nothing."""
+
+    def _rejects(self, argv, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv)
+        assert exc.value.code == 2
+        errors = [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("gaussprg: error: ")]
+        assert len(errors) == 1
+        assert not (tmp_path / "out.jsonl").exists()
+        return errors[0]
+
+    def test_negative_samples(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"generator": {"n": 3, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 4}}))
+        out = tmp_path / "out.jsonl"
+        line = self._rejects(
+            ["sample", "--config", str(cfg), "--samples", "-5", "--out", str(out)], capsys, tmp_path
+        )
+        assert "--samples" in line
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        out = tmp_path / "out.jsonl"
+        line = self._rejects(
+            ["sample", "--config", str(missing), "--samples", "5", "--out", str(out)], capsys, tmp_path
+        )
+        assert "missing.json" in line
+        self._rejects(["plan", "--config", str(missing)], capsys, tmp_path)
+
+    def test_non_hex_seed(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"generator": {"n": 3, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 4}}))
+        out = tmp_path / "out.jsonl"
+        line = self._rejects(
+            ["sample", "--config", str(cfg), "--seed", "zz", "--samples", "5", "--out", str(out)],
+            capsys, tmp_path,
+        )
+        assert "--seed" in line
 
 
 class TestConsoleEntry:
