@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -286,7 +285,10 @@ def thresholds_from_weights(weights: np.ndarray, q: int) -> np.ndarray:
         # Float products lose the exact gap sum here. A float weight is a
         # dyadic rational, so Fraction(w) * q floors exactly; dividing by the
         # weights' exact sum keeps their rounding (~1e-16 * q units) out of
-        # the remainder.
+        # the remainder. Imported here so that importing the package does
+        # not load fractions and decimal.
+        from fractions import Fraction
+
         exact = [Fraction(w) for w in weights.tolist()]
         total = sum(exact)
         targets = [w * q / total for w in exact]

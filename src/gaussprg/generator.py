@@ -194,8 +194,8 @@ def sample(config: GeneratorConfig, seed_bits_data: bytes) -> np.ndarray:
 
     Consumes exactly total_seed_bits(config) bits; design i reads the block
     range [i*K*block_bits, (i+1)*K*block_bits). This byte path shares no
-    code with :func:`sample_batch`'s tile pipeline, which tests compare
-    against it.
+    code with the tile pipeline of :func:`sample_batch`; tests compare the
+    two.
     """
     need = total_seed_bits(config)
     if len(seed_bits_data) * 8 < need:
