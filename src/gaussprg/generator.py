@@ -217,11 +217,13 @@ _WINDOW_BITS = 57
 
 
 class _TilePipeline:
-    """Tables and tile buffer of :func:`sample_batch` for one plan.
+    """Tables and tile buffers of :func:`sample_batch` for one plan.
 
     Each tile runs Philox words -> B-bit blocks -> mod q -> k-wise
     contraction -> mod q -> atom lookup -> chain-order blend. Blocks are
     read from unaligned big-endian 8-byte windows of the tile's bytes.
+    Every stage writes into buffers allocated once per call, so tiles
+    allocate no large temporaries and touch no fresh pages.
     """
 
     def __init__(self, config: GeneratorConfig, nwords: int, rows: int):
@@ -239,68 +241,94 @@ class _TilePipeline:
         )
         B = sampler.block_bits
         starts = np.arange(self.ell * self.K, dtype=np.int64) * B
-        if B <= _WINDOW_BITS:
-            fields = [(starts, B)]
-        else:
-            # top B-32 bits and low 32 bits, joined as Python ints
-            fields = [(starts, B - 32), (starts + B - 32, 32)]
-        self.fields = [
-            (bits >> 3, (bits & 7).astype(np.uint64), np.uint64(64 - width))
-            for bits, width in fields
-        ]
+        # A block is its top min(B, 57) bits, reduced mod q, then for
+        # B > 57 the remaining bits in chunks small enough that
+        # (r << width) | chunk stays below 2^64 for any r < q.
+        head = min(B, _WINDOW_BITS)
+        step = min(_WINDOW_BITS, 64 - (fam.q - 1).bit_length())
+        self.fields = [self._field_spec(starts, 0, head)]
+        for pos in range(head, B, step):
+            self.fields.append(self._field_spec(starts, pos, min(step, B - pos)))
+        shape = (rows, starts.size)
+        self.blocks = np.empty(shape, dtype=np.uint64)
+        self.quot = np.empty(shape, dtype=np.uint64)
+        if len(self.fields) > 1:
+            self.chunk = np.empty(shape, dtype=np.uint64)
         if fam.k * (fam.q - 1) ** 2 < 2**53:
             self.powers = _power_table(fam).astype(np.float64)
             self.thresholds = sampler.thresholds.astype(np.float64)
+            self.fsym = np.empty((rows * self.ell, self.K))
+            acc_dtype = np.float64
         else:
             # Horner steps stay below (q-1)*(x_max+1)
             exact = (fam.q - 1) * (int(fam.eval_points.max()) + 1) < 2**63
-            self.horner_dtype = np.int64 if exact else object
-            self.points = fam.eval_points.astype(self.horner_dtype)
+            acc_dtype = np.int64 if exact else object
+            self.points = fam.eval_points.astype(acc_dtype)
             self.powers = None
             self.thresholds = sampler.thresholds
+        self.acc = np.empty((rows * self.ell, fam.n), dtype=acc_dtype)
         self.nodes = sampler.quadrature.nodes
+        self.vals = np.empty((rows, self.ell, fam.n))
+        self.term = np.empty((rows, fam.n))
         self.w = blend_weights(config.delta, config.ell).w
 
-    def _field(self, rows: int, byte: np.ndarray, shift: np.ndarray, right: np.uint64):
-        vals = np.left_shift(self.windows[:rows, byte], shift, dtype=np.uint64)
-        return np.right_shift(vals, right, out=vals)
+    @staticmethod
+    def _field_spec(starts: np.ndarray, pos: int, width: int):
+        bits = starts + pos
+        return bits >> 3, (bits & 7).astype(np.uint64), np.uint64(64 - width), np.uint64(width)
+
+    def _field(self, rows: int, spec, out: np.ndarray) -> np.ndarray:
+        byte, shift, right, _ = spec
+        np.left_shift(self.windows[:rows, byte], shift, out=out)
+        return np.right_shift(out, right, out=out)
+
+    def _reduce(self, x: np.ndarray) -> None:
+        # x - (x // q) * q: uint64 division by a scalar is far cheaper than %
+        q = np.uint64(self.q)
+        quot = self.quot[: x.shape[0]]
+        np.floor_divide(x, q, out=quot)
+        np.multiply(quot, q, out=quot)
+        np.subtract(x, quot, out=x)
 
     def _symbols(self, rows: int) -> np.ndarray:
         """Blocks mod q, shape (rows * ell, K)."""
-        q = self.q
-        if len(self.fields) == 1:
-            blocks = self._field(rows, *self.fields[0])
-            # x - (x // q) * q: uint64 division by a scalar is far cheaper than %
-            blocks -= (blocks // np.uint64(q)) * np.uint64(q)
-            sym = blocks.view(np.int64)
-        else:
-            hi, lo = (self._field(rows, *f).astype(object) for f in self.fields)
-            sym = (((hi << 32) | lo) % q).astype(np.int64)
-        return sym.reshape(rows * self.ell, self.K)
+        blocks = self._field(rows, self.fields[0], self.blocks[:rows])
+        self._reduce(blocks)
+        for spec in self.fields[1:]:
+            chunk = self._field(rows, spec, self.chunk[:rows])
+            np.left_shift(blocks, spec[3], out=blocks)
+            np.bitwise_or(blocks, chunk, out=blocks)
+            self._reduce(blocks)
+        return blocks.view(np.int64).reshape(rows * self.ell, self.K)
 
     def _contract(self, sym: np.ndarray) -> np.ndarray:
         """Seed polynomials at every evaluation point, mod q."""
         q = self.q
+        acc = self.acc[: sym.shape[0]]
         if self.powers is not None:
-            vals = sym.astype(np.float64) @ self.powers
-            return np.mod(vals, float(q), out=vals)
-        sym = sym.astype(self.horner_dtype, copy=False)
-        acc = np.zeros((sym.shape[0], self.points.size), dtype=self.horner_dtype)
+            fsym = self.fsym[: sym.shape[0]]
+            np.copyto(fsym, sym)
+            np.matmul(fsym, self.powers, out=acc)
+            return np.mod(acc, float(q), out=acc)
+        sym = sym.astype(acc.dtype, copy=False)
+        acc.fill(0)
         for t in range(self.K - 1, -1, -1):
             acc *= self.points
             acc += sym[:, t, None]
             acc %= q
-        return acc.astype(np.int64, copy=False)
+        return acc
 
     def run(self, words: np.ndarray, out: np.ndarray) -> None:
         rows = words.shape[0]
         self.words.view(">u8")[:rows, : self.nwords] = words
-        vals = self._contract(self._symbols(rows))
-        atoms = np.searchsorted(self.thresholds, vals, side="right")
-        vals = self.nodes[atoms].reshape(rows, self.ell, -1)
+        atoms = np.searchsorted(self.thresholds, self._contract(self._symbols(rows)), side="right")
+        vals = self.vals[:rows]
+        np.take(self.nodes, atoms.reshape(vals.shape), out=vals)
+        term = self.term[:rows]
         out.fill(0.0)
         for i in range(self.ell):
-            out += self.w[i] * vals[:, i, :]
+            np.multiply(self.w[i], vals[:, i, :], out=term)
+            out += term
 
 
 def sample_batch(
