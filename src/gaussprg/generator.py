@@ -222,8 +222,10 @@ class _TilePipeline:
     Each tile runs Philox words -> B-bit blocks -> mod q -> k-wise
     contraction -> mod q -> atom lookup -> chain-order blend. Blocks are
     read from unaligned big-endian 8-byte windows of the tile's bytes.
-    Every stage writes into buffers allocated once per call, so tiles
-    allocate no large temporaries and touch no fresh pages.
+    The stages write into buffers allocated once per call. Only the
+    Philox words and the window gather are new arrays in each tile, and
+    they are the same size every time, so the allocator hands back the
+    same memory instead of mapping fresh pages.
     """
 
     def __init__(self, config: GeneratorConfig, nwords: int, rows: int):
