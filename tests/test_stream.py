@@ -3,25 +3,32 @@
 Golden digests pin the bytes ``sample_batch`` writes for one plan per
 contraction regime, and a property test checks that ``start``/``count``
 slicing never changes a row and that every row equals the scalar
-``sample()`` fed the byte stream of its index.
+``sample()`` fed the byte stream of its index. The tile contraction is
+checked on its own against a Python-integer Horner scheme for moduli up
+to 2^62.
 """
 
 import functools
 import hashlib
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussprg._bits import derive_key, stream_bytes
-from gaussprg.generator import plan, sample, sample_batch, total_seed_bits
+from gaussprg.designs import DesignSampler, KWiseFamily, Quadrature1D, is_prime, next_prime
+from gaussprg.generator import _TilePipeline, plan, sample, sample_batch, total_seed_bits
 
 # plan arguments -> (master seed, count, start, SHA-256 of the little-endian
 # float64 output). One plan per contraction regime:
 #   (8,1,2,0.25,200): float64 matmul, B=33, q=123653
 #   (4,1,3,0.01,2):   int64 Horner, B=45, q=488000017
 #   (4,1,3,1e-4,2):   blocks wider than 57 bits, B=65, q~4.9e14
+#   (4,1,3,1e-5,2):   int64 Horner, B=75, q~4.9e17
+#   (4,1,3,5e-6,2):   object Horner, B=78, q~3.9e18
 GOLDEN = {
     (8, 1, 2, 0.25, 200): (
         "5eed01", 2500, 7,
@@ -34,6 +41,14 @@ GOLDEN = {
     (4, 1, 3, 1e-4, 2): (
         "5eed03", 200, 3,
         "32a13395ab0a6d97fcb5a3c7cf92a101d2870d4173df26ccae8a722ee2b917d4",
+    ),
+    (4, 1, 3, 1e-5, 2): (
+        "5eed04", 300, 5,
+        "e87ed1ea8573bf3ed17c35c46f581df3999cdc8493bec80027601c7d8e4fec8c",
+    ),
+    (4, 1, 3, 5e-6, 2): (
+        "5eed05", 300, 2,
+        "ff638981808ce1c1423b23b0618a11869b149dab57690b0fd9285aac6ff424cc",
     ),
 }
 
@@ -106,3 +121,63 @@ def test_large_q_plans_sample(args):
     out = sample_batch(config, SEED, 150, start=4)
     for i in (0, 70, 149):
         assert out[i].tobytes() == _reference_row(config, SEED, 4 + i).tobytes()
+
+
+
+def _prime_below(m: int) -> int:
+    while not is_prime(m):
+        m -= 1
+    return m
+
+
+def _pipeline(q: int, K: int, points, rows: int) -> _TilePipeline:
+    """Tile pipeline of one design of order K over F_q at the given points."""
+    family = KWiseFamily(q, K, len(points), np.array(points, dtype=np.int64))
+    single_atom = Quadrature1D(np.array([0.0]), np.array([1.0]))
+    sampler = DesignSampler(single_atom, family, np.array([q]))
+    config = SimpleNamespace(sampler=sampler, ell=1, delta=0.5)
+    return _TilePipeline(config, 1, rows)
+
+
+def _horner(q: int, points, row) -> list[int]:
+    out = []
+    for x in points:
+        acc = 0
+        for coef in reversed(row):
+            acc = (acc * x + coef) % q
+        out.append(acc)
+    return out
+
+
+def _check_contraction(q: int, K: int, points, symbols) -> None:
+    # Every batch also carries the all-(q-1) row, the largest dot products.
+    rows = [[q - 1] * K] + [list(r) for r in symbols]
+    pipe = _pipeline(q, K, points, len(rows))
+    got = pipe._contract(np.array(rows, dtype=np.uint64).view(np.int64))
+    assert [[int(v) for v in row] for row in got] == [_horner(q, points, r) for r in rows]
+
+
+# Largest q of the float64 matmul (K*(q-1)^2 < 2^53) at K = 120, the first
+# prime past it, and the largest prime below 2^62.
+_FLOAT_EDGE_120 = math.isqrt((2**53 - 1) // 120)
+
+
+@st.composite
+def _contraction_case(draw):
+    bits = draw(st.integers(10, 62))
+    q = next_prime(draw(st.integers(2 ** (bits - 1), 2**bits - 1)))
+    if q > 2**62:
+        q = _prime_below(2**62)
+    K = draw(st.integers(1, 126))
+    points = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=5, unique=True))
+    symbols = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=K, max_size=K), max_size=4))
+    return q, K, points, symbols
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_contraction_case())
+@example(case=(_prime_below(_FLOAT_EDGE_120 + 1), 120, [0, 1, 2, 3], []))
+@example(case=(next_prime(_FLOAT_EDGE_120 + 2), 120, [0, 1, 2, 3], []))
+@example(case=(_prime_below(2**62), 126, [0, 1, 2**62 - 100, 2**61 + 1], []))
+def test_contraction_matches_python_horner(case):
+    _check_contraction(*case)
