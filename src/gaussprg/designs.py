@@ -225,13 +225,15 @@ def kwise_eval(family: KWiseFamily, seed: Sequence[int], i: int) -> int:
 
 
 def _power_table(family: KWiseFamily) -> np.ndarray:
-    """eval_points[j]^t mod q for t < k, shape (k, n)."""
+    """eval_points[j]^t mod q for t < k, shape (k, n).
+
+    Entries come from Python integers, so they are exact for any q <= 2^62;
+    an int64 recurrence entry * x would overflow once (q-1)*x >= 2^63.
+    """
     q = family.q
-    tab = np.empty((family.k, family.n), dtype=np.int64)
-    tab[0] = 1
-    for t in range(1, family.k):
-        tab[t] = (tab[t - 1] * family.eval_points) % q
-    return tab
+    points = family.eval_points.tolist()
+    tab = [[pow(x, t, q) for x in points] for t in range(family.k)]
+    return np.array(tab, dtype=np.int64).reshape(family.k, family.n)
 
 
 def kwise_eval_batch(family: KWiseFamily, seeds: np.ndarray) -> np.ndarray:

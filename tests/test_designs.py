@@ -7,6 +7,7 @@ import pytest
 
 from gaussprg.designs import (
     KWiseFamily,
+    _power_table,
     build_sampler,
     design_sample,
     design_sample_batch,
@@ -118,6 +119,13 @@ class TestKWiseFamily:
         for b in range(20):
             for i in range(7):
                 assert vals[b, i] == kwise_eval(fam, seeds[b], i)
+
+    @pytest.mark.parametrize("q", [101, 488000017, 3903999999999999013])
+    def test_power_table_is_exact(self, q):
+        # q of plan(4,1,3,5e-6,2): x*(q-1) overflows int64 from x = 3 on
+        fam = KWiseFamily(q, 120, 4, np.array([0, 1, 3, 97]))
+        want = [[pow(x, t, q) for x in (0, 1, 3, 97)] for t in range(120)]
+        assert _power_table(fam).tolist() == want
 
     def test_errors(self):
         fam = KWiseFamily.standard(5, 2, 4)
