@@ -60,24 +60,48 @@ def subseed(master_hex: str, *labels: object) -> str:
     return h.hexdigest()[:32]
 
 
-def _philox_words(key: int, index: int, count: int, words_per_index: int) -> np.ndarray:
-    """Raw words for indices [index, index+count), shape (count, wpi).
+def _philox_blocks(words_per_index: int) -> int:
+    return -(-words_per_index // _PHILOX_BLOCK_WORDS)
+
+
+def philox_at(key: int, index: int, words_per_index: int) -> np.random.Philox:
+    """Philox bit generator whose next words are those of stream ``index``.
 
     Index i always occupies Philox counters [i*b, (i+1)*b) for
-    b = ceil(wpi/4) blocks, so the result is independent of batching.
+    b = ceil(wpi/4) blocks, so the words are independent of batching.
+    """
+    if words_per_index <= 0 or index < 0:
+        raise ValueError("index must be non-negative and width positive")
+    return np.random.Philox(key=key, counter=index * _philox_blocks(words_per_index))
+
+
+def _philox_words(
+    key: int, index: int, count: int, words_per_index: int, bitgen: np.random.Philox | None = None
+) -> np.ndarray:
+    """Raw words for indices [index, index+count), shape (count, wpi).
+
+    ``bitgen`` continues a draw: it must come from
+    ``philox_at(key, index, wpi)``, or its last draw here must have ended
+    with index - 1. Each index reads whole 4-word Philox blocks, so a draw
+    leaves the counter at the first block of the next index. Without it a
+    fresh generator is built, which costs more than drawing a few rows.
     """
     if count < 0 or words_per_index <= 0 or index < 0:
         raise ValueError("index/count must be non-negative and width positive")
-    blocks = -(-words_per_index // _PHILOX_BLOCK_WORDS)
-    bg = np.random.Philox(key=key, counter=index * blocks)
-    raw = bg.random_raw(count * blocks * _PHILOX_BLOCK_WORDS)
+    if bitgen is None:
+        bitgen = philox_at(key, index, words_per_index)
+    blocks = _philox_blocks(words_per_index)
+    raw = bitgen.random_raw(count * blocks * _PHILOX_BLOCK_WORDS)
     return raw.reshape(count, blocks * _PHILOX_BLOCK_WORDS)[:, :words_per_index]
 
 
-def stream_words(key: int, index: int, count: int, nwords: int) -> np.ndarray:
+def stream_words(
+    key: int, index: int, count: int, nwords: int, bitgen: np.random.Philox | None = None
+) -> np.ndarray:
     """Native uint64 view of the per-index bitstreams (word j holds stream
-    bits [64j, 64j+64), MSB first)."""
-    return _philox_words(key, index, count, nwords)
+    bits [64j, 64j+64), MSB first). ``bitgen`` is as for
+    :func:`_philox_words`."""
+    return _philox_words(key, index, count, nwords, bitgen)
 
 
 def stream_bytes(key: int, index: int, count: int, nbytes: int) -> np.ndarray:

@@ -80,13 +80,16 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "plan":
         cfg = _load_config(parser, args.config)
-        config = plan(
-            n=int(cfg["n"]),
-            d=int(cfg["d"]),
-            k=int(cfg["k"]),
-            epsilon=float(cfg["epsilon"]),
-            ell_cap=cfg.get("ell_cap"),
-        )
+        try:
+            config = plan(
+                n=int(cfg["n"]),
+                d=int(cfg["d"]),
+                k=int(cfg["k"]),
+                epsilon=float(cfg["epsilon"]),
+                ell_cap=cfg.get("ell_cap"),
+            )
+        except ValueError as exc:
+            parser.error(f"--config {args.config}: {exc}")
         text = config_to_json(config)
         if args.out:
             with open(args.out, "w") as fh:
@@ -104,7 +107,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--seed must be hexadecimal, got {args.seed!r}")
     kind = args.check_kind if args.command == "check" else args.command
     spec = _build_spec(kind, _load_config(parser, args.config), args)
-    result = run_experiment(spec)
+    try:
+        result = run_experiment(spec)
+    except ValueError as exc:
+        # The library raises ValueError for every input it rejects.
+        parser.error(str(exc))
     return 0 if result.passed else 1
 
 

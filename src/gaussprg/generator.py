@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import derive_key, stream_words
+from ._bits import derive_key, philox_at, stream_words
 from .designs import (
     DesignSampler,
     _power_table,
@@ -127,6 +128,11 @@ def plan(n: int, d: int, k: int, epsilon: float, ell_cap: int | None = None) -> 
         raise ValueError("epsilon must lie in (0, 1)")
     if d < 1 or k < 1 or n < 1:
         raise ValueError("need n, d, k >= 1")
+    if ell_cap is not None:
+        try:
+            ell_cap = operator.index(ell_cap)
+        except TypeError:
+            raise ValueError(f"ell_cap must be an integer, got {ell_cap!r}") from None
     delta = epsilon ** (1.0 / 3.0)
     log_term = k * (2 * d + 1) * math.log(1.0 / epsilon)
     raw_ell = delta**-2 * log_term
@@ -214,6 +220,53 @@ _TILE_BYTES = 2**18
 # Widest field that one unaligned 8-byte window holds at any bit phase:
 # a field starting at bit 7 of its first byte must end by bit 64.
 _WINDOW_BITS = 57
+# Integers below 2^53 are exact in float64, so a matmul whose dot products
+# stay below it is exact.
+_FLOAT_EXACT = 2**53
+
+
+def _limb_split(K: int, q: int) -> tuple[int, int, int, int]:
+    """Limbs ``(nS, a, nP, b)`` of the exact float64 contraction mod q.
+
+    Symbols split into nS limbs of a bits and power-table entries into nP
+    limbs of b bits, so that every dot product of limbs, at most
+    ``K*nS*(2^a-1)*(2^b-1)``, stays below 2^53; an unsplit side counts as
+    ``q-1``. The split with the fewest blocks nS*nP wins, on ties the one
+    with fewer symbol limbs. ``(1, 1)`` is chosen exactly when
+    ``K*(q-1)^2 < 2^53``.
+    """
+    bits = (q - 1).bit_length()
+    best = None
+    for nS in range(1, bits + 1):
+        if best is not None and nS > best[0] * best[2]:
+            break
+        a = -(-bits // nS)
+        sym_max = q - 1 if nS == 1 else 2**a - 1
+        for nP in range(1, bits + 1):
+            b = -(-bits // nP)
+            tab_max = q - 1 if nP == 1 else 2**b - 1
+            if K * nS * sym_max * tab_max < _FLOAT_EXACT:
+                if best is None or nS * nP < best[0] * best[2]:
+                    best = (nS, a, nP, b)
+                break
+    return best
+
+
+def _shift_steps(q: int, width: int, low_max: int) -> list[int]:
+    """Shift widths that take r < q to ``(r << width) + low`` mod q in
+    uint64, for any ``low <= low_max``, reducing after each shift: every
+    ``(q-1) << s`` stays below 2^64, and the last shift leaves room for
+    ``low``."""
+    span = 64 - (q - 1).bit_length()
+    last = span
+    while ((q - 1) << last) + low_max >= 2**64:
+        last -= 1
+    last = min(last, width)
+    rest = width - last
+    steps = [span] * (rest // span)
+    if rest % span:
+        steps.append(rest % span)
+    return steps + [last]
 
 
 class _TilePipeline:
@@ -222,10 +275,12 @@ class _TilePipeline:
     Each tile runs Philox words -> B-bit blocks -> mod q -> k-wise
     contraction -> mod q -> atom lookup -> chain-order blend. Blocks are
     read from unaligned big-endian 8-byte windows of the tile's bytes.
-    The stages write into buffers allocated once per call. Only the
-    Philox words and the window gather are new arrays in each tile, and
-    they are the same size every time, so the allocator hands back the
-    same memory instead of mapping fresh pages.
+    The contraction is one float64 matmul of symbol limbs against a limb
+    table of the powers (see :func:`_limb_split`), exact for every
+    q <= 2^62. The stages write into buffers allocated once per call.
+    Only the Philox words and the window gather are new arrays in each
+    tile, and they are the same size every time, so the allocator hands
+    back the same memory instead of mapping fresh pages.
     """
 
     def __init__(self, config: GeneratorConfig, nwords: int, rows: int):
@@ -245,80 +300,117 @@ class _TilePipeline:
         starts = np.arange(self.ell * self.K, dtype=np.int64) * B
         # A block is its top min(B, 57) bits, reduced mod q, then for
         # B > 57 the remaining bits in chunks small enough that
-        # (r << width) | chunk stays below 2^64 for any r < q.
+        # (r << width) + chunk stays below 2^64 for any r < q, so each
+        # chunk is shifted in with one reduction.
         head = min(B, _WINDOW_BITS)
         step = min(_WINDOW_BITS, 64 - (fam.q - 1).bit_length())
         self.fields = [self._field_spec(starts, 0, head)]
         for pos in range(head, B, step):
-            self.fields.append(self._field_spec(starts, pos, min(step, B - pos)))
+            width = min(step, B - pos)
+            spec = self._field_spec(starts, pos, width)
+            self.fields.append(spec + (_shift_steps(fam.q, width, 2**width - 1),))
         shape = (rows, starts.size)
         self.blocks = np.empty(shape, dtype=np.uint64)
         self.quot = np.empty(shape, dtype=np.uint64)
         if len(self.fields) > 1:
             self.chunk = np.empty(shape, dtype=np.uint64)
-        if fam.k * (fam.q - 1) ** 2 < 2**53:
-            self.powers = _power_table(fam).astype(np.float64)
-            self.thresholds = sampler.thresholds.astype(np.float64)
-            self.fsym = np.empty((rows * self.ell, self.K))
-            acc_dtype = np.float64
-        else:
-            # Horner steps stay below (q-1)*(x_max+1)
-            exact = (fam.q - 1) * (int(fam.eval_points.max()) + 1) < 2**63
-            acc_dtype = np.int64 if exact else object
-            self.points = fam.eval_points.astype(acc_dtype)
-            self.powers = None
-            self.thresholds = sampler.thresholds
-        self.acc = np.empty((rows * self.ell, fam.n), dtype=acc_dtype)
+        self._init_contraction(fam, rows * self.ell)
         self.nodes = sampler.quadrature.nodes
+        self.thresholds = sampler.thresholds.astype(np.uint64)
         self.vals = np.empty((rows, self.ell, fam.n))
         self.term = np.empty((rows, fam.n))
         self.w = blend_weights(config.delta, config.ell).w
 
+    def _init_contraction(self, fam, m: int) -> None:
+        q, K, n = fam.q, fam.k, fam.n
+        nS, a, nP, b = _limb_split(K, q)
+        self.nS, self.a, self.nP = nS, a, nP
+        # Block (i, j) of the table is limb j of (2^(a*i) * x^t) mod q.
+        powers = _power_table(fam).tolist()
+        shifted = np.array(
+            [[(p << (a * i)) % q for p in row] for i in range(nS) for row in powers],
+            dtype=np.uint64,
+        ).reshape(nS * K, n)
+        mask = np.uint64(2**b - 1)
+        self.table = np.concatenate(
+            [(shifted >> np.uint64(b * j)) & mask for j in range(nP)], axis=1
+        ).astype(np.float64)
+        self.fsym = np.empty((m, nS * K))
+        if nS > 2:
+            self.limb = np.empty((m, K), dtype=np.uint64)
+        self.acc = np.empty((m, nP * n))
+        self.parts = np.empty((m, nP * n), dtype=np.uint64)
+        self.cquot = np.empty((m, n), dtype=np.uint64)
+        self.combine_steps = _shift_steps(q, b, _FLOAT_EXACT - 1)
+
     @staticmethod
     def _field_spec(starts: np.ndarray, pos: int, width: int):
         bits = starts + pos
-        return bits >> 3, (bits & 7).astype(np.uint64), np.uint64(64 - width), np.uint64(width)
+        return bits >> 3, (bits & 7).astype(np.uint64), np.uint64(64 - width)
 
     def _field(self, rows: int, spec, out: np.ndarray) -> np.ndarray:
-        byte, shift, right, _ = spec
+        byte, shift, right = spec[:3]
         np.left_shift(self.windows[:rows, byte], shift, out=out)
         return np.right_shift(out, right, out=out)
 
-    def _reduce(self, x: np.ndarray) -> None:
+    def _reduce(self, x: np.ndarray, quot: np.ndarray) -> None:
         # x - (x // q) * q: uint64 division by a scalar is far cheaper than %
         q = np.uint64(self.q)
-        quot = self.quot[: x.shape[0]]
         np.floor_divide(x, q, out=quot)
         np.multiply(quot, q, out=quot)
         np.subtract(x, quot, out=x)
 
+    def _shift_in(self, r: np.ndarray, steps: list[int], low: np.ndarray, quot: np.ndarray) -> None:
+        """r <- ((r << sum(steps)) + low) mod q for r < q, in uint64."""
+        for s in steps[:-1]:
+            np.left_shift(r, np.uint64(s), out=r)
+            self._reduce(r, quot)
+        np.left_shift(r, np.uint64(steps[-1]), out=r)
+        np.add(r, low, out=r)
+        self._reduce(r, quot)
+
     def _symbols(self, rows: int) -> np.ndarray:
         """Blocks mod q, shape (rows * ell, K)."""
+        quot = self.quot[:rows]
         blocks = self._field(rows, self.fields[0], self.blocks[:rows])
-        self._reduce(blocks)
+        self._reduce(blocks, quot)
         for spec in self.fields[1:]:
-            chunk = self._field(rows, spec, self.chunk[:rows])
-            np.left_shift(blocks, spec[3], out=blocks)
-            np.bitwise_or(blocks, chunk, out=blocks)
-            self._reduce(blocks)
+            self._shift_in(blocks, spec[3], self._field(rows, spec, self.chunk[:rows]), quot)
         return blocks.view(np.int64).reshape(rows * self.ell, self.K)
 
     def _contract(self, sym: np.ndarray) -> np.ndarray:
         """Seed polynomials at every evaluation point, mod q."""
-        q = self.q
-        acc = self.acc[: sym.shape[0]]
-        if self.powers is not None:
-            fsym = self.fsym[: sym.shape[0]]
+        m, K = sym.shape
+        fsym = self.fsym[:m]
+        if self.nS == 1:
             np.copyto(fsym, sym)
-            np.matmul(fsym, self.powers, out=acc)
-            return np.mod(acc, float(q), out=acc)
-        sym = sym.astype(acc.dtype, copy=False)
-        acc.fill(0)
-        for t in range(self.K - 1, -1, -1):
-            acc *= self.points
-            acc += sym[:, t, None]
-            acc %= q
-        return acc
+        else:
+            # Limb i of every symbol, a bits from bit a*i, into column block i.
+            usym = sym.view(np.uint64)
+            mask = np.uint64(2**self.a - 1)
+            np.bitwise_and(usym, mask, out=fsym[:, :K])
+            for i in range(1, self.nS):
+                dst = fsym[:, i * K : (i + 1) * K]
+                if i == self.nS - 1:
+                    np.right_shift(usym, np.uint64(self.a * i), out=dst)
+                else:
+                    limb = self.limb[:m]
+                    np.right_shift(usym, np.uint64(self.a * i), out=limb)
+                    np.bitwise_and(limb, mask, out=dst)
+        acc = self.acc[:m]
+        np.matmul(fsym, self.table, out=acc)
+        # Every entry is an integer below 2^53, so the cast is exact. Limb
+        # column blocks j then combine as sum_j 2^(b*j) * block_j mod q,
+        # Horner-style from the top block.
+        parts = self.parts[:m]
+        np.copyto(parts, acc, casting="unsafe")
+        n = parts.shape[1] // self.nP
+        r = parts[:, (self.nP - 1) * n :]
+        quot = self.cquot[:m]
+        self._reduce(r, quot)
+        for j in range(self.nP - 2, -1, -1):
+            self._shift_in(r, self.combine_steps, parts[:, j * n : (j + 1) * n], quot)
+        return r
 
     def run(self, words: np.ndarray, out: np.ndarray) -> None:
         rows = words.shape[0]
@@ -346,9 +438,11 @@ def sample_batch(
     nwords = -(-total_seed_bits(config) // 64)
     rows = max(1, min(count, _TILE_BYTES // (8 * nwords)))
     pipe = _TilePipeline(config, nwords, rows)
+    # Tiles read consecutive indices, so one bit generator serves them all.
+    bitgen = philox_at(key, start, nwords)
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
-        pipe.run(stream_words(key, start + lo, hi - lo, nwords), out[lo:hi])
+        pipe.run(stream_words(key, start + lo, hi - lo, nwords, bitgen), out[lo:hi])
     return out
 
 

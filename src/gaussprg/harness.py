@@ -540,8 +540,10 @@ def _plan_from_params(params: dict, n_override: int | None = None) -> GeneratorC
 def _run_sample(spec: ExperimentSpec) -> ExperimentResult:
     config = _plan_from_params(spec.generator)
     count = int(spec.samples["count"])
+    if count < 1:
+        raise ValueError(f"samples.count must be >= 1, got {count}")
     block = 4096
-    units = -(-count // block) if count else 0
+    units = -(-count // block)
 
     def unit(u: int) -> np.ndarray:
         lo = u * block

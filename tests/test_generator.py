@@ -53,6 +53,8 @@ class TestPlan:
             plan(4, 0, 2, 0.5)
         with pytest.raises(ValueError):
             plan(4, 1, 2, 1e-120)  # ell astronomically large, no cap
+        with pytest.raises(ValueError):
+            plan(4, 1, 2, 0.25, ell_cap="50")
 
 
 class TestBlendWeights:

@@ -217,6 +217,17 @@ class TestRunExperiment:
         row = json.loads(lines[1])
         assert row["seed_index"] == 0 and len(row["y"]) == 2
 
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_sample_count_below_one(self, tmp_path, count):
+        out = tmp_path / "y.jsonl"
+        spec = ExperimentSpec(
+            "sample", {}, {"n": 2, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 3},
+            {"count": count}, "cafe", str(out),
+        )
+        with pytest.raises(ValueError):
+            run_experiment(spec)
+        assert not out.exists()
+
     def test_moments_csv(self, tmp_path):
         out = str(tmp_path / "m.csv")
         spec = ExperimentSpec(

@@ -20,15 +20,17 @@ from hypothesis import strategies as st
 
 from gaussprg._bits import derive_key, stream_bytes
 from gaussprg.designs import DesignSampler, KWiseFamily, Quadrature1D, is_prime, next_prime
-from gaussprg.generator import _TilePipeline, plan, sample, sample_batch, total_seed_bits
+from gaussprg._bits import philox_at, stream_words
+from gaussprg.generator import _TilePipeline, _limb_split, plan, sample, sample_batch, total_seed_bits
 
 # plan arguments -> (master seed, count, start, SHA-256 of the little-endian
-# float64 output). One plan per contraction regime:
-#   (8,1,2,0.25,200): float64 matmul, B=33, q=123653
-#   (4,1,3,0.01,2):   int64 Horner, B=45, q=488000017
-#   (4,1,3,1e-4,2):   blocks wider than 57 bits, B=65, q~4.9e14
-#   (4,1,3,1e-5,2):   int64 Horner, B=75, q~4.9e17
-#   (4,1,3,5e-6,2):   object Horner, B=78, q~3.9e18
+# float64 output. Symbols split into nS limbs and powers into nP limbs
+# (generator._limb_split):
+#   (8,1,2,0.25,200): (nS, nP) = (1, 1), B=33, q=123653
+#   (4,1,3,0.01,2):   (1, 2), B=45, q=488000017
+#   (4,1,3,1e-4,2):   (2, 3), blocks wider than 57 bits, B=65, q~4.9e14
+#   (4,1,3,1e-5,2):   (2, 4), B=75, q~4.9e17
+#   (4,1,3,5e-6,2):   (3, 3), B=78, q~3.9e18
 GOLDEN = {
     (8, 1, 2, 0.25, 200): (
         "5eed01", 2500, 7,
@@ -111,8 +113,8 @@ def test_slicing_never_changes_rows(args, start, count):
 @pytest.mark.parametrize(
     "args",
     [
-        (4, 1, 3, 1e-5, 2),  # q ~ 4.9e17 > 2^53, B=75: int64 Horner
-        (4, 1, 3, 5e-6, 2),  # q ~ 3.9e18, B=78: (q-1)*(x_max+1) >= 2^63, object Horner
+        (4, 1, 3, 1e-5, 2),  # q ~ 4.9e17 > 2^53, B=75
+        (4, 1, 3, 5e-6, 2),  # q ~ 3.9e18, B=78
     ],
 )
 def test_large_q_plans_sample(args):
@@ -181,3 +183,54 @@ def _contraction_case(draw):
 @example(case=(_prime_below(2**62), 126, [0, 1, 2**62 - 100, 2**61 + 1], []))
 def test_contraction_matches_python_horner(case):
     _check_contraction(*case)
+
+
+def _split_changes(K: int) -> list[int]:
+    """Every q in [2^10, 2^62) whose limb split differs from that of q+1."""
+    found = []
+
+    def walk(lo, hi, split_lo, split_hi):
+        if split_lo == split_hi:
+            return
+        if hi - lo == 1:
+            found.append(lo)
+            return
+        mid = (lo + hi) // 2
+        split_mid = _limb_split(K, mid)
+        walk(lo, mid, split_lo, split_mid)
+        walk(mid, hi, split_mid, split_hi)
+
+    walk(2**10, 2**62, _limb_split(K, 2**10), _limb_split(K, 2**62))
+    return found
+
+
+@pytest.mark.parametrize("K", [1, 2, 90, 120, 126])
+def test_contraction_at_every_limb_change(K):
+    rng = np.random.default_rng(K)
+    changes = _split_changes(K)
+    assert changes
+    for edge in changes:
+        for q in (_prime_below(edge), next_prime(edge + 1)):
+            if q > 2**62:
+                continue
+            split = _limb_split(K, q)
+            assert (split[0], split[2]) == (1, 1) or K * (q - 1) ** 2 >= 2**53
+            points = [0, 1, q - 1] + [int(x) for x in rng.integers(2, q - 1, size=2)]
+            symbols = rng.integers(0, q, size=(3, K), dtype=np.uint64).tolist()
+            _check_contraction(q, K, sorted(set(points)), symbols)
+
+
+def test_float_matmul_exactly_below_two_to_53():
+    # The unsplit contraction is chosen exactly when K*(q-1)^2 < 2^53.
+    for K in (1, 2, 90, 120, 126):
+        edge = math.isqrt((2**53 - 1) // K) + 1  # largest q with K*(q-1)^2 < 2^53
+        assert _limb_split(K, edge)[::2] == (1, 1)
+        assert _limb_split(K, edge + 1)[::2] != (1, 1)
+
+
+def test_bit_generator_continues_across_calls():
+    key, nwords = derive_key("5eed06", "words"), 7
+    whole = stream_words(key, 11, 9, nwords)
+    bitgen = philox_at(key, 11, nwords)
+    parts = [stream_words(key, 11 + lo, n, nwords, bitgen) for lo, n in ((0, 2), (2, 0), (2, 4), (6, 3))]
+    assert np.array_equal(np.concatenate(parts), whole)
