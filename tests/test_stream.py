@@ -18,14 +18,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaussprg._bits import derive_key, stream_bytes
+from gaussprg._bits import derive_key, philox_at, stream_bytes, stream_words
 from gaussprg.designs import DesignSampler, KWiseFamily, Quadrature1D, is_prime, next_prime
-from gaussprg._bits import philox_at, stream_words
 from gaussprg.generator import _TilePipeline, _limb_split, plan, sample, sample_batch, total_seed_bits
 
 # plan arguments -> (master seed, count, start, SHA-256 of the little-endian
-# float64 output. Symbols split into nS limbs and powers into nP limbs
-# (generator._limb_split):
+# float64 output). One plan per limb split of the contraction: symbols in
+# nS limbs, powers in nP limbs (generator._limb_split):
 #   (8,1,2,0.25,200): (nS, nP) = (1, 1), B=33, q=123653
 #   (4,1,3,0.01,2):   (1, 2), B=45, q=488000017
 #   (4,1,3,1e-4,2):   (2, 3), blocks wider than 57 bits, B=65, q~4.9e14
@@ -125,7 +124,6 @@ def test_large_q_plans_sample(args):
         assert out[i].tobytes() == _reference_row(config, SEED, 4 + i).tobytes()
 
 
-
 def _prime_below(m: int) -> int:
     while not is_prime(m):
         m -= 1
@@ -159,8 +157,8 @@ def _check_contraction(q: int, K: int, points, symbols) -> None:
     assert [[int(v) for v in row] for row in got] == [_horner(q, points, r) for r in rows]
 
 
-# Largest q of the float64 matmul (K*(q-1)^2 < 2^53) at K = 120, the first
-# prime past it, and the largest prime below 2^62.
+# Examples: at K = 120 the largest prime with K*(q-1)^2 < 2^53 (unsplit
+# limbs) and the first prime past it; the largest prime below 2^62.
 _FLOAT_EDGE_120 = math.isqrt((2**53 - 1) // 120)
 
 
