@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -99,6 +100,46 @@ class TestFoolCommand:
         assert run_cli(["fool", "--config", str(cfg), "--seed", "aa", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 2
+
+
+class TestResultFiles:
+    """Golden SHA-256 digests pin the bytes of the files ``sample`` and
+    ``fool`` write; ``--jobs`` never changes them."""
+
+    SAMPLE = {"generator": {"n": 3, "d": 1, "k": 2, "epsilon": 0.3, "ell_cap": 50}}
+    SAMPLE_DIGEST = "47061331edd919b4dbe4a47ba1e622fc7956d0a8e6a723e3e976247e91c2d0d1"
+    # Two epsilons with different chain lengths (ell 7 and 29), so units
+    # of unequal cost run side by side.
+    FOOL = {
+        "ensemble": {"count": 2, "num_vars": 3, "degree": 1},
+        "generator": {"k": 2, "epsilons": [0.5, 0.2]},
+        "samples": {"n_gen": 3000, "baseline": "analytic", "max_gap_stderr": 3, "max_gap_slack": 0.02},
+    }
+    FOOL_DIGEST = "621c2d4ac09d226e0e9ce21ec8c662f078c36cd45f128e2921306c770c509042"
+
+    @staticmethod
+    def _digest(*paths) -> str:
+        h = hashlib.sha256()
+        for path in paths:
+            h.update(path.read_bytes())
+        return h.hexdigest()
+
+    def test_sample_jsonl(self, tmp_path):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(self.SAMPLE))
+        out = tmp_path / "y.jsonl"
+        argv = ["sample", "--config", str(cfg), "--seed", "5eed", "--samples", "5000", "--out", str(out)]
+        assert run_cli(argv) == 0
+        assert self._digest(out) == self.SAMPLE_DIGEST
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_fool_csv(self, tmp_path, jobs):
+        cfg = tmp_path / "fool.json"
+        cfg.write_text(json.dumps(self.FOOL))
+        out = tmp_path / "fool.csv"
+        argv = ["fool", "--config", str(cfg), "--seed", "5eed", "--out", str(out), "--jobs", str(jobs)]
+        assert run_cli(argv) == 0
+        assert self._digest(out, tmp_path / "fool.csv.spec.json") == self.FOOL_DIGEST
 
 
 class TestArgumentErrors:

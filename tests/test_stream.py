@@ -30,6 +30,8 @@ from gaussprg.generator import _TilePipeline, _limb_split, plan, sample, sample_
 #   (4,1,3,1e-4,2):   (2, 3), blocks wider than 57 bits, B=65, q~4.9e14
 #   (4,1,3,1e-5,2):   (2, 4), B=75, q~4.9e17
 #   (4,1,3,5e-6,2):   (3, 3), B=78, q~3.9e18
+# plus one plan with n = 1 and ell = 21, where the blend's chain order
+# shows: a pairwise sum over the designs changes most of its rows.
 GOLDEN = {
     (8, 1, 2, 0.25, 200): (
         "5eed01", 2500, 7,
@@ -50,6 +52,10 @@ GOLDEN = {
     (4, 1, 3, 5e-6, 2): (
         "5eed05", 300, 2,
         "ff638981808ce1c1423b23b0618a11869b149dab57690b0fd9285aac6ff424cc",
+    ),
+    (1, 1, 2, 0.25, 200): (
+        "5eed10", 3000, 13,
+        "dd8de560b35b72f02faa9620e95eac015a1a880ffca9ba97c1e2375ee42ed2d3",
     ),
 }
 
@@ -92,6 +98,15 @@ def test_reference_batch_matches_sample(args):
     ref = _reference_batch(args)
     for i in range(REF_ROWS):
         assert ref[i].tobytes() == _reference_row(config, SEED, i).tobytes(), f"row {i}"
+
+
+@pytest.mark.parametrize("args", PLANS)
+def test_single_row_matches_sample(args):
+    config = _config(args)
+    for start in (0, 17):
+        out = sample_batch(config, SEED, 1, start=start)
+        assert out.shape == (1, config.n)
+        assert out[0].tobytes() == _reference_row(config, SEED, start).tobytes()
 
 
 @settings(max_examples=40, deadline=None)
