@@ -18,6 +18,7 @@ design order 10*d*(3k+3), per-design statistical budget eps^k/(n*ell).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -117,6 +118,11 @@ class GeneratorConfig:
         per = seed_bits(self.sampler)
         return [i * per for i in range(self.ell)]
 
+    @functools.cached_property
+    def _tables(self) -> _PlanTables:
+        """Read-only tables of :func:`sample_batch`, built on its first call."""
+        return _PlanTables(self)
+
 
 def plan(n: int, d: int, k: int, epsilon: float, ell_cap: int | None = None) -> GeneratorConfig:
     """Derive all generator parameters for (n, d, k, epsilon).
@@ -212,10 +218,11 @@ def sample(config: GeneratorConfig, seed_bits_data: bytes) -> np.ndarray:
     return _blend(config, vals[None])[0]
 
 
-# Philox words per tile, in bytes. A tile's words, blocks and symbols then
-# fit one core's 2 MiB L2 cache, so --jobs workers do not compete for
-# memory bandwidth. Tiles cut the rows anywhere: a row's bytes depend only
-# on its own stream index.
+# Philox words per tile, in bytes: the fastest of the sizes from 2^15 to
+# 2^20 in a sweep timed interleaved in one process. At this size a tile's
+# arrays do not fit one core's 2 MiB L2 (about 2.5 MB at
+# plan(8,1,2,0.25,200)). Tiles cut the rows anywhere: a row's bytes depend
+# only on its own stream index.
 _TILE_BYTES = 2**18
 # Widest field that one unaligned 8-byte window holds at any bit phase:
 # a field starting at bit 7 of its first byte must end by bit 64.
@@ -223,6 +230,8 @@ _WINDOW_BITS = 57
 # Integers below 2^53 are exact in float64, so a matmul whose dot products
 # stay below it is exact.
 _FLOAT_EXACT = 2**53
+# The atom lookup table has at most 2^16 buckets.
+_BUCKET_BITS = 16
 
 
 def _limb_split(K: int, q: int) -> tuple[int, int, int, int]:
@@ -269,60 +278,47 @@ def _shift_steps(q: int, width: int, low_max: int) -> list[int]:
     return steps + [last]
 
 
-class _TilePipeline:
-    """Tables and tile buffers of :func:`sample_batch` for one plan.
+def _read_only(*arrays: np.ndarray) -> None:
+    for arr in arrays:
+        arr.setflags(write=False)
 
-    Each tile runs Philox words -> B-bit blocks -> mod q -> k-wise
-    contraction -> mod q -> atom lookup -> chain-order blend. Blocks are
-    read from unaligned big-endian 8-byte windows of the tile's bytes.
-    The contraction is one float64 matmul of symbol limbs against a limb
-    table of the powers (see :func:`_limb_split`), exact for every
-    q <= 2^62. The stages write into buffers allocated once per call.
-    Only the Philox words and the window gather are new arrays in each
-    tile, and they are the same size every time, so the allocator hands
-    back the same memory instead of mapping fresh pages.
+
+class _PlanTables:
+    """Immutable tables of :func:`sample_batch` for one plan.
+
+    Built on a plan's first ``sample_batch`` call and kept on its
+    :class:`GeneratorConfig`. Every array is read-only, so all calls and
+    threads share them.
+
+    - ``fields``: where each block's bit fields sit in a row's bytes.
+    - ``table``: the limb table of the powers (see :func:`_limb_split`).
+    - ``edges``, ``buckets``: the atom lookup. Only atoms with a nonzero
+      gap can be drawn; numbered 0..Mc-1 in order, ``edges`` holds their
+      upper thresholds. ``buckets[v >> shift]`` is the atom of every value
+      in that bucket, or -1 where an edge splits the bucket.
+    - ``weighted``: ``w[i] * node`` of drawn atom c at ``i*Mc + c``, the
+      term that the chain-order blend adds for design i.
     """
 
-    def __init__(self, config: GeneratorConfig, nwords: int, rows: int):
+    def __init__(self, config: GeneratorConfig):
         sampler = config.sampler
         fam = sampler.family
-        self.ell, self.K, self.q = config.ell, fam.k, fam.q
-        self.nwords = nwords
-        # One zero word after each row backs windows that start in the
-        # row's last 7 bytes.
-        self.words = np.zeros((rows, nwords + 1), dtype=np.uint64)
-        stride = self.words.strides[0]
-        # windows[r, i] is the big-endian 8-byte word at byte i of row r.
-        self.windows = np.ndarray(
-            (rows, stride - 7), dtype=">u8", buffer=self.words, strides=(stride, 1)
-        )
+        q, K, n, ell = fam.q, fam.k, fam.n, config.ell
+        self.ell, self.K, self.q = ell, K, q
         B = sampler.block_bits
-        starts = np.arange(self.ell * self.K, dtype=np.int64) * B
+        starts = np.arange(ell * K, dtype=np.int64) * B
         # A block is its top min(B, 57) bits, reduced mod q, then for
         # B > 57 the remaining bits in chunks small enough that
         # (r << width) + chunk stays below 2^64 for any r < q, so each
         # chunk is shifted in with one reduction.
         head = min(B, _WINDOW_BITS)
-        step = min(_WINDOW_BITS, 64 - (fam.q - 1).bit_length())
+        step = min(_WINDOW_BITS, 64 - (q - 1).bit_length())
         self.fields = [self._field_spec(starts, 0, head)]
         for pos in range(head, B, step):
             width = min(step, B - pos)
             spec = self._field_spec(starts, pos, width)
-            self.fields.append(spec + (_shift_steps(fam.q, width, 2**width - 1),))
-        shape = (rows, starts.size)
-        self.blocks = np.empty(shape, dtype=np.uint64)
-        self.quot = np.empty(shape, dtype=np.uint64)
-        if len(self.fields) > 1:
-            self.chunk = np.empty(shape, dtype=np.uint64)
-        self._init_contraction(fam, rows * self.ell)
-        self.nodes = sampler.quadrature.nodes
-        self.thresholds = sampler.thresholds.astype(np.uint64)
-        self.vals = np.empty((rows, self.ell, fam.n))
-        self.term = np.empty((rows, fam.n))
-        self.w = blend_weights(config.delta, config.ell).w
+            self.fields.append(spec + (_shift_steps(q, width, 2**width - 1),))
 
-    def _init_contraction(self, fam, m: int) -> None:
-        q, K, n = fam.q, fam.k, fam.n
         nS, a, nP, b = _limb_split(K, q)
         self.nS, self.a, self.nP = nS, a, nP
         # Block (i, j) of the table is limb j of (2^(a*i) * x^t) mod q.
@@ -335,18 +331,81 @@ class _TilePipeline:
         self.table = np.concatenate(
             [(shifted >> np.uint64(b * j)) & mask for j in range(nP)], axis=1
         ).astype(np.float64)
-        self.fsym = np.empty((m, nS * K))
-        if nS > 2:
-            self.limb = np.empty((m, K), dtype=np.uint64)
-        self.acc = np.empty((m, nP * n))
-        self.parts = np.empty((m, nP * n), dtype=np.uint64)
-        self.cquot = np.empty((m, n), dtype=np.uint64)
         self.combine_steps = _shift_steps(q, b, _FLOAT_EXACT - 1)
+
+        drawn = np.flatnonzero(np.diff(sampler.thresholds, prepend=0))
+        self.edges = sampler.thresholds[drawn]
+        self.shift = max(0, (q - 1).bit_length() - _BUCKET_BITS)
+        low = np.arange(((q - 1) >> self.shift) + 1, dtype=np.int64) << self.shift
+        high = np.minimum(low + (2**self.shift - 1), q - 1)
+        first = np.searchsorted(self.edges, low, side="right")
+        self.buckets = np.where(first == np.searchsorted(self.edges, high, side="right"), first, -1)
+        w = blend_weights(config.delta, ell).w
+        self.weighted = (w[:, None] * sampler.quadrature.nodes[drawn]).ravel()
+        self.offsets = np.arange(ell)[:, None, None] * drawn.size
+        _read_only(self.table, self.edges, self.buckets, self.weighted, self.offsets)
+        for spec in self.fields:
+            _read_only(*spec[:2])
 
     @staticmethod
     def _field_spec(starts: np.ndarray, pos: int, width: int):
         bits = starts + pos
         return bits >> 3, (bits & 7).astype(np.uint64), np.uint64(64 - width)
+
+    def atoms(self, v: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Drawn atom of every int64 value ``0 <= v < q``, written to out;
+        scratch is an int64 array of v's shape."""
+        bucket = np.right_shift(v, self.shift, out=scratch) if self.shift else v
+        np.take(self.buckets, bucket, out=out)
+        if out.min() < 0:
+            split = out < 0
+            out[split] = np.searchsorted(self.edges, v[split], side="right")
+        return out
+
+
+class _TilePipeline:
+    """Tile buffers of one :func:`sample_batch` call.
+
+    Each tile runs Philox words -> B-bit blocks -> mod q -> k-wise
+    contraction -> mod q -> atom lookup -> weighted-node gather ->
+    chain-order blend, reading the plan's :class:`_PlanTables`. Blocks are
+    read from unaligned big-endian 8-byte windows of the tile's bytes.
+    The contraction is one float64 matmul of symbol limbs against the limb
+    table, exact for every q <= 2^62. The stages write into buffers
+    allocated once per call. Only the Philox words and the window gather
+    are new arrays in each tile, and they are the same size every time, so
+    the allocator hands back the same memory instead of mapping fresh
+    pages.
+    """
+
+    def __init__(self, tables: _PlanTables, nwords: int, rows: int):
+        t = self.t = tables
+        self.nwords = nwords
+        # One zero word after each row backs windows that start in the
+        # row's last 7 bytes.
+        self.words = np.zeros((rows, nwords + 1), dtype=np.uint64)
+        stride = self.words.strides[0]
+        # windows[r, i] is the big-endian 8-byte word at byte i of row r.
+        self.windows = np.ndarray(
+            (rows, stride - 7), dtype=">u8", buffer=self.words, strides=(stride, 1)
+        )
+        shape = (rows, t.ell * t.K)
+        self.blocks = np.empty(shape, dtype=np.uint64)
+        self.quot = np.empty(shape, dtype=np.uint64)
+        if len(t.fields) > 1:
+            self.chunk = np.empty(shape, dtype=np.uint64)
+        m, n = rows * t.ell, t.table.shape[1] // t.nP
+        self.fsym = np.empty((m, t.nS * t.K))
+        if t.nS > 2:
+            self.limb = np.empty((m, t.K), dtype=np.uint64)
+        self.acc = np.empty((m, t.nP * n))
+        self.parts = np.empty((m, t.nP * n), dtype=np.uint64)
+        self.cquot = np.empty((m, n), dtype=np.uint64)
+        # Lookup and gather buffers, design-major (ell, rows, n). They are
+        # flat so that every tile's prefix is contiguous.
+        self.bucket = np.empty(m * n, dtype=np.int64)
+        self.idx = np.empty(m * n, dtype=np.intp)
+        self.terms = np.empty(m * n)
 
     def _field(self, rows: int, spec, out: np.ndarray) -> np.ndarray:
         byte, shift, right = spec[:3]
@@ -355,7 +414,7 @@ class _TilePipeline:
 
     def _reduce(self, x: np.ndarray, quot: np.ndarray) -> None:
         # x - (x // q) * q: uint64 division by a scalar is far cheaper than %
-        q = np.uint64(self.q)
+        q = np.uint64(self.t.q)
         np.floor_divide(x, q, out=quot)
         np.multiply(quot, q, out=quot)
         np.subtract(x, quot, out=x)
@@ -371,58 +430,64 @@ class _TilePipeline:
 
     def _symbols(self, rows: int) -> np.ndarray:
         """Blocks mod q, shape (rows * ell, K)."""
+        fields = self.t.fields
         quot = self.quot[:rows]
-        blocks = self._field(rows, self.fields[0], self.blocks[:rows])
+        blocks = self._field(rows, fields[0], self.blocks[:rows])
         self._reduce(blocks, quot)
-        for spec in self.fields[1:]:
+        for spec in fields[1:]:
             self._shift_in(blocks, spec[3], self._field(rows, spec, self.chunk[:rows]), quot)
-        return blocks.view(np.int64).reshape(rows * self.ell, self.K)
+        return blocks.view(np.int64).reshape(rows * self.t.ell, self.t.K)
 
     def _contract(self, sym: np.ndarray) -> np.ndarray:
         """Seed polynomials at every evaluation point, mod q."""
+        t = self.t
         m, K = sym.shape
         fsym = self.fsym[:m]
-        if self.nS == 1:
+        if t.nS == 1:
             np.copyto(fsym, sym)
         else:
             # Limb i of every symbol, a bits from bit a*i, into column block i.
             usym = sym.view(np.uint64)
-            mask = np.uint64(2**self.a - 1)
+            mask = np.uint64(2**t.a - 1)
             np.bitwise_and(usym, mask, out=fsym[:, :K])
-            for i in range(1, self.nS):
+            for i in range(1, t.nS):
                 dst = fsym[:, i * K : (i + 1) * K]
-                if i == self.nS - 1:
-                    np.right_shift(usym, np.uint64(self.a * i), out=dst)
+                if i == t.nS - 1:
+                    np.right_shift(usym, np.uint64(t.a * i), out=dst)
                 else:
                     limb = self.limb[:m]
-                    np.right_shift(usym, np.uint64(self.a * i), out=limb)
+                    np.right_shift(usym, np.uint64(t.a * i), out=limb)
                     np.bitwise_and(limb, mask, out=dst)
         acc = self.acc[:m]
-        np.matmul(fsym, self.table, out=acc)
+        np.matmul(fsym, t.table, out=acc)
         # Every entry is an integer below 2^53, so the cast is exact. Limb
         # column blocks j then combine as sum_j 2^(b*j) * block_j mod q,
         # Horner-style from the top block.
         parts = self.parts[:m]
         np.copyto(parts, acc, casting="unsafe")
-        n = parts.shape[1] // self.nP
-        r = parts[:, (self.nP - 1) * n :]
+        n = parts.shape[1] // t.nP
+        r = parts[:, (t.nP - 1) * n :]
         quot = self.cquot[:m]
         self._reduce(r, quot)
-        for j in range(self.nP - 2, -1, -1):
-            self._shift_in(r, self.combine_steps, parts[:, j * n : (j + 1) * n], quot)
+        for j in range(t.nP - 2, -1, -1):
+            self._shift_in(r, t.combine_steps, parts[:, j * n : (j + 1) * n], quot)
         return r
 
     def run(self, words: np.ndarray, out: np.ndarray) -> None:
-        rows = words.shape[0]
+        t = self.t
+        rows, n = out.shape
         self.words.view(">u8")[:rows, : self.nwords] = words
-        atoms = np.searchsorted(self.thresholds, self._contract(self._symbols(rows)), side="right")
-        vals = self.vals[:rows]
-        np.take(self.nodes, atoms.reshape(vals.shape), out=vals)
-        term = self.term[:rows]
-        out.fill(0.0)
-        for i in range(self.ell):
-            np.multiply(self.w[i], vals[:, i, :], out=term)
-            out += term
+        v = self._contract(self._symbols(rows)).view(np.int64)
+        # Design-major views, so the blend adds contiguous (rows, n) terms.
+        v = v.reshape(rows, t.ell, n).transpose(1, 0, 2)
+        shape, size = v.shape, v.size
+        idx = t.atoms(v, self.bucket[:size].reshape(shape), self.idx[:size].reshape(shape))
+        np.add(idx, t.offsets, out=idx)
+        terms = np.take(t.weighted, idx, out=self.terms[:size].reshape(shape))
+        # Chain order from 0.0, as _blend adds them.
+        np.add(terms[0], 0.0, out=out)
+        for term in terms[1:]:
+            np.add(out, term, out=out)
 
 
 def sample_batch(
@@ -437,7 +502,7 @@ def sample_batch(
     out = np.empty((count, config.n))
     nwords = -(-total_seed_bits(config) // 64)
     rows = max(1, min(count, _TILE_BYTES // (8 * nwords)))
-    pipe = _TilePipeline(config, nwords, rows)
+    pipe = _TilePipeline(config._tables, nwords, rows)
     # Tiles read consecutive indices, so one bit generator serves them all.
     bitgen = philox_at(key, start, nwords)
     for lo in range(0, count, rows):

@@ -11,6 +11,8 @@ to 2^62.
 import functools
 import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from gaussprg._bits import derive_key, philox_at, stream_bytes, stream_words
 from gaussprg.designs import DesignSampler, KWiseFamily, Quadrature1D, is_prime, next_prime
-from gaussprg.generator import _TilePipeline, _limb_split, plan, sample, sample_batch, total_seed_bits
+from gaussprg.generator import _PlanTables, _TilePipeline, _limb_split, plan, sample, sample_batch, total_seed_bits
 
 # plan arguments -> (master seed, count, start, SHA-256 of the little-endian
 # float64 output). One plan per limb split of the contraction: symbols in
@@ -109,6 +111,43 @@ def test_single_row_matches_sample(args):
         assert out[0].tobytes() == _reference_row(config, SEED, start).tobytes()
 
 
+@pytest.mark.parametrize("args", PLANS)
+def test_bucket_lookup_matches_searchsorted(args):
+    # Every threshold t and the value below it, plus both ends of [0, q).
+    config = _config(args)
+    th, q = config.sampler.thresholds, config.q
+    values = {0, q - 1} | {int(t) + d for t in th for d in (-1, 0) if 0 <= int(t) + d < q}
+    v = np.array(sorted(values), dtype=np.int64)
+    got = config._tables.atoms(v, np.empty_like(v), np.empty(v.shape, dtype=np.intp))
+    drawn = np.flatnonzero(np.diff(th, prepend=0))
+    assert np.array_equal(drawn[got], np.searchsorted(th, v, side="right"))
+
+
+def test_tables_built_once_per_plan_and_read_only():
+    config = plan(*PLANS[0])
+    assert "_tables" not in vars(config)
+    sample_batch(config, SEED, 3)
+    tables = vars(config)["_tables"]
+    sample_batch(config, SEED, 3, start=5)
+    assert config._tables is tables
+    for arr in (tables.table, tables.edges, tables.buckets, tables.weighted):
+        assert not arr.flags.writeable
+
+
+def test_threads_build_tables_concurrently():
+    # Fresh plans, so several threads build the tables at once.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for args in PLANS[:2]:
+            config = plan(*args)
+            with ThreadPoolExecutor(max_workers=4) as ex:
+                outs = list(ex.map(lambda lo: sample_batch(config, SEED, 40, start=lo), range(0, 320, 40)))
+            assert np.concatenate(outs).tobytes() == _reference_batch(args)[:320].tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     args=st.sampled_from(PLANS),
@@ -151,7 +190,7 @@ def _pipeline(q: int, K: int, points, rows: int) -> _TilePipeline:
     single_atom = Quadrature1D(np.array([0.0]), np.array([1.0]))
     sampler = DesignSampler(single_atom, family, np.array([q]))
     config = SimpleNamespace(sampler=sampler, ell=1, delta=0.5)
-    return _TilePipeline(config, 1, rows)
+    return _TilePipeline(_PlanTables(config), 1, rows)
 
 
 def _horner(q: int, points, row) -> list[int]:
