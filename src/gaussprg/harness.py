@@ -53,10 +53,17 @@ __all__ = [
 _UNIT = 25_000  # fixed Monte-Carlo work-unit size (samples per unit)
 
 
-def _run_units(count: int, fn: Callable[[int], object], jobs: int) -> list:
+def _run_units(
+    count: int, fn: Callable[[int], object], jobs: int, order: Sequence[int] | None = None
+) -> list:
+    """``[fn(u) for u in range(count)]``; with ``jobs > 1`` the workers
+    start the units in ``order`` (default index order), so the longest
+    units can go first."""
     if jobs > 1 and count > 1:
+        order = range(count) if order is None else order
         with ThreadPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, range(count)))
+            done = dict(zip(order, ex.map(fn, order)))
+        return [done[u] for u in range(count)]
     return [fn(u) for u in range(count)]
 
 
@@ -628,7 +635,10 @@ def _run_fool(spec: ExperimentSpec) -> ExperimentResult:
             row["passed"] = int(abs(est.gap) <= float(max_stderr) * est.stderr + slack)
         return [row]
 
-    results = _run_units(count * len(epsilons) if count else 0, unit, spec.jobs)
+    units = count * len(epsilons) if count else 0
+    # Sampling time grows with ell: start the longest chains first.
+    heavy_first = sorted(range(units), key=lambda idx: -configs[epsilons[idx % len(epsilons)]].ell)
+    results = _run_units(units, unit, spec.jobs, heavy_first)
     rows = [r for part in results for r in part]
     cols = [
         "ptf_index", "ptf_id", "generator_id", "epsilon", "ell", "truncated",
