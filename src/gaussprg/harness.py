@@ -561,12 +561,13 @@ def _run_sample(spec: ExperimentSpec) -> ExperimentResult:
     with open(spec.out, "w") as fh:
         fh.write(json.dumps({"spec": json.loads(spec.echo_json())}, sort_keys=True))
         fh.write("\n")
+        # The bytes json.dumps(..., sort_keys=True) would write: float repr
+        # and ", " separators.
         idx = 0
         for chunk in chunks:
-            for row in chunk:
-                fh.write(json.dumps({"seed_index": idx, "y": row.tolist()}, sort_keys=True))
-                fh.write("\n")
-                idx += 1
+            rows = chunk.tolist()
+            fh.writelines('{"seed_index": %d, "y": %r}\n' % row for row in enumerate(rows, idx))
+            idx += len(rows)
     return ExperimentResult(True, (), (spec.out,))
 
 
