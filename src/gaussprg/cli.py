@@ -15,8 +15,8 @@ import json
 import sys
 
 from ._bits import normalize_hex_seed
-from .generator import config_to_json, plan
-from .harness import ExperimentSpec, run_experiment
+from .generator import config_to_json
+from .harness import ExperimentSpec, _plan_from_params, run_experiment
 
 
 def _load_config(parser: argparse.ArgumentParser, path: str | None) -> dict:
@@ -81,13 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "plan":
         cfg = _load_config(parser, args.config)
         try:
-            config = plan(
-                n=int(cfg["n"]),
-                d=int(cfg["d"]),
-                k=int(cfg["k"]),
-                epsilon=float(cfg["epsilon"]),
-                ell_cap=cfg.get("ell_cap"),
-            )
+            config = _plan_from_params(cfg, prefix="")
         except ValueError as exc:
             parser.error(f"--config {args.config}: {exc}")
         text = config_to_json(config)

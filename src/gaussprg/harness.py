@@ -534,19 +534,28 @@ def _write_spec_sidecar(spec: ExperimentSpec) -> str:
     return path
 
 
-def _plan_from_params(params: dict, n_override: int | None = None) -> GeneratorConfig:
+def _need(section: dict, path: str):
+    """The config value at the dotted ``path``, read from ``section``; a
+    missing key raises ValueError naming ``path``."""
+    key = path.rpartition(".")[2]
+    if key not in section:
+        raise ValueError(f"config is missing {path}")
+    return section[key]
+
+
+def _plan_from_params(params: dict, prefix: str = "generator.") -> GeneratorConfig:
     return plan(
-        n=n_override if n_override is not None else int(params["n"]),
-        d=int(params["d"]),
-        k=int(params["k"]),
-        epsilon=float(params["epsilon"]),
+        n=int(_need(params, prefix + "n")),
+        d=int(_need(params, prefix + "d")),
+        k=int(_need(params, prefix + "k")),
+        epsilon=float(_need(params, prefix + "epsilon")),
         ell_cap=params.get("ell_cap"),
     )
 
 
 def _run_sample(spec: ExperimentSpec) -> ExperimentResult:
     config = _plan_from_params(spec.generator)
-    count = int(spec.samples["count"])
+    count = int(_need(spec.samples, "samples.count"))
     if count < 1:
         raise ValueError(f"samples.count must be >= 1, got {count}")
     block = 4096
@@ -573,7 +582,12 @@ def _run_sample(spec: ExperimentSpec) -> ExperimentResult:
 
 def _run_moments(spec: ExperimentSpec) -> ExperimentResult:
     g = spec.generator
-    sampler = build_sampler(int(g["M"]), int(g["K"]), int(g["n"]), float(g["tv_budget"]))
+    sampler = build_sampler(
+        int(_need(g, "generator.M")),
+        int(_need(g, "generator.K")),
+        int(_need(g, "generator.n")),
+        float(_need(g, "generator.tv_budget")),
+    )
     mode = spec.samples.get("mode", "exhaustive")
     report = verify_moments(
         sampler,
@@ -591,17 +605,17 @@ def _run_moments(spec: ExperimentSpec) -> ExperimentResult:
 
 def _run_fool(spec: ExperimentSpec) -> ExperimentResult:
     count = int(spec.ensemble.get("count", 0))
-    num_vars = int(spec.ensemble["num_vars"]) if count else 0
+    num_vars = int(_need(spec.ensemble, "ensemble.num_vars")) if count else 0
     degree = int(spec.ensemble.get("degree", 1))
-    epsilons = [float(e) for e in spec.generator["epsilons"]]
-    n_gen = int(spec.samples["n_gen"])
+    epsilons = [float(e) for e in _need(spec.generator, "generator.epsilons")]
+    n_gen = int(_need(spec.samples, "samples.n_gen"))
     baseline = spec.samples.get("baseline", "analytic" if degree == 1 else "mc")
     max_stderr = spec.samples.get("max_gap_stderr")
     slack = float(spec.samples.get("max_gap_slack", 0.0))
-    configs = {
-        e: plan(num_vars, degree, int(spec.generator["k"]), e, spec.generator.get("ell_cap"))
-        for e in epsilons
-    } if count else {}
+    configs = {}
+    if count:
+        k = int(_need(spec.generator, "generator.k"))
+        configs = {e: plan(num_vars, degree, k, e, spec.generator.get("ell_cap")) for e in epsilons}
 
     def unit(idx: int) -> list[dict]:
         pi, ei = divmod(idx, len(epsilons))
@@ -662,9 +676,9 @@ def _run_cw(spec: ExperimentSpec) -> ExperimentResult:
     for d in degrees:
         rep = check_carbery_wright(
             int(d),
-            [float(e) for e in spec.samples["epsilons"]],
+            [float(e) for e in _need(spec.samples, "samples.epsilons")],
             int(spec.ensemble.get("count", 0)),
-            int(spec.samples["n_samples"]),
+            int(_need(spec.samples, "samples.n_samples")),
             num_vars=int(spec.ensemble.get("num_vars", 3)),
             const=float(spec.samples.get("const", 3.0)),
             master_seed=spec.seed,
@@ -686,9 +700,9 @@ def _run_tail(spec: ExperimentSpec) -> ExperimentResult:
     for d in degrees:
         rep = check_tail_bound(
             int(d),
-            [float(N) for N in spec.samples["N_list"]],
+            [float(N) for N in _need(spec.samples, "samples.N_list")],
             int(spec.ensemble.get("count", 0)),
-            int(spec.samples["n_samples"]),
+            int(_need(spec.samples, "samples.n_samples")),
             num_vars=int(spec.ensemble.get("num_vars", 3)),
             const=float(spec.samples.get("const", 10.0)),
             master_seed=spec.seed,
@@ -709,7 +723,10 @@ def _run_deriv(spec: ExperimentSpec) -> ExperimentResult:
     else:
         polys = [
             _ensemble_ptf(
-                int(spec.ensemble["num_vars"]), int(spec.ensemble["degree"]), spec.seed, pi
+                int(_need(spec.ensemble, "ensemble.num_vars")),
+                int(_need(spec.ensemble, "ensemble.degree")),
+                spec.seed,
+                pi,
             ).poly
             for pi in range(int(spec.ensemble.get("count", 0)))
         ]
@@ -718,8 +735,8 @@ def _run_deriv(spec: ExperimentSpec) -> ExperimentResult:
     for pi, poly in enumerate(polys):
         rep = check_derivative_identity(
             poly,
-            [int(e) for e in spec.samples["ells"]],
-            int(spec.samples["n_samples"]),
+            [int(e) for e in _need(spec.samples, "samples.ells")],
+            int(_need(spec.samples, "samples.n_samples")),
             tol=float(spec.samples.get("tol", 0.05)),
             master_seed=subseed(spec.seed, "deriv-poly", pi),
             jobs=spec.jobs,
@@ -735,7 +752,7 @@ def _run_deriv(spec: ExperimentSpec) -> ExperimentResult:
 
 def _run_prop4(spec: ExperimentSpec) -> ExperimentResult:
     rep = check_prop4_1d(
-        int(spec.samples["k"]),
+        int(_need(spec.samples, "samples.k")),
         [float(r) for r in spec.samples.get("shells", (0.2, 0.1, 0.05))],
         fit_grid=int(spec.samples.get("fit_grid", 15)),
         shell_points=int(spec.samples.get("shell_points", 64)),

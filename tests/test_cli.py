@@ -193,6 +193,19 @@ class TestArgumentErrors:
         line = self._rejects(["sample", "--config", str(cfg), "--out", str(out)], capsys, tmp_path)
         assert "samples.count" in line
 
+    def test_plan_config_missing_key(self, tmp_path, capsys):
+        cfg = tmp_path / "plan.json"
+        cfg.write_text(json.dumps({"n": 4, "d": 1}))
+        line = self._rejects(["plan", "--config", str(cfg)], capsys, tmp_path)
+        assert "missing k" in line
+
+    def test_sample_config_missing_count(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"generator": {"n": 3, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 4}}))
+        out = tmp_path / "out.jsonl"
+        line = self._rejects(["sample", "--config", str(cfg), "--out", str(out)], capsys, tmp_path)
+        assert "missing samples.count" in line
+
     def test_string_ell_cap(self, tmp_path, capsys):
         cfg = tmp_path / "plan.json"
         cfg.write_text(json.dumps({"n": 4, "d": 1, "k": 2, "epsilon": 0.25, "ell_cap": "50"}))

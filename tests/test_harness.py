@@ -228,6 +228,21 @@ class TestRunExperiment:
             run_experiment(spec)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, generator, samples, missing",
+        [
+            ("sample", {"n": 2, "d": 1, "k": 1, "epsilon": 0.4}, {}, "samples.count"),
+            ("sample", {"n": 2, "d": 1, "epsilon": 0.4}, {"count": 5}, "generator.k"),
+            ("moments", {"M": 3, "K": 4, "n": 2}, {}, "generator.tv_budget"),
+        ],
+    )
+    def test_missing_config_key(self, tmp_path, kind, generator, samples, missing):
+        out = tmp_path / "y.out"
+        spec = ExperimentSpec(kind, {}, generator, samples, "cafe", str(out))
+        with pytest.raises(ValueError, match=f"missing {missing}"):
+            run_experiment(spec)
+        assert not out.exists()
+
     def test_moments_csv(self, tmp_path):
         out = str(tmp_path / "m.csv")
         spec = ExperimentSpec(
