@@ -278,11 +278,6 @@ def _shift_steps(q: int, width: int, low_max: int) -> list[int]:
     return steps + [last]
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for arr in arrays:
-        arr.setflags(write=False)
-
-
 class _PlanTables:
     """Immutable tables of :func:`sample_batch` for one plan.
 
@@ -339,13 +334,15 @@ class _PlanTables:
         low = np.arange(((q - 1) >> self.shift) + 1, dtype=np.int64) << self.shift
         high = np.minimum(low + (2**self.shift - 1), q - 1)
         first = np.searchsorted(self.edges, low, side="right")
-        self.buckets = np.where(first == np.searchsorted(self.edges, high, side="right"), first, -1)
+        split = first != np.searchsorted(self.edges, high, side="right")
+        # The smallest signed type that holds -1 and every atom number.
+        self.buckets = np.where(split, -1, first).astype(np.min_scalar_type(-drawn.size))
         w = blend_weights(config.delta, ell).w
         self.weighted = (w[:, None] * sampler.quadrature.nodes[drawn]).ravel()
         self.offsets = np.arange(ell)[:, None, None] * drawn.size
-        _read_only(self.table, self.edges, self.buckets, self.weighted, self.offsets)
-        for spec in self.fields:
-            _read_only(*spec[:2])
+        field_arrays = [arr for spec in self.fields for arr in spec[:2]]
+        for arr in [self.table, self.edges, self.buckets, self.weighted, self.offsets, *field_arrays]:
+            arr.setflags(write=False)
 
     @staticmethod
     def _field_spec(starts: np.ndarray, pos: int, width: int):
@@ -353,8 +350,8 @@ class _PlanTables:
         return bits >> 3, (bits & 7).astype(np.uint64), np.uint64(64 - width)
 
     def atoms(self, v: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Drawn atom of every int64 value ``0 <= v < q``, written to out;
-        scratch is an int64 array of v's shape."""
+        """Drawn atom of every int64 value ``0 <= v < q``, written to out
+        (of the buckets' dtype); scratch is an int64 array of v's shape."""
         bucket = np.right_shift(v, self.shift, out=scratch) if self.shift else v
         np.take(self.buckets, bucket, out=out)
         if out.min() < 0:
@@ -404,6 +401,7 @@ class _TilePipeline:
         # Lookup and gather buffers, design-major (ell, rows, n). They are
         # flat so that every tile's prefix is contiguous.
         self.bucket = np.empty(m * n, dtype=np.int64)
+        self.atom = np.empty(m * n, dtype=t.buckets.dtype)
         self.idx = np.empty(m * n, dtype=np.intp)
         self.terms = np.empty(m * n)
 
@@ -481,8 +479,8 @@ class _TilePipeline:
         # Design-major views, so the blend adds contiguous (rows, n) terms.
         v = v.reshape(rows, t.ell, n).transpose(1, 0, 2)
         shape, size = v.shape, v.size
-        idx = t.atoms(v, self.bucket[:size].reshape(shape), self.idx[:size].reshape(shape))
-        np.add(idx, t.offsets, out=idx)
+        atom = t.atoms(v, self.bucket[:size].reshape(shape), self.atom[:size].reshape(shape))
+        idx = np.add(atom, t.offsets, out=self.idx[:size].reshape(shape))
         terms = np.take(t.weighted, idx, out=self.terms[:size].reshape(shape))
         # Chain order from 0.0, as _blend adds them.
         np.add(terms[0], 0.0, out=out)

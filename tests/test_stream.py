@@ -118,7 +118,8 @@ def test_bucket_lookup_matches_searchsorted(args):
     th, q = config.sampler.thresholds, config.q
     values = {0, q - 1} | {int(t) + d for t in th for d in (-1, 0) if 0 <= int(t) + d < q}
     v = np.array(sorted(values), dtype=np.int64)
-    got = config._tables.atoms(v, np.empty_like(v), np.empty(v.shape, dtype=np.intp))
+    tables = config._tables
+    got = tables.atoms(v, np.empty_like(v), np.empty(v.shape, dtype=tables.buckets.dtype))
     drawn = np.flatnonzero(np.diff(th, prepend=0))
     assert np.array_equal(drawn[got], np.searchsorted(th, v, side="right"))
 
