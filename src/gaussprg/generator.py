@@ -299,7 +299,7 @@ class _PlanTables:
         sampler = config.sampler
         fam = sampler.family
         q, K, n, ell = fam.q, fam.k, fam.n, config.ell
-        self.ell, self.K, self.q = ell, K, q
+        self.ell, self.K, self.q, self.n = ell, K, q, n
         B = sampler.block_bits
         starts = np.arange(ell * K, dtype=np.int64) * B
         # A block is its top min(B, 57) bits, reduced mod q, then for
@@ -391,7 +391,7 @@ class _TilePipeline:
         self.quot = np.empty(shape, dtype=np.uint64)
         if len(t.fields) > 1:
             self.chunk = np.empty(shape, dtype=np.uint64)
-        m, n = rows * t.ell, t.table.shape[1] // t.nP
+        m, n = rows * t.ell, t.n
         self.fsym = np.empty((m, t.nS * t.K))
         if t.nS > 2:
             self.limb = np.empty((m, t.K), dtype=np.uint64)
@@ -463,7 +463,7 @@ class _TilePipeline:
         # Horner-style from the top block.
         parts = self.parts[:m]
         np.copyto(parts, acc, casting="unsafe")
-        n = parts.shape[1] // t.nP
+        n = t.n
         r = parts[:, (t.nP - 1) * n :]
         quot = self.cquot[:m]
         self._reduce(r, quot)
