@@ -332,11 +332,13 @@ class _PlanTables:
         self.edges = sampler.thresholds[drawn]
         self.shift = max(0, (q - 1).bit_length() - _BUCKET_BITS)
         low = np.arange(((q - 1) >> self.shift) + 1, dtype=np.int64) << self.shift
-        high = np.minimum(low + (2**self.shift - 1), q - 1)
-        first = np.searchsorted(self.edges, low, side="right")
-        split = first != np.searchsorted(self.edges, high, side="right")
-        # The smallest signed type that holds -1 and every atom number.
-        self.buckets = np.where(split, -1, first).astype(np.min_scalar_type(-drawn.size))
+        # The atom of each bucket's lowest value; -1 where an edge below q
+        # falls inside the bucket. The dtype is the smallest signed one that
+        # holds -1 and every atom number.
+        buckets = np.searchsorted(self.edges, low, side="right")
+        inner = self.edges[:-1][self.edges[:-1] & (2**self.shift - 1) != 0]
+        buckets[inner >> self.shift] = -1
+        self.buckets = buckets.astype(np.min_scalar_type(-drawn.size))
         w = blend_weights(config.delta, ell).w
         self.weighted = (w[:, None] * sampler.quadrature.nodes[drawn]).ravel()
         self.offsets = np.arange(ell)[:, None, None] * drawn.size
