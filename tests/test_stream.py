@@ -5,7 +5,7 @@ contraction regime, and a property test checks that ``start``/``count``
 slicing never changes a row and that every row equals the scalar
 ``sample()`` fed the byte stream of its index. The tile contraction is
 checked on its own against a Python-integer Horner scheme for moduli up
-to 2^62.
+to 2^62, and the bucket-table atom lookup against ``searchsorted``.
 """
 
 import functools
@@ -143,7 +143,8 @@ def test_threads_build_tables_concurrently():
         for args in PLANS[:2]:
             config = plan(*args)
             with ThreadPoolExecutor(max_workers=4) as ex:
-                outs = list(ex.map(lambda lo: sample_batch(config, SEED, 40, start=lo), range(0, 320, 40)))
+                batches = ex.map(lambda lo: sample_batch(config, SEED, 40, start=lo), range(0, 320, 40), timeout=120)
+                outs = list(batches)
             assert np.concatenate(outs).tobytes() == _reference_batch(args)[:320].tobytes()
     finally:
         sys.setswitchinterval(interval)
