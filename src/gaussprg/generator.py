@@ -331,14 +331,16 @@ class _PlanTables:
         drawn = np.flatnonzero(np.diff(sampler.thresholds, prepend=0))
         self.edges = sampler.thresholds[drawn]
         self.shift = max(0, (q - 1).bit_length() - _BUCKET_BITS)
-        low = np.arange(((q - 1) >> self.shift) + 1, dtype=np.int64) << self.shift
-        # The atom of each bucket's lowest value; -1 where an edge below q
-        # falls inside the bucket. The dtype is the smallest signed one that
-        # holds -1 and every atom number.
-        buckets = np.searchsorted(self.edges, low, side="right")
+        # Bucket b holds the atom of its lowest value b << shift: the number
+        # of edges at or below it, so atom c fills the buckets from
+        # ceil(edge[c-1] / 2^shift) up to ceil(edge[c] / 2^shift). Then -1
+        # marks each bucket that an edge below q falls inside. The dtype is
+        # the smallest signed one that holds -1 and every atom number.
+        first = -(-self.edges // 2**self.shift)
+        atom_ids = np.arange(drawn.size, dtype=np.min_scalar_type(-drawn.size))
+        self.buckets = np.repeat(atom_ids, np.diff(first, prepend=0))
         inner = self.edges[:-1][self.edges[:-1] & (2**self.shift - 1) != 0]
-        buckets[inner >> self.shift] = -1
-        self.buckets = buckets.astype(np.min_scalar_type(-drawn.size))
+        self.buckets[inner >> self.shift] = -1
         w = blend_weights(config.delta, ell).w
         self.weighted = (w[:, None] * sampler.quadrature.nodes[drawn]).ravel()
         self.offsets = np.arange(ell)[:, None, None] * drawn.size
