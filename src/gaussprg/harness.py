@@ -10,6 +10,7 @@ per-unit partial sums, so results are independent of the worker count.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -53,18 +54,54 @@ __all__ = [
 _UNIT = 25_000  # fixed Monte-Carlo work-unit size (samples per unit)
 
 
+_unit_fn: Callable[[int], object] | None = None  # set in each pool worker
+
+
+def _install(fn: Callable[[int], object]) -> None:
+    """Pool-worker initializer: the unit function this worker runs."""
+    global _unit_fn
+    _unit_fn = fn
+
+
+def _call(u: int) -> object:
+    return _unit_fn(u)
+
+
 def _run_units(
     count: int, fn: Callable[[int], object], jobs: int, order: Sequence[int] | None = None
 ) -> list:
-    """``[fn(u) for u in range(count)]``; with ``jobs > 1`` the workers
+    """``[fn(u) for u in range(count)]``.
+
+    With ``jobs > 1``, at most ``min(jobs, count, os.cpu_count())`` workers
     start the units in ``order`` (default index order), so the longest
-    units can go first."""
-    if jobs > 1 and count > 1:
-        order = range(count) if order is None else order
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            done = dict(zip(order, ex.map(fn, order)))
-        return [done[u] for u in range(count)]
-    return [fn(u) for u in range(count)]
+    units can go first. The workers are forked processes, which inherit
+    ``fn`` (often a closure) without pickling it; only unit indices and
+    results cross the pipes. Where ``fork`` is unavailable they are
+    threads.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers < 2:
+        return [fn(u) for u in range(count)]
+    import multiprocessing
+
+    order = range(count) if order is None else order
+    if "fork" in multiprocessing.get_all_start_methods():
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_install,
+            initargs=(fn,),
+        )
+        call = _call
+    else:
+        pool, call = ThreadPoolExecutor(max_workers=workers), fn
+    with pool:
+        done = dict(zip(order, pool.map(call, order)))
+    return [done[u] for u in range(count)]
 
 
 def _content_id(text: str) -> str:
@@ -517,9 +554,25 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, columns: Sequence[str], rows: Sequence[dict]) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: str, newline: str | None = None):
+    """A text file that appears at ``path`` only once it is complete: it is
+    written to a temporary file in the same directory, then renamed onto
+    ``path``. A write that fails leaves ``path`` as it was."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
+def _write_csv(path: str, columns: Sequence[str], rows: Sequence[dict]) -> None:
+    with _atomic_open(path, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(columns)
         for row in rows:
@@ -528,7 +581,7 @@ def _write_csv(path: str, columns: Sequence[str], rows: Sequence[dict]) -> None:
 
 def _write_spec_sidecar(spec: ExperimentSpec) -> str:
     path = spec.out + ".spec.json"
-    with open(path, "w") as fh:
+    with _atomic_open(path) as fh:
         fh.write(spec.echo_json())
         fh.write("\n")
     return path
@@ -566,8 +619,7 @@ def _run_sample(spec: ExperimentSpec) -> ExperimentResult:
         return sample_batch(config, spec.seed, min(block, count - lo), start=lo)
 
     chunks = _run_units(units, unit, spec.jobs)
-    os.makedirs(os.path.dirname(os.path.abspath(spec.out)), exist_ok=True)
-    with open(spec.out, "w") as fh:
+    with _atomic_open(spec.out) as fh:
         fh.write(json.dumps({"spec": json.loads(spec.echo_json())}, sort_keys=True))
         fh.write("\n")
         # The bytes json.dumps(..., sort_keys=True) would write: float repr
@@ -782,4 +834,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """
     if spec.kind not in _RUNNERS:
         raise ValueError(f"unknown experiment kind {spec.kind!r}")
+    if spec.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {spec.jobs}")
     return _RUNNERS[spec.kind](spec)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -141,6 +143,12 @@ class TestResultFiles:
         assert run_cli(argv) == 0
         assert self._digest(out, tmp_path / "fool.csv.spec.json") == self.FOOL_DIGEST
 
+    def test_fool_csv_thread_path(self, tmp_path, monkeypatch):
+        # Where the fork start method is missing, --jobs runs threads.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        self.test_fool_csv(tmp_path, 2)
+
 
 class TestArgumentErrors:
     """Unusable arguments exit 2 with one ``gaussprg: error:`` line and
@@ -205,6 +213,33 @@ class TestArgumentErrors:
         out = tmp_path / "out.jsonl"
         line = self._rejects(["sample", "--config", str(cfg), "--out", str(out)], capsys, tmp_path)
         assert "missing samples.count" in line
+
+    @pytest.mark.parametrize("jobs", ["0", "-4"])
+    def test_jobs_below_one(self, tmp_path, capsys, jobs):
+        cfg = tmp_path / "fool.json"
+        cfg.write_text(json.dumps(TestResultFiles.FOOL))
+        out = tmp_path / "out.jsonl"
+        for command in (["fool"], ["check", "cw"]):
+            line = self._rejects(
+                command + ["--config", str(cfg), "--out", str(out), "--jobs", jobs], capsys, tmp_path
+            )
+            assert "jobs must be >= 1" in line
+
+    def test_value_error_in_worker(self, tmp_path, capsys, monkeypatch):
+        # The baseline is read inside each unit, so the error is raised
+        # in a worker and must still reach the command line as exit 2.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cfg = tmp_path / "fool.json"
+        cfg.write_text(json.dumps({
+            "ensemble": {"count": 2, "num_vars": 2, "degree": 1},
+            "generator": {"k": 1, "epsilons": [0.4], "ell_cap": 3},
+            "samples": {"n_gen": 1000, "baseline": "bogus"},
+        }))
+        out = tmp_path / "out.jsonl"
+        line = self._rejects(
+            ["fool", "--config", str(cfg), "--out", str(out), "--jobs", "2"], capsys, tmp_path
+        )
+        assert "unknown baseline 'bogus'" in line
 
     def test_string_ell_cap(self, tmp_path, capsys):
         cfg = tmp_path / "plan.json"

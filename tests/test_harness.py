@@ -1,9 +1,13 @@
 import json
 import math
+import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gaussprg import harness
 from gaussprg.generator import plan
 from gaussprg.harness import (
     ExperimentSpec,
@@ -186,7 +190,7 @@ class TestRunExperiment:
         )
         result = run_experiment(spec)
         assert result.passed
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 1 and lines[0].startswith("ptf_index,")
 
     def test_fool_rows_and_determinism(self, tmp_path):
@@ -200,7 +204,7 @@ class TestRunExperiment:
         )
         r1 = run_experiment(ExperimentSpec(out=out1, **base))
         r2 = run_experiment(ExperimentSpec(out=out2, jobs=3, **base))
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
         assert len(r1.rows) == 4
         assert {row["epsilon"] for row in r1.rows} == {0.5, 0.3}
 
@@ -211,7 +215,7 @@ class TestRunExperiment:
             {"count": 10}, "cafe", out,
         )
         run_experiment(spec)
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert len(lines) == 11  # spec echo + 10 rows
         assert "spec" in json.loads(lines[0])
         row = json.loads(lines[1])
@@ -251,10 +255,138 @@ class TestRunExperiment:
         )
         result = run_experiment(spec)
         assert result.passed
-        header = open(out).read().splitlines()[0]
+        header = Path(out).read_text().splitlines()[0]
         assert header == "scope,orders,empirical,target,tolerance,passed"
 
     def test_spec_json_round_trip(self):
         spec = ExperimentSpec("cw", {"count": 1}, {}, {"epsilons": [0.1], "n_samples": 10}, "01", "x.csv", 2)
         again = ExperimentSpec.from_json(spec.to_json())
         assert again == spec
+
+
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
+    the units in this process."""
+
+    def __init__(self, seen, max_workers, mp_context=None, initializer=None, initargs=()):
+        seen.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestRunUnits:
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one(self, tmp_path, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            harness._run_units(3, lambda u: u, jobs)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            estimate_gap(X_POLY, "gaussian", 100, "analytic", jobs=jobs)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            check_carbery_wright(1, [0.1], 1, 100, polys=[X_POLY], jobs=jobs)
+        out = tmp_path / "m.csv"
+        spec = ExperimentSpec(
+            "moments", {}, {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06}, {}, "00", str(out), jobs
+        )
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_experiment(spec)
+        assert not out.exists()
+
+    @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
+    def test_units_run_in_worker_processes(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pids = harness._run_units(4, lambda u: os.getpid(), 2)
+        assert len(pids) == 4 and os.getpid() not in pids
+
+    def test_thread_path_without_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert harness._run_units(3, lambda u: (u, os.getpid()), 2) == [
+            (u, os.getpid()) for u in range(3)
+        ]
+
+    @pytest.mark.parametrize(
+        "jobs, count, cpus, workers",
+        [(1000, 5, 64, 5), (3, 10, 64, 3), (8, 10, 2, 2), (8, 10, None, None), (2, 1, 64, None)],
+    )
+    def test_worker_count_bound(self, monkeypatch, jobs, count, cpus, workers):
+        import concurrent.futures.process
+
+        seen = []
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["fork"])
+        monkeypatch.setattr(
+            concurrent.futures.process,
+            "ProcessPoolExecutor",
+            lambda **kw: _RecordingPool(seen, **kw),
+        )
+        monkeypatch.setattr(harness, "_unit_fn", None)
+        order = list(range(count))[::-1]
+        assert harness._run_units(count, lambda u: u * u, jobs, order) == [u * u for u in range(count)]
+        assert seen == ([] if workers is None else [workers])
+
+
+class TestAtomicWrites:
+    """A result file appears whole or not at all."""
+
+    def test_csv_failing_midway(self, tmp_path, monkeypatch):
+        out = tmp_path / "r.csv"
+        rows = [{"a": 1}, {"a": 2}, {"a": object()}]
+        real = harness._fmt_cell
+
+        def fmt(v):
+            if not isinstance(v, int):
+                raise RuntimeError("disk full")
+            return real(v)
+
+        monkeypatch.setattr(harness, "_fmt_cell", fmt)
+        with pytest.raises(RuntimeError):
+            harness._write_csv(str(out), ["a"], rows)
+        assert list(tmp_path.iterdir()) == []
+        out.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            harness._write_csv(str(out), ["a"], rows)
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_jsonl_failing_midway(self, tmp_path, monkeypatch):
+        class BadChunk:
+            def tolist(self):
+                raise RuntimeError("disk full")
+
+        monkeypatch.setattr(
+            harness, "_run_units", lambda count, fn, jobs: [fn(0), BadChunk()]
+        )
+        out = tmp_path / "y.jsonl"
+        out.write_text("old\n")
+        spec = ExperimentSpec(
+            "sample", {}, {"n": 2, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 3},
+            {"count": 5000}, "cafe", str(out),
+        )
+        with pytest.raises(RuntimeError):
+            run_experiment(spec)
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_writes_replace_whole_files(self, tmp_path):
+        out = tmp_path / "sub" / "m.csv"
+        spec = ExperimentSpec(
+            "moments", {}, {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06},
+            {"mode": "exhaustive", "max_order": 2}, "00", str(out),
+        )
+        run_experiment(spec)
+        first = out.read_bytes(), Path(str(out) + ".spec.json").read_bytes()
+        out.write_text("stale and longer than the real file " * 100)
+        run_experiment(spec)
+        assert (out.read_bytes(), Path(str(out) + ".spec.json").read_bytes()) == first
+        assert sorted(p.name for p in out.parent.iterdir()) == ["m.csv", "m.csv.spec.json"]
