@@ -68,16 +68,24 @@ def _call(u: int) -> object:
 
 
 def _run_units(
-    count: int, fn: Callable[[int], object], jobs: int, order: Sequence[int] | None = None
+    count: int,
+    fn: Callable[[int], object],
+    jobs: int,
+    order: Sequence[int] | None = None,
+    *,
+    processes: bool = False,
 ) -> list:
     """``[fn(u) for u in range(count)]``.
 
     With ``jobs > 1``, at most ``min(jobs, count, os.cpu_count())`` workers
     start the units in ``order`` (default index order), so the longest
-    units can go first. The workers are forked processes, which inherit
-    ``fn`` (often a closure) without pickling it; only unit indices and
-    results cross the pipes. Where ``fork`` is unavailable they are
-    threads.
+    units can go first. The workers are threads, or, with ``processes``
+    where the ``fork`` start method exists, forked processes, which
+    inherit ``fn`` (often a closure) without pickling it; only unit
+    indices and results cross the pipes. Set ``processes`` for units that
+    run ``sample_batch``, whose tile loop holds the GIL. Other units are
+    large numpy calls that release it, and a fork pool costs about 7 ms
+    to start and stop, more than processes would gain on them.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -87,7 +95,7 @@ def _run_units(
     import multiprocessing
 
     order = range(count) if order is None else order
-    if "fork" in multiprocessing.get_all_start_methods():
+    if processes and "fork" in multiprocessing.get_all_start_methods():
         from concurrent.futures.process import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(
@@ -156,7 +164,7 @@ def _count_positive_generator(
         Y = sample_batch(gen, seed_hex, cnt, start=u * _UNIT)
         return int(np.count_nonzero(eval_ptf_batch(f, Y) > 0))
 
-    return sum(_run_units(units, unit, jobs))
+    return sum(_run_units(units, unit, jobs, processes=True))
 
 
 def estimate_gap(
@@ -618,7 +626,7 @@ def _run_sample(spec: ExperimentSpec) -> ExperimentResult:
         lo = u * block
         return sample_batch(config, spec.seed, min(block, count - lo), start=lo)
 
-    chunks = _run_units(units, unit, spec.jobs)
+    chunks = _run_units(units, unit, spec.jobs, processes=True)
     with _atomic_open(spec.out) as fh:
         fh.write(json.dumps({"spec": json.loads(spec.echo_json())}, sort_keys=True))
         fh.write("\n")
@@ -705,7 +713,7 @@ def _run_fool(spec: ExperimentSpec) -> ExperimentResult:
     units = count * len(epsilons) if count else 0
     # Sampling time grows with ell: start the longest chains first.
     heavy_first = sorted(range(units), key=lambda idx: -configs[epsilons[idx % len(epsilons)]].ell)
-    results = _run_units(units, unit, spec.jobs, heavy_first)
+    results = _run_units(units, unit, spec.jobs, heavy_first, processes=True)
     rows = [r for part in results for r in part]
     cols = [
         "ptf_index", "ptf_id", "generator_id", "epsilon", "ell", "truncated",

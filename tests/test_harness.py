@@ -305,13 +305,17 @@ class TestRunUnits:
     @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
     def test_units_run_in_worker_processes(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        pids = harness._run_units(4, lambda u: os.getpid(), 2)
+        pids = harness._run_units(4, lambda u: os.getpid(), 2, processes=True)
         assert len(pids) == 4 and os.getpid() not in pids
+
+    def test_units_run_in_threads_by_default(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert harness._run_units(4, lambda u: os.getpid(), 2) == [os.getpid()] * 4
 
     def test_thread_path_without_fork(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert harness._run_units(3, lambda u: (u, os.getpid()), 2) == [
+        assert harness._run_units(3, lambda u: (u, os.getpid()), 2, processes=True) == [
             (u, os.getpid()) for u in range(3)
         ]
 
@@ -332,7 +336,8 @@ class TestRunUnits:
         )
         monkeypatch.setattr(harness, "_unit_fn", None)
         order = list(range(count))[::-1]
-        assert harness._run_units(count, lambda u: u * u, jobs, order) == [u * u for u in range(count)]
+        squares = harness._run_units(count, lambda u: u * u, jobs, order, processes=True)
+        assert squares == [u * u for u in range(count)]
         assert seen == ([] if workers is None else [workers])
 
 
@@ -365,7 +370,7 @@ class TestAtomicWrites:
                 raise RuntimeError("disk full")
 
         monkeypatch.setattr(
-            harness, "_run_units", lambda count, fn, jobs: [fn(0), BadChunk()]
+            harness, "_run_units", lambda count, fn, jobs, **kw: [fn(0), BadChunk()]
         )
         out = tmp_path / "y.jsonl"
         out.write_text("old\n")
