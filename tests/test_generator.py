@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -230,6 +231,14 @@ class TestProp9:
         assert a.shape == (5,)
         assert np.array_equal(a, b)
 
+
+    def test_golden_digest(self):
+        # SHA-256 of 200 little-endian float64 rows drawn from one Philox stream
+        s = build_sampler(3, 4, 5, tv_budget=0.01)
+        rng = np.random.Generator(np.random.Philox(key=11))
+        rows = np.array([prop9_hybrid_sample(0.3, 6, s, rng) for _ in range(200)])
+        digest = hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
+        assert digest == "62485c5478546e2c760a49bba4a9d50378c9079615308a4d0e9c4b8d858b4681"
 
 class TestConfigJson:
     def test_fields(self):

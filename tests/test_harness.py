@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import multiprocessing
@@ -257,6 +258,31 @@ class TestRunExperiment:
         assert result.passed
         header = Path(out).read_text().splitlines()[0]
         assert header == "scope,orders,empirical,target,tolerance,passed"
+
+    # SHA-256 of the moments CSV followed by its .spec.json sidecar. The
+    # exhaustive run reads the exact seed-space law at q = 53 (53^4 seeds);
+    # the Monte-Carlo run draws 200,000 seeds at q = 211.
+    MOMENTS_GOLDEN = {
+        "exhaustive": (
+            {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06},
+            {"mode": "exhaustive", "max_order": 4},
+            "fc1202f338d9875a3a3c370fa2acd15f7a40ecfb3600d65fb65407a190b55db4",
+        ),
+        "mc": (
+            {"M": 3, "K": 4, "n": 2, "tv_budget": 3 / 211},
+            {"mode": "mc", "max_order": 4, "n_samples": 200_000},
+            "97e4a925b0ec62eebab20d4a91e0b3c1d051c8175e38e8e3d6b571f1d7d5a4ac",
+        ),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MOMENTS_GOLDEN))
+    def test_moments_golden_digest(self, tmp_path, mode):
+        generator, samples, digest = self.MOMENTS_GOLDEN[mode]
+        out = tmp_path / "m.csv"
+        result = run_experiment(ExperimentSpec("moments", {}, generator, samples, "5eed", str(out)))
+        assert result.passed
+        data = out.read_bytes() + Path(str(out) + ".spec.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_spec_json_round_trip(self):
         spec = ExperimentSpec("cw", {"count": 1}, {}, {"epsilons": [0.1], "n_samples": 10}, "01", "x.csv", 2)
