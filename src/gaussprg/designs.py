@@ -522,15 +522,51 @@ class MomentReport:
 _EXHAUSTIVE_CAP = 10**7
 
 
-def _coordinate_values_exhaustive(family: KWiseFamily, i: int) -> np.ndarray:
-    """Values at point i over all q^k seeds, in a fixed seed enumeration."""
-    q = family.q
-    x = int(family.eval_points[i])
-    vals = np.zeros(1, dtype=np.int64)
-    for t in range(family.k):
-        step = (np.arange(q, dtype=np.int64) * pow(x, t, q)) % q
-        vals = ((vals[None, :] + step[:, None]) % q).ravel()
-    return vals
+def _shear_sum(table: np.ndarray, c: int) -> None:
+    """Convolve a (q, q) count table, in place, with the line {s*(1, c)}.
+
+    The result at (u, v) is the sum of the table along the line through
+    (u, v) with slope c, so it depends only on w = v - c*u:
+    out[u, v] = R[(v - c*u) % q] with R[w] = sum_u table[u, (w + c*u) % q].
+    Rows are shifted as two slices each, so no q*q index array is built.
+    """
+    q = table.shape[0]
+    line = np.zeros(q, dtype=np.int64)
+    for u in range(q):
+        o = c * u % q
+        line[: q - o] += table[u, o:]
+        line[q - o :] += table[u, :o]
+    for u in range(q):
+        o = c * u % q
+        table[u, o:] = line[: q - o]
+        table[u, :o] = line[q - o :]
+
+
+def _seed_space_counts(steps: np.ndarray, q: int) -> np.ndarray:
+    """Exact count table of sum_t s_t * steps[t] mod q over all q^k seeds.
+
+    ``steps`` has shape (k, m) with m = 1 or 2; for the family it is the
+    power table at m evaluation points, so entry (v0[, v1]) of the result,
+    shape (q,) * m, counts the seeds whose values there are v0[, v1]. The
+    law of a sum of independent uniform symbols is a cyclic convolution:
+    starting from a point mass at 0, symbol t spreads the table over the
+    line {s * steps[t] : s in F_q}. A step costs O(q^m), so the table costs
+    O(k q^m) time and one q^m array, against q^k seed values enumerated.
+    """
+    m = np.shape(steps)[1]
+    table = np.zeros((q,) * m, dtype=np.int64)
+    table[(0,) * m] = 1
+    for step in np.asarray(steps).tolist():
+        step = [int(a) % q for a in step]
+        axes = [d for d in range(m) if step[d]]
+        if not axes:
+            table *= q  # all q symbols land on the same cell
+        elif len(axes) == 1:
+            # the line runs along one axis: each cell gets that axis's sum
+            table[...] = table.sum(axis=axes[0], keepdims=True)
+        else:
+            _shear_sum(table, step[1] * pow(step[0], -1, q) % q)
+    return table
 
 
 def _tv_tolerance(sampler: DesignSampler, orders: tuple[int, ...]) -> float:
@@ -560,11 +596,17 @@ def verify_moments(
 ) -> MomentReport:
     """Compare per-coordinate and pairwise moments with Gaussian targets.
 
-    Exhaustive mode enumerates all q^k seeds (requires q^k <= 10^7) and
-    checks against the TV-propagated bound; Monte-Carlo mode checks
-    against that bound plus 4 standard errors. Only orders the quadrature
-    matches (<= 2M-1) are compared.
+    Exhaustive mode reads the exact law of the design over all q^k seeds
+    (requires q^k <= 10^7) and checks against the TV-propagated bound. The
+    law comes from count tables of the field values built by convolution
+    over the k seed symbols, O(k q) for a coordinate and O(k q^2) for the
+    pair, not from the q^k seeds one by one. Monte-Carlo mode draws
+    ``n_samples`` seeds (at least 2) and checks against that bound plus 4
+    standard errors. Only orders 1..max_order (max_order >= 1) that the
+    quadrature matches (<= 2M-1) are compared.
     """
+    if max_order < 1:
+        raise ValueError(f"max_order must be >= 1, got {max_order}")
     k = sampler.family.k
     nodes = sampler.quadrature.nodes
     checks: list[MomentCheck] = []
@@ -574,12 +616,10 @@ def verify_moments(
         if space > _EXHAUSTIVE_CAP:
             raise ValueError(f"seed space {space} exceeds exhaustive cap {_EXHAUSTIVE_CAP}")
         sym = sampler.is_symmetric
-        coord_vals = [
-            _coordinate_values_exhaustive(sampler.family, i) for i in range(min(sampler.n, 2))
-        ]
-        for i, vals in enumerate(coord_vals):
-            counts = np.bincount(vals, minlength=sampler.q)
-            atom_of = _atoms_from_values(sampler, np.arange(sampler.q))
+        powers = _power_table(sampler.family)
+        atom_of = _atoms_from_values(sampler, np.arange(sampler.q))
+        for i in range(min(sampler.n, 2)):
+            counts = _seed_space_counts(powers[:, i : i + 1], sampler.q)
             atom_counts = np.bincount(atom_of, weights=counts, minlength=sampler.M)
             probs = atom_counts / space
             for j in orders:
@@ -588,14 +628,14 @@ def verify_moments(
                     MomentCheck(f"coord {i}", (j,), emp, gaussian_moment(j), _tv_tolerance(sampler, (j,)))
                 )
         if sampler.n >= 2 and k >= 2:
-            v0, v1 = coord_vals[0], coord_vals[1]
-            pair = np.bincount(v0 * sampler.q + v1, minlength=sampler.q**2).reshape(
-                sampler.q, sampler.q
-            )
-            atom_of = _atoms_from_values(sampler, np.arange(sampler.q))
-            edges = np.concatenate(([0], sampler.thresholds))
-            atom_pair = np.add.reduceat(
-                np.add.reduceat(pair, edges[:-1], axis=0), edges[:-1], axis=1
+            pair = _seed_space_counts(powers[:, :2], sampler.q)
+            # reduceat over the atoms with a non-empty interval only: an
+            # empty one would read the next atom's first row (or index q)
+            starts = np.concatenate(([0], sampler.thresholds[:-1]))
+            live = np.flatnonzero(sampler.thresholds > starts)
+            atom_pair = np.zeros((sampler.M, sampler.M))
+            atom_pair[np.ix_(live, live)] = np.add.reduceat(
+                np.add.reduceat(pair, starts[live], axis=0), starts[live], axis=1
             ) / space
             emp11 = float(nodes @ atom_pair @ nodes)
             checks.append(
@@ -609,6 +649,8 @@ def verify_moments(
         return MomentReport("exhaustive", space, tuple(checks))
     if mode not in ("mc", "monte_carlo"):
         raise ValueError(f"unknown mode {mode!r}")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2 for Monte-Carlo moments, got {n_samples}")
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
     seeds = rng.integers(0, sampler.q, size=(n_samples, k), dtype=np.int64)
     Y = design_sample_batch(sampler, seeds)

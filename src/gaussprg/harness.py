@@ -22,7 +22,6 @@ from dataclasses import dataclass, asdict
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from ._bits import derive_key, subseed
 from .designs import build_sampler, verify_moments
@@ -440,6 +439,10 @@ def _var_tuples(n: int, ell: int):
 
 def _smooth_expectation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """E[sgn((1+a) X + b)] = 1 - 2*Phi(-b/(1+a)) for scalar Gaussian X."""
+    # Imported here: nothing else needs scipy.special, and importing it
+    # after scipy.linalg takes another 50-70 ms.
+    from scipy.special import erf
+
     t = -b / (1.0 + a)
     return 1.0 - 2.0 * (0.5 * (1.0 + erf(t / math.sqrt(2.0))))
 

@@ -241,6 +241,26 @@ class TestArgumentErrors:
         )
         assert "unknown baseline 'bogus'" in line
 
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            ({"mode": "mc", "n_samples": 1}, "n_samples must be >= 2"),
+            ({"mode": "mc", "n_samples": 0}, "n_samples must be >= 2"),
+            ({"mode": "mc", "n_samples": -5}, "n_samples must be >= 2"),
+            ({"mode": "exhaustive", "max_order": 0}, "max_order must be >= 1"),
+            ({"mode": "mc", "n_samples": 100, "max_order": -1}, "max_order must be >= 1"),
+        ],
+    )
+    def test_bad_moments_samples(self, tmp_path, capsys, samples, message):
+        cfg = tmp_path / "moments.json"
+        cfg.write_text(json.dumps({
+            "generator": {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06}, "samples": samples,
+        }))
+        out = tmp_path / "out.jsonl"
+        line = self._rejects(["moments", "--config", str(cfg), "--out", str(out)], capsys, tmp_path)
+        assert message in line
+        assert not (tmp_path / "out.jsonl.spec.json").exists()
+
     def test_string_ell_cap(self, tmp_path, capsys):
         cfg = tmp_path / "plan.json"
         cfg.write_text(json.dumps({"n": 4, "d": 1, "k": 2, "epsilon": 0.25, "ell_cap": "50"}))
@@ -258,3 +278,10 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ell"] == 2
+
+    def test_import_leaves_scipy_special_out(self):
+        # scipy.special is imported only where check prop4 needs erf
+        code = "import sys, gaussprg.cli; print('scipy.special' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

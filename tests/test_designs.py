@@ -8,6 +8,7 @@ import pytest
 from gaussprg.designs import (
     KWiseFamily,
     _power_table,
+    _seed_space_counts,
     build_sampler,
     design_sample,
     design_sample_batch,
@@ -288,6 +289,79 @@ class TestSeedBits:
         assert seed_bits(b) == 2 * seed_bits(a)
 
 
+def _enumerated_values(family: KWiseFamily, i: int) -> np.ndarray:
+    """Values at point i over all q^k seeds, one seed at a time."""
+    q = family.q
+    x = int(family.eval_points[i])
+    vals = np.zeros(1, dtype=np.int64)
+    for t in range(family.k):
+        step = (np.arange(q, dtype=np.int64) * pow(x, t, q)) % q
+        vals = ((vals[None, :] + step[:, None]) % q).ravel()
+    return vals
+
+
+def _enumerated_tables(family: KWiseFamily):
+    """Marginal count tables at points 0 and 1 and their pair table."""
+    q = family.q
+    v0, v1 = _enumerated_values(family, 0), _enumerated_values(family, 1)
+    pair = np.bincount(v0 * q + v1, minlength=q * q).reshape(q, q)
+    return np.bincount(v0, minlength=q), np.bincount(v1, minlength=q), pair
+
+
+def _line_sums(steps, q: int) -> np.ndarray:
+    """Count table of sum_t s_t * steps[t] by direct sums over each line."""
+    m = len(steps[0])
+    table = np.zeros((q,) * m, dtype=np.int64)
+    table[(0,) * m] = 1
+    for step in steps:
+        table = sum(np.roll(table, [s * a for a in step], axis=tuple(range(m))) for s in range(q))
+    return table
+
+
+def _small_families():
+    """Every (q <= 13, k <= 4) family with q^k <= 3*10^5 at point pairs that
+    include 0 and q - 1."""
+    for q in (2, 3, 5, 7, 11, 13):
+        for k in range(1, 5):
+            assert q**k <= 3 * 10**5
+            pairs = {(0, q - 1), (q - 1, 0), (1, q - 1), (q - 1, q // 2)}
+            for pts in sorted(p for p in pairs if p[0] != p[1]):
+                yield KWiseFamily(q, k, 2, np.array(pts))
+
+
+class TestSeedSpaceCounts:
+    @pytest.mark.parametrize(
+        "family", list(_small_families()), ids=lambda f: f"q{f.q}-k{f.k}-{f.eval_points.tolist()}"
+    )
+    def test_matches_enumeration(self, family):
+        counts0, counts1, pair = _enumerated_tables(family)
+        powers = _power_table(family)
+        assert np.array_equal(_seed_space_counts(powers[:, :1], family.q), counts0)
+        assert np.array_equal(_seed_space_counts(powers[:, 1:], family.q), counts1)
+        assert np.array_equal(_seed_space_counts(powers, family.q), pair)
+
+    def test_q53_k4_pair_table(self):
+        family = build_sampler(3, 4, 2, tv_budget=0.06).family
+        assert family.q == 53 and family.k == 4
+        counts0, counts1, pair = _enumerated_tables(family)
+        got = _seed_space_counts(_power_table(family), 53)
+        assert got.dtype == np.int64 and got.sum() == 53**4
+        assert np.array_equal(got, pair)
+        assert np.array_equal(_seed_space_counts(_power_table(family)[:, :1], 53), counts0)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_random_steps_match_line_sums(self, q):
+        # steps with many zero entries hit every branch: both zero, one
+        # zero (either axis) and a shear
+        rng = np.random.default_rng(q)
+        for _ in range(50):
+            k = int(rng.integers(1, 5))
+            m = int(rng.integers(1, 3))
+            steps = rng.integers(0, q, size=(k, m)) * (rng.random((k, m)) < 0.6)
+            want = _line_sums(steps.tolist(), q)
+            assert np.array_equal(_seed_space_counts(steps, q), want), steps.tolist()
+
+
 class TestVerifyMoments:
     def test_exhaustive_small(self):
         s = build_sampler(3, 4, 2, tv_budget=0.06)
@@ -307,6 +381,23 @@ class TestVerifyMoments:
         c11 = by_scope[("cross (0,1)", (1, 1))]
         assert abs(c11.empirical) <= 2 * max(np.abs(s.quadrature.nodes)) ** 2 * s.tv_bound
 
+    @pytest.mark.parametrize("M, K, tv", [(7, 2, 0.05), (7, 3, 0.05), (6, 2, 0.06)])
+    def test_exhaustive_atoms_with_empty_intervals(self, M, K, tv):
+        # the outermost atoms get no field values at these q; the pair
+        # moments must still come out of the exact atom law
+        s = build_sampler(M, K, 2, tv_budget=tv)
+        gaps = np.diff(np.concatenate(([0], s.thresholds)))
+        assert gaps[0] == gaps[-1] == 0
+        report = verify_moments(s, 4, mode="exhaustive")
+        _, _, pair = _enumerated_tables(s.family)
+        atom_of = np.searchsorted(s.thresholds, np.arange(s.q), side="right")
+        atom_pair = np.zeros((M, M))
+        np.add.at(atom_pair, (atom_of[:, None], atom_of[None, :]), pair / s.q**K)
+        nodes = s.quadrature.nodes
+        c11 = next(c for c in report.checks if c.orders == (1, 1))
+        assert c11.empirical == pytest.approx(float(nodes @ atom_pair @ nodes), abs=1e-12)
+        assert report.passed
+
     def test_exhaustive_cap(self):
         s = build_sampler(3, 4, 2, tv_budget=3 / 211)
         assert s.q == 211
@@ -318,6 +409,19 @@ class TestVerifyMoments:
         report = verify_moments(s, max_order=4, mode="mc", n_samples=200_000, rng_seed=7)
         assert report.mode == "mc"
         assert report.passed
+
+    @pytest.mark.parametrize("max_order", [0, -1])
+    @pytest.mark.parametrize("mode", ["exhaustive", "mc"])
+    def test_max_order_below_one(self, mode, max_order):
+        s = build_sampler(3, 4, 2, tv_budget=0.06)
+        with pytest.raises(ValueError, match="max_order must be >= 1"):
+            verify_moments(s, max_order, mode=mode, n_samples=100)
+
+    @pytest.mark.parametrize("n_samples", [1, 0, -5])
+    def test_mc_samples_below_two(self, n_samples):
+        s = build_sampler(3, 4, 2, tv_budget=0.06)
+        with pytest.raises(ValueError, match="n_samples must be >= 2"):
+            verify_moments(s, 4, mode="mc", n_samples=n_samples)
 
     def test_unknown_mode(self):
         s = build_sampler(2, 2, 2, tv_budget=0.05)
