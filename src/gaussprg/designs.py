@@ -526,8 +526,8 @@ def _shear_sum(table: np.ndarray, c: int) -> None:
     """Convolve a (q, q) count table, in place, with the line {s*(1, c)}.
 
     The result at (u, v) is the sum of the table along the line through
-    (u, v) with slope c, so it depends only on w = v - c*u:
-    out[u, v] = R[(v - c*u) % q] with R[w] = sum_u table[u, (w + c*u) % q].
+    (u, v) with slope c, so it depends only on w = v - c*u: out[u, v] =
+    line[(v - c*u) % q] with line[w] = sum_u table[u, (w + c*u) % q].
     Rows are shifted as two slices each, so no q*q index array is built.
     """
     q = table.shape[0]
