@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -81,6 +82,16 @@ class TestGaussHermite:
             gauss_hermite(0)
         with pytest.raises(ValueError):
             gauss_hermite(65)
+
+    def test_gauss_hermite_golden_digest(self):
+        # Pins every rule plan() can use, bit for bit: the nodes and then
+        # the weights of gauss_hermite(M) for M = 1..64 as <f8 bytes.
+        h = hashlib.sha256()
+        for M in range(1, 65):
+            quad = gauss_hermite(M)
+            h.update(np.ascontiguousarray(quad.nodes, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(quad.weights, dtype="<f8").tobytes())
+        assert h.hexdigest() == "148730bb85efbd2b8ad8b3d3f873f91b22d53fc252d8bdd4a6f96df6226129b6"
 
 
 class TestKWiseFamily:
