@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from ._bits import extract_blocks
+from ._hermite_nodes import NODES
 
 __all__ = [
     "Quadrature1D",
@@ -145,25 +145,21 @@ def _he_values(M: int, x: float) -> tuple[np.ndarray, float]:
 def gauss_hermite(M: int) -> Quadrature1D:
     """M-point quadrature for the standard normal weight.
 
-    Nodes are the roots of He_M: the symmetric tridiagonal Jacobi matrix
-    (zero diagonal, off-diagonal sqrt(1..M-1)) supplies starting values,
-    Newton steps on He_M polish them to machine accuracy, and weights come
-    from the Christoffel identity w = 1/sum_{j<M} He_j(x)^2/j!. Node and
-    weight pairs are symmetrized about 0 so symmetry holds exactly.
+    Nodes are the roots of He_M, read from a frozen table
+    (``_hermite_nodes``) of the positive roots and mirrored about 0, with
+    0.0 in the middle for odd M. The table was generated once from a
+    tridiagonal eigensolver start (Golub-Welsch) polished by Newton steps
+    on He_M; freezing it keeps every rule bit for bit what it was,
+    whatever LAPACK build is installed. Weights are computed from the
+    Christoffel identity w = 1/sum_{j<M} He_j(x)^2/j! and symmetrized
+    about 0 so symmetry holds exactly.
     """
     if not 1 <= M <= _MAX_QUAD_POINTS:
         raise ValueError(f"M must be in 1..{_MAX_QUAD_POINTS}, got {M}")
     if M == 1:
         return Quadrature1D(np.array([0.0]), np.array([1.0]))
-    vals, _ = eigh_tridiagonal(np.zeros(M), np.sqrt(np.arange(1.0, M)))
-    nodes = np.sort(vals)
-    for _ in range(3):
-        for i in range(M):
-            v, d = _he_values(M, nodes[i])
-            nodes[i] -= v[M] / d
-    nodes = 0.5 * (nodes - nodes[::-1])
-    if M % 2:
-        nodes[M // 2] = 0.0
+    pos = np.array(NODES[M])
+    nodes = np.concatenate((-pos[::-1], [0.0] * (M % 2), pos))
     inv_fact = 1.0 / np.array([math.factorial(j) for j in range(M)])
     weights = np.empty(M)
     for i in range(M):

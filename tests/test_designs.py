@@ -2,12 +2,15 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from gaussprg.designs import (
+    _MAX_QUAD_POINTS,
     KWiseFamily,
+    _he_values,
     _power_table,
     _seed_space_counts,
     build_sampler,
@@ -39,6 +42,61 @@ class TestPrimes:
     def test_large(self):
         assert is_prime(2**61 - 1)
         assert not is_prime(2**62 - 1)
+
+
+def _eigen_newton_nodes(M: int) -> np.ndarray:
+    """The rule that generated ``gaussprg._hermite_nodes``, for M >= 2.
+
+    The symmetric tridiagonal Jacobi matrix of He_M (zero diagonal,
+    off-diagonal sqrt(1..M-1); Golub and Welsch, Math. Comp. 1969) gives
+    starting values, three Newton sweeps on He_M polish them, and the
+    result is symmetrized about 0. The last bit of a node depends on the
+    LAPACK build behind scipy's eigensolver, which is why the package
+    reads a frozen table instead of running this.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    vals, _ = eigh_tridiagonal(np.zeros(M), np.sqrt(np.arange(1.0, M)))
+    nodes = np.sort(vals)
+    for _ in range(3):
+        for i in range(M):
+            v, d = _he_values(M, nodes[i])
+            nodes[i] -= v[M] / d
+    nodes = 0.5 * (nodes - nodes[::-1])
+    if M % 2:
+        nodes[M // 2] = 0.0
+    return nodes
+
+
+def _nodes_module_source(max_M: int) -> str:
+    """The source of ``gaussprg._hermite_nodes`` for M = 2..max_M."""
+    lines = [
+        '"""Positive roots of He_M for M = 2..%d, ascending, as exact float reprs.' % max_M,
+        "",
+        "Generated by ``_nodes_module_source`` in tests/test_designs.py from",
+        "``_eigen_newton_nodes`` (an eigensolver start, three Newton sweeps and",
+        "symmetrization). The bits are frozen: regenerating on another LAPACK",
+        "build may move last bits, which the golden digest in that file catches.",
+        '"""',
+        "",
+        "NODES: dict[int, tuple[float, ...]] = {",
+    ]
+    for M in range(2, max_M + 1):
+        pos = [repr(x) for x in _eigen_newton_nodes(M)[(M + 1) // 2 :].tolist()]
+        one_line = f"    {M}: ({', '.join(pos)}{',' if len(pos) == 1 else ''}),"
+        if len(one_line) <= 88:
+            lines.append(one_line)
+            continue
+        lines.append(f"    {M}: (")
+        row = "       "
+        for lit in pos:
+            if len(row) + len(lit) + 2 > 88:
+                lines.append(row)
+                row = "       "
+            row += f" {lit},"
+        lines.extend([row, "    ),"])
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 class TestGaussHermite:
@@ -92,6 +150,30 @@ class TestGaussHermite:
             h.update(np.ascontiguousarray(quad.nodes, dtype="<f8").tobytes())
             h.update(np.ascontiguousarray(quad.weights, dtype="<f8").tobytes())
         assert h.hexdigest() == "148730bb85efbd2b8ad8b3d3f873f91b22d53fc252d8bdd4a6f96df6226129b6"
+
+    def test_table_covers_every_allowed_rule(self):
+        from gaussprg._hermite_nodes import NODES
+
+        assert sorted(NODES) == list(range(2, _MAX_QUAD_POINTS + 1))
+        for M, pos in NODES.items():
+            assert len(pos) == M // 2 and all(0.0 < a < b for a, b in zip(pos, pos[1:]))
+
+    @pytest.mark.parametrize("M", range(2, _MAX_QUAD_POINTS + 1))
+    def test_table_matches_generator(self, M):
+        # Within 2 ulp, not bit for bit: the generator's last bit depends
+        # on the LAPACK build. The golden digest pins the table's bits.
+        nodes = gauss_hermite(M).nodes
+        ref = _eigen_newton_nodes(M)
+        assert np.all(np.abs(nodes - ref) <= 2 * np.spacing(np.abs(ref)))
+
+    @pytest.mark.parametrize("M", range(1, _MAX_QUAD_POINTS + 1))
+    def test_matches_numpy_hermegauss(self, M):
+        # An independent oracle; the worst cases up to M = 64 are 1.8e-15
+        # (nodes, absolute) and 3.4e-14 (weights, relative).
+        x, w = np.polynomial.hermite_e.hermegauss(M)
+        quad = gauss_hermite(M)
+        assert np.max(np.abs(quad.nodes - x)) <= 1e-14
+        assert np.max(np.abs(quad.weights / (w / w.sum()) - 1.0)) <= 1e-12
 
 
 class TestKWiseFamily:
@@ -438,3 +520,8 @@ class TestVerifyMoments:
         s = build_sampler(2, 2, 2, tv_budget=0.05)
         with pytest.raises(ValueError):
             verify_moments(s, 2, mode="bogus")
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_designs.py > src/gaussprg/_hermite_nodes.py
+    sys.stdout.write(_nodes_module_source(_MAX_QUAD_POINTS))
