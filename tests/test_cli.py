@@ -279,9 +279,42 @@ class TestConsoleEntry:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ell"] == 2
 
-    def test_import_leaves_scipy_special_out(self):
-        # scipy.special is imported only where check prop4 needs erf
-        code = "import sys, gaussprg.cli; print('scipy.special' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    def test_commands_run_without_scipy(self, tmp_path):
+        # Only check prop4 needs scipy (for erf). With sys.modules["scipy"]
+        # set to None, any scipy import raises ImportError, so every other
+        # command must import and run without it.
+        configs = {
+            "plan": {"n": 2, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 2},
+            "sample": {"generator": {"n": 2, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 2}},
+            "fool": {
+                "ensemble": {"count": 1, "num_vars": 2, "degree": 1},
+                "generator": {"k": 1, "epsilons": [0.4], "ell_cap": 3},
+                "samples": {"n_gen": 200, "baseline": "analytic"},
+            },
+            "moments": {
+                "generator": {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06},
+                "samples": {"mode": "exhaustive"},
+            },
+            "cw": {
+                "ensemble": {"degrees": [2], "count": 1, "num_vars": 2},
+                "samples": {"epsilons": [0.01], "n_samples": 2000},
+            },
+        }
+        commands = []
+        for name, cfg in configs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(cfg))
+            command = ["check", "cw"] if name == "cw" else [name]
+            argv = command + ["--config", str(path), "--out", str(tmp_path / f"{name}.out")]
+            commands.append(argv + (["--samples", "10"] if name == "sample" else []))
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from gaussprg.cli import main\n"
+            "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(commands)], capture_output=True, text=True
+        )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands)
