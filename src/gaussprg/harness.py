@@ -569,13 +569,23 @@ def _fmt_cell(v) -> str:
 def _atomic_open(path: str, newline: str | None = None):
     """A text file that appears at ``path`` only once it is complete: it is
     written to a temporary file in the same directory, then renamed onto
-    ``path``. A write that fails leaves ``path`` as it was."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    ``path``. A write that fails leaves ``path`` as it was. A ``path``
+    that cannot be written at all (its directory cannot be made, the
+    temporary file cannot be opened or it cannot replace ``path``)
+    raises ValueError."""
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline=newline) as fh:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        fh = open(tmp, "w", newline=newline)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+    try:
+        with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc}") from exc
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)

@@ -409,6 +409,23 @@ class TestAtomicWrites:
         assert out.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_unwritable_path_is_a_value_error(self, tmp_path):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        for path in (afile / "x.csv", tmp_path):
+            with pytest.raises(ValueError, match="cannot write"):
+                with harness._atomic_open(str(path)) as fh:
+                    fh.write("new\n")
+        # A failure in the middle of a write stays an OSError.
+        out = tmp_path / "y.csv"
+        out.write_text("old\n")
+        with pytest.raises(OSError):
+            with harness._atomic_open(str(out)) as fh:
+                fh.write("new\n")
+                raise OSError("disk full")
+        assert afile.read_text() == "keep\n" and out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "y.csv"]
+
     def test_writes_replace_whole_files(self, tmp_path):
         out = tmp_path / "sub" / "m.csv"
         spec = ExperimentSpec(
