@@ -16,7 +16,7 @@ import sys
 
 from ._bits import normalize_hex_seed
 from .generator import config_to_json
-from .harness import ExperimentSpec, _plan_from_params, run_experiment
+from .harness import ExperimentSpec, _atomic_open, _plan_from_params, run_experiment
 
 
 def _load_config(parser: argparse.ArgumentParser, path: str | None) -> dict:
@@ -24,21 +24,33 @@ def _load_config(parser: argparse.ArgumentParser, path: str | None) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"--config {path}: {exc}")
+    if not isinstance(cfg, dict):
+        parser.error(f"--config {path}: the top level must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
-def _build_spec(kind: str, cfg: dict, args: argparse.Namespace) -> ExperimentSpec:
-    samples = dict(cfg.get("samples", {}))
+def _section(parser: argparse.ArgumentParser, cfg: dict, key: str, path: str | None) -> dict:
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        parser.error(f"--config {path}: {key} must be a JSON object, got {type(value).__name__}")
+    return dict(value)
+
+
+def _build_spec(
+    parser: argparse.ArgumentParser, kind: str, cfg: dict, args: argparse.Namespace
+) -> ExperimentSpec:
+    samples = _section(parser, cfg, "samples", args.config)
     if getattr(args, "samples", None) is not None:
         # --samples overrides the kind's main count knob
         key = {"sample": "count", "fool": "n_gen"}.get(kind, "n_samples")
         samples[key] = args.samples
     return ExperimentSpec(
         kind=kind,
-        ensemble=dict(cfg.get("ensemble", {})),
-        generator=dict(cfg.get("generator", {})),
+        ensemble=_section(parser, cfg, "ensemble", args.config),
+        generator=_section(parser, cfg, "generator", args.config),
         samples=samples,
         seed=args.seed,
         out=args.out,
@@ -86,9 +98,12 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"--config {args.config}: {exc}")
         text = config_to_json(config)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-                fh.write("\n")
+            try:
+                with _atomic_open(args.out) as fh:
+                    fh.write(text)
+                    fh.write("\n")
+            except ValueError as exc:
+                parser.error(str(exc))
         else:
             print(text)
         return 0
@@ -100,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError:
         parser.error(f"--seed must be hexadecimal, got {args.seed!r}")
     kind = args.check_kind if args.command == "check" else args.command
-    spec = _build_spec(kind, _load_config(parser, args.config), args)
+    spec = _build_spec(parser, kind, _load_config(parser, args.config), args)
     try:
         result = run_experiment(spec)
     except ValueError as exc:

@@ -261,6 +261,44 @@ class TestArgumentErrors:
         assert message in line
         assert not (tmp_path / "out.jsonl.spec.json").exists()
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ([1, 2], "top level"),
+            ({"samples": 5}, "samples"),
+            ({"ensemble": [1]}, "ensemble"),
+            ({"generator": "x", "samples": {"count": 5}}, "generator"),
+            ({"samples": None}, "samples"),
+        ],
+    )
+    def test_config_section_not_an_object(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.jsonl"
+        for command in (["sample"], ["fool"], ["check", "cw"]):
+            line = self._rejects(command + ["--config", str(cfg), "--out", str(out)], capsys, tmp_path)
+            assert "bad.json" in line and f"{key} must be a JSON object" in line
+        if key == "top level":
+            line = self._rejects(["plan", "--config", str(cfg)], capsys, tmp_path)
+            assert "bad.json" in line and "top level must be a JSON object" in line
+
+    def test_unusable_out(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("keep\n")
+        plan_cfg = tmp_path / "plan.json"
+        plan_cfg.write_text(json.dumps({"n": 2, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 2}))
+        sample_cfg = tmp_path / "gen.json"
+        sample_cfg.write_text(json.dumps({"generator": json.loads(plan_cfg.read_text())}))
+        for out in (afile / "x.json", tmp_path):
+            for argv in (
+                ["plan", "--config", str(plan_cfg), "--out", str(out)],
+                ["sample", "--config", str(sample_cfg), "--samples", "5", "--out", str(out)],
+            ):
+                line = self._rejects(argv, capsys, tmp_path)
+                assert f"cannot write {out}" in line
+        assert afile.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "gen.json", "plan.json"]
+
     def test_string_ell_cap(self, tmp_path, capsys):
         cfg = tmp_path / "plan.json"
         cfg.write_text(json.dumps({"n": 4, "d": 1, "k": 2, "epsilon": 0.25, "ell_cap": "50"}))
