@@ -131,15 +131,15 @@ class Quadrature1D:
         return list(zip(self.nodes.tolist(), self.weights.tolist()))
 
 
-def _he_values(M: int, x: float) -> tuple[np.ndarray, float]:
-    """He_0..He_M at x and the derivative He_M'(x) = M*He_{M-1}(x)."""
+def _he_values(M: int, x: float) -> np.ndarray:
+    """He_0..He_M at x."""
     vals = np.empty(M + 1)
     vals[0] = 1.0
     if M >= 1:
         vals[1] = x
     for j in range(1, M):
         vals[j + 1] = x * vals[j] - j * vals[j - 1]
-    return vals, M * vals[M - 1]
+    return vals
 
 
 def gauss_hermite(M: int) -> Quadrature1D:
@@ -163,7 +163,7 @@ def gauss_hermite(M: int) -> Quadrature1D:
     inv_fact = 1.0 / np.array([math.factorial(j) for j in range(M)])
     weights = np.empty(M)
     for i in range(M):
-        v, _ = _he_values(M, nodes[i])
+        v = _he_values(M, nodes[i])
         weights[i] = 1.0 / float(np.sum(v[:M] ** 2 * inv_fact))
     weights = 0.5 * (weights + weights[::-1])
     weights /= weights.sum()

@@ -60,8 +60,8 @@ def _eigen_newton_nodes(M: int) -> np.ndarray:
     nodes = np.sort(vals)
     for _ in range(3):
         for i in range(M):
-            v, d = _he_values(M, nodes[i])
-            nodes[i] -= v[M] / d
+            v = _he_values(M, nodes[i])
+            nodes[i] -= v[M] / (M * v[M - 1])  # He_M' = M He_{M-1}
     nodes = 0.5 * (nodes - nodes[::-1])
     if M % 2:
         nodes[M // 2] = 0.0
