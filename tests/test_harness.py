@@ -284,6 +284,37 @@ class TestRunExperiment:
         data = out.read_bytes() + Path(str(out) + ".spec.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    # SHA-256 of each Gaussian check's CSV followed by its .spec.json
+    # sidecar, 50,000 samples each. cw and tail evaluate degree-2 and
+    # degree-3 polynomials (cubes of the coordinates); deriv takes first
+    # and second directional derivatives of a cubic.
+    CHECKS_GOLDEN = {
+        "cw": (
+            {"degrees": [2, 3], "count": 2, "num_vars": 3},
+            {"epsilons": [0.01, 0.001], "n_samples": 50_000},
+            "5f871c55a7dbf5e1da8c41bf5438f740d14d3cf57d9004a9a6442889ce7c8baf",
+        ),
+        "tail": (
+            {"degrees": [2, 3], "count": 2, "num_vars": 3},
+            {"N_list": [2.0, 4.0, 6.0], "n_samples": 50_000},
+            "e59f2b63b1fc2d55d9792d9684d20b4311c4f8177fb00e1582a3be2c326f8855",
+        ),
+        "deriv": (
+            {"count": 2, "num_vars": 3, "degree": 3},
+            {"ells": [1, 2], "n_samples": 50_000, "tol": 0.05},
+            "b0d7c2f12f6a1d5d2c86bb56f124b3e7ae7463d03229d16f6641d899f081a4c7",
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CHECKS_GOLDEN))
+    def test_checks_golden_digest(self, tmp_path, kind):
+        ensemble, samples, digest = self.CHECKS_GOLDEN[kind]
+        out = tmp_path / "c.csv"
+        result = run_experiment(ExperimentSpec(kind, ensemble, {}, samples, "5eed", str(out)))
+        assert result.passed
+        data = out.read_bytes() + Path(str(out) + ".spec.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_spec_json_round_trip(self):
         spec = ExperimentSpec("cw", {"count": 1}, {}, {"epsilons": [0.1], "n_samples": 10}, "01", "x.csv", 2)
         again = ExperimentSpec.from_json(spec.to_json())
