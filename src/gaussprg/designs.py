@@ -467,14 +467,17 @@ def _paired_moment(nodes: np.ndarray, probs: np.ndarray, order: int, symmetric: 
     """Atom moment; mirror pairs are summed jointly so that symmetric laws
     give exactly 0.0 for odd orders."""
     M = nodes.size
+    powers = nodes
+    for _ in range(order - 1):
+        powers = powers * nodes
     if not symmetric:
-        return float(np.sum(probs * nodes**order))
+        return float(np.sum(probs * powers))
     total = 0.0
     for i in range(M // 2):
         j = M - 1 - i
-        total += probs[i] * nodes[i] ** order + probs[j] * nodes[j] ** order
+        total += probs[i] * powers[i] + probs[j] * powers[j]
     if M % 2:
-        total += probs[M // 2] * nodes[M // 2] ** order
+        total += probs[M // 2] * powers[M // 2]
     return total
 
 
@@ -651,8 +654,13 @@ def verify_moments(
     seeds = rng.integers(0, sampler.q, size=(n_samples, k), dtype=np.int64)
     Y = design_sample_batch(sampler, seeds)
     for i in range(min(sampler.n, 2)):
+        # Y[:, i]^j as a running product over one contiguous column (orders
+        # run 1, 2, ...): numpy's power has CPU-dependent last bits.
+        col = np.ascontiguousarray(Y[:, i])
+        powers = col
         for j in orders:
-            powers = Y[:, i] ** j
+            if j > 1:
+                powers = powers * col
             emp = float(powers.mean())
             se = float(powers.std(ddof=1) / math.sqrt(n_samples))
             tol = _tv_tolerance(sampler, (j,)) + 4.0 * se

@@ -394,13 +394,15 @@ def check_derivative_identity(
             cnt = min(_UNIT, n_samples - u * _UNIT)
             rng = _unit_rng(master_seed, "deriv", ell, u)
             X = rng.standard_normal((cnt, n))
-            V = rng.standard_normal((ell, cnt, n))
+            # (ell, n, cnt): the direction columns V[j, :, var] made contiguous
+            V = np.ascontiguousarray(rng.standard_normal((ell, cnt, n)).transpose(0, 2, 1))
             evals = {t: partials[t].evaluate_batch(X) for t in uniq}
             D = np.zeros(cnt)
+            buf = np.empty(cnt)
             for t_ord, t_sorted in zip(_var_tuples(n, ell), ordered):
-                term = evals[t_sorted].copy()
+                term = evals[t_sorted]
                 for j, var in enumerate(t_ord):
-                    term *= V[j, :, var]
+                    term = np.multiply(term, V[j, var], out=buf)
                 D += term
             sq = D * D
             return float(sq.sum()), float((sq * sq).sum()), cnt
@@ -565,6 +567,29 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _open_tmp(path: str, newline: str | None = None):
+    """``(tmp, fh)``: the temporary file that ``_atomic_open`` writes,
+    opened after making ``path``'s directory. Raises ValueError if
+    either cannot be made."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        return tmp, open(tmp, "w", newline=newline)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_out(path: str) -> None:
+    """Raise, before any computation, the ValueError that writing ``path``
+    through ``_atomic_open`` would raise at the end: make its directory,
+    create and remove the temporary file, and reject a directory."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    tmp, fh = _open_tmp(path)
+    fh.close()
+    os.unlink(tmp)
+
+
 @contextlib.contextmanager
 def _atomic_open(path: str, newline: str | None = None):
     """A text file that appears at ``path`` only once it is complete: it is
@@ -573,12 +598,7 @@ def _atomic_open(path: str, newline: str | None = None):
     that cannot be written at all (its directory cannot be made, the
     temporary file cannot be opened or it cannot replace ``path``)
     raises ValueError."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        fh = open(tmp, "w", newline=newline)
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from exc
+    tmp, fh = _open_tmp(path, newline)
     try:
         with fh:
             yield fh
@@ -615,6 +635,21 @@ def _need(section: dict, path: str):
     if key not in section:
         raise ValueError(f"config is missing {path}")
     return section[key]
+
+
+def _need_list(section: dict, path: str, cast: Callable, default: list | None = None) -> list:
+    """The config list at the dotted ``path``, ``cast`` applied to each
+    item. ``default`` stands in for a missing key; without one the key is
+    required. A value that is not a list, or an item ``cast`` rejects,
+    raises ValueError naming ``path``."""
+    key = path.rpartition(".")[2]
+    value = default if default is not None and key not in section else _need(section, path)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"config {path} must be a list, got {type(value).__name__}")
+    try:
+        return [cast(v) for v in value]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config {path}: {exc}") from None
 
 
 def _plan_from_params(params: dict, prefix: str = "generator.") -> GeneratorConfig:
@@ -680,7 +715,7 @@ def _run_fool(spec: ExperimentSpec) -> ExperimentResult:
     count = int(spec.ensemble.get("count", 0))
     num_vars = int(_need(spec.ensemble, "ensemble.num_vars")) if count else 0
     degree = int(spec.ensemble.get("degree", 1))
-    epsilons = [float(e) for e in _need(spec.generator, "generator.epsilons")]
+    epsilons = _need_list(spec.generator, "generator.epsilons", float)
     n_gen = int(_need(spec.samples, "samples.n_gen"))
     baseline = spec.samples.get("baseline", "analytic" if degree == 1 else "mc")
     max_stderr = spec.samples.get("max_gap_stderr")
@@ -742,14 +777,15 @@ def _run_fool(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def _run_cw(spec: ExperimentSpec) -> ExperimentResult:
-    degrees = spec.ensemble.get("degrees", [spec.ensemble.get("degree", 2)])
+    degrees = _need_list(spec.ensemble, "ensemble.degrees", int, [spec.ensemble.get("degree", 2)])
+    epsilons = _need_list(spec.samples, "samples.epsilons", float)
     all_rows: list[dict] = []
     ok = True
     cols: tuple[str, ...] = ()
     for d in degrees:
         rep = check_carbery_wright(
-            int(d),
-            [float(e) for e in _need(spec.samples, "samples.epsilons")],
+            d,
+            epsilons,
             int(spec.ensemble.get("count", 0)),
             int(_need(spec.samples, "samples.n_samples")),
             num_vars=int(spec.ensemble.get("num_vars", 3)),
@@ -766,14 +802,15 @@ def _run_cw(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def _run_tail(spec: ExperimentSpec) -> ExperimentResult:
-    degrees = spec.ensemble.get("degrees", [spec.ensemble.get("degree", 2)])
+    degrees = _need_list(spec.ensemble, "ensemble.degrees", int, [spec.ensemble.get("degree", 2)])
+    N_list = _need_list(spec.samples, "samples.N_list", float)
     all_rows: list[dict] = []
     ok = True
     cols: tuple[str, ...] = ()
     for d in degrees:
         rep = check_tail_bound(
-            int(d),
-            [float(N) for N in _need(spec.samples, "samples.N_list")],
+            d,
+            N_list,
             int(spec.ensemble.get("count", 0)),
             int(_need(spec.samples, "samples.n_samples")),
             num_vars=int(spec.ensemble.get("num_vars", 3)),
@@ -803,12 +840,13 @@ def _run_deriv(spec: ExperimentSpec) -> ExperimentResult:
             ).poly
             for pi in range(int(spec.ensemble.get("count", 0)))
         ]
+    ells = _need_list(spec.samples, "samples.ells", int)
     rows: list[dict] = []
     ok = True
     for pi, poly in enumerate(polys):
         rep = check_derivative_identity(
             poly,
-            [int(e) for e in _need(spec.samples, "samples.ells")],
+            ells,
             int(_need(spec.samples, "samples.n_samples")),
             tol=float(spec.samples.get("tol", 0.05)),
             master_seed=subseed(spec.seed, "deriv-poly", pi),
@@ -826,7 +864,7 @@ def _run_deriv(spec: ExperimentSpec) -> ExperimentResult:
 def _run_prop4(spec: ExperimentSpec) -> ExperimentResult:
     rep = check_prop4_1d(
         int(_need(spec.samples, "samples.k")),
-        [float(r) for r in spec.samples.get("shells", (0.2, 0.1, 0.05))],
+        _need_list(spec.samples, "samples.shells", float, [0.2, 0.1, 0.05]),
         fit_grid=int(spec.samples.get("fit_grid", 15)),
         shell_points=int(spec.samples.get("shell_points", 64)),
         inner_scale=float(spec.samples.get("inner_scale", 0.5)),
@@ -857,4 +895,5 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         raise ValueError(f"unknown experiment kind {spec.kind!r}")
     if spec.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {spec.jobs}")
+    _check_out(spec.out)
     return _RUNNERS[spec.kind](spec)

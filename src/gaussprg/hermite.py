@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +42,23 @@ __all__ = [
     "poly_to_json",
     "poly_from_json",
 ]
+
+
+def _power_table(columns, max_exps: Sequence[int]) -> list[list]:
+    """``[[x, x^2, ..., x^m] for x, m in zip(columns, max_exps)]``.
+
+    Each power is the previous one times ``x``. numpy's ``power`` is not
+    used because its last bits depend on the CPU's SIMD dispatch, nor
+    Python's ``**``, so one table built from floats or from arrays gives
+    the same bits.
+    """
+    table = []
+    for x, m in zip(columns, max_exps):
+        row = [x] if m else []
+        for _ in range(m - 1):
+            row.append(row[-1] * x)
+        table.append(row)
+    return table
 
 
 @dataclass(frozen=True)
@@ -81,33 +98,44 @@ class SparsePolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _max_exponents(self) -> list[int]:
+        return [max((exps[i] for exps in self.terms), default=0) for i in range(self.num_vars)]
+
     def evaluate(self, x: Iterable[float]) -> float:
         xs = [float(v) for v in x]
         if len(xs) != self.num_vars:
             raise ValueError(f"expected {self.num_vars} coordinates, got {len(xs)}")
+        powers = _power_table(xs, self._max_exponents())
         total = 0.0
         for exps, coef in self.terms.items():
             t = coef
-            for xi, e in zip(xs, exps):
+            for i, e in enumerate(exps):
                 if e:
-                    t *= xi**e
+                    t *= powers[i][e - 1]
             total += t
         return total
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        """Evaluate at every row of an (N, num_vars) array."""
+        """Evaluate at every row of an (N, num_vars) array.
+
+        Gives the same bits as :meth:`evaluate` on each row: both multiply
+        the same powers in the same order.
+        """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.num_vars:
             raise ValueError(f"expected shape (N, {self.num_vars})")
         out = np.zeros(X.shape[0])
+        powers = _power_table(np.ascontiguousarray(X.T), self._max_exponents())
+        term = np.empty(X.shape[0])
         for exps, coef in self.terms.items():
-            t = np.full(X.shape[0], coef)
-            for i, e in enumerate(exps):
-                if e == 1:
-                    t *= X[:, i]
-                elif e > 1:
-                    t *= X[:, i] ** e
-            out += t
+            factors = [powers[i][e - 1] for i, e in enumerate(exps) if e]
+            if not factors:
+                out += coef
+                continue
+            np.multiply(coef, factors[0], out=term)
+            for f in factors[1:]:
+                term *= f
+            out += term
         return out
 
     def partial_derivative(self, i: int) -> "SparsePolynomial":

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from gaussprg import harness
 from gaussprg.cli import main
 
 
@@ -282,7 +283,12 @@ class TestArgumentErrors:
             line = self._rejects(["plan", "--config", str(cfg)], capsys, tmp_path)
             assert "bad.json" in line and "top level must be a JSON object" in line
 
-    def test_unusable_out(self, tmp_path, capsys):
+    def test_unusable_out(self, tmp_path, capsys, monkeypatch):
+        # The path is checked before any sample is drawn.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sample_batch called")
+
+        monkeypatch.setattr(harness, "sample_batch", no_sampling)
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
         plan_cfg = tmp_path / "plan.json"
@@ -298,6 +304,30 @@ class TestArgumentErrors:
                 assert f"cannot write {out}" in line
         assert afile.read_text() == "keep\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "gen.json", "plan.json"]
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            (["fool"], {**TestResultFiles.FOOL, "generator": {"k": 2, "epsilons": 0.4}}, "generator.epsilons"),
+            (["check", "cw"], {"ensemble": {"degrees": 2, "count": 1},
+                               "samples": {"epsilons": [0.1], "n_samples": 100}}, "ensemble.degrees"),
+            (["check", "cw"], {"ensemble": {"count": 1},
+                               "samples": {"epsilons": 0.1, "n_samples": 100}}, "samples.epsilons"),
+            (["check", "tail"], {"ensemble": {"count": 1},
+                                 "samples": {"N_list": "4", "n_samples": 100}}, "samples.N_list"),
+            (["check", "deriv"], {"ensemble": {"count": 1, "num_vars": 2, "degree": 2},
+                                  "samples": {"ells": 1, "n_samples": 100}}, "samples.ells"),
+            (["check", "prop4"], {"samples": {"k": 2, "shells": 0.1}}, "samples.shells"),
+            (["check", "deriv"], {"ensemble": {"count": 1, "num_vars": 2, "degree": 2},
+                                  "samples": {"ells": [None], "n_samples": 100}}, "samples.ells"),
+        ],
+    )
+    def test_config_key_not_a_list(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.jsonl"
+        line = self._rejects(command + ["--config", str(cfg), "--out", str(out)], capsys, tmp_path)
+        assert key in line
 
     def test_string_ell_cap(self, tmp_path, capsys):
         cfg = tmp_path / "plan.json"
