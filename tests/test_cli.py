@@ -119,6 +119,14 @@ class TestResultFiles:
         "samples": {"n_gen": 3000, "baseline": "analytic", "max_gap_stderr": 3, "max_gap_slack": 0.02},
     }
     FOOL_DIGEST = "621c2d4ac09d226e0e9ce21ec8c662f078c36cd45f128e2921306c770c509042"
+    # Degree 2 against the Monte-Carlo baseline: the generator and the
+    # Gaussian baseline streams both end in a partial unit.
+    FOOL_MC = {
+        "ensemble": {"count": 2, "num_vars": 3, "degree": 2},
+        "generator": {"k": 1, "epsilons": [0.5]},
+        "samples": {"n_gen": 30_001, "n_baseline": 55_555},
+    }
+    FOOL_MC_DIGEST = "034f1293c75b65b72144a1538181b764dd8d3dcd90989d9c6fc8c70bcf894cbd"
 
     @staticmethod
     def _digest(*paths) -> str:
@@ -143,6 +151,15 @@ class TestResultFiles:
         argv = ["fool", "--config", str(cfg), "--seed", "5eed", "--out", str(out), "--jobs", str(jobs)]
         assert run_cli(argv) == 0
         assert self._digest(out, tmp_path / "fool.csv.spec.json") == self.FOOL_DIGEST
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fool_mc_csv(self, tmp_path, jobs):
+        cfg = tmp_path / "fool.json"
+        cfg.write_text(json.dumps(self.FOOL_MC))
+        out = tmp_path / "fool.csv"
+        argv = ["fool", "--config", str(cfg), "--seed", "5eed", "--out", str(out), "--jobs", str(jobs)]
+        assert run_cli(argv) == 0
+        assert self._digest(out, tmp_path / "fool.csv.spec.json") == self.FOOL_MC_DIGEST
 
     def test_fool_csv_thread_path(self, tmp_path, monkeypatch):
         # Where the fork start method is missing, --jobs runs threads.

@@ -83,6 +83,14 @@ class TestEstimateGap:
         b = estimate_gap(f, cfg, 60_000, "analytic", master_seed="aa", jobs=3)
         assert a == b
 
+    def test_gaussian_stream_values(self):
+        # Both Gaussian streams, each ending in a partial unit (30,001 and
+        # 55,555 samples): 2 * positives / samples - 1, exactly.
+        f = harness._ensemble_ptf(3, 2, "5eed", 0)
+        est = estimate_gap(f, "gaussian", 30_001, "mc", n_baseline=55_555, master_seed="5eed")
+        assert est.e_gen == -0.6966101129962334
+        assert est.e_baseline == -0.6919449194491945
+
 
 class TestCarberyWright:
     def test_pure_linear_example(self):
@@ -312,6 +320,27 @@ class TestRunExperiment:
         out = tmp_path / "c.csv"
         result = run_experiment(ExperimentSpec(kind, ensemble, {}, samples, "5eed", str(out)))
         assert result.passed
+        data = out.read_bytes() + Path(str(out) + ".spec.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    # The same checks on two threads, and at 60,001 samples, whose last
+    # unit holds one sample.
+    CHECKS_GOLDEN_PARTIAL = {
+        "cw": "b7844bc22aaf93df5df2c8095a50d37a86888dcdbca51b64be0ff511991eff10",
+        "tail": "1a751b87dbdd4ca4bf1052a0e918128c98b2092582ba6ce72b74658ec8faca88",
+        "deriv": "37247fc5f3272f9bbd58dfdc2925711cb0359d4fbb0c28ce7322fef64bfd74cb",
+    }
+
+    @pytest.mark.parametrize("n_samples, jobs", [(50_000, 2), (60_001, 1), (60_001, 2)])
+    @pytest.mark.parametrize("kind", sorted(CHECKS_GOLDEN))
+    def test_checks_golden_digest_threads_and_partial_unit(self, tmp_path, monkeypatch, kind, n_samples, jobs):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        ensemble, samples, digest = self.CHECKS_GOLDEN[kind]
+        if n_samples != samples["n_samples"]:
+            digest = self.CHECKS_GOLDEN_PARTIAL[kind]
+        out = tmp_path / "c.csv"
+        spec = ExperimentSpec(kind, ensemble, {}, {**samples, "n_samples": n_samples}, "5eed", str(out), jobs)
+        assert run_experiment(spec).passed
         data = out.read_bytes() + Path(str(out) + ".spec.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
