@@ -16,6 +16,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
@@ -111,12 +112,34 @@ def _run_units(
     return [done[u] for u in range(count)]
 
 
+def _sum_units(
+    n_samples: int, unit: Callable[[int, int], object], jobs: int, *, processes: bool = False
+):
+    """``unit(u, cnt)`` summed in unit order over the ``_UNIT``-sample units
+    of an ``n_samples`` run, ``cnt`` being unit ``u``'s sample count (the
+    last unit may be partial). ``jobs`` and ``processes`` are as in
+    ``_run_units``."""
+    if n_samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {n_samples}")
+
+    def counted(u: int):
+        return unit(u, min(_UNIT, n_samples - u * _UNIT))
+
+    return sum(_run_units(-(-n_samples // _UNIT), counted, jobs, processes=processes))
+
+
 def _content_id(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def _unit_rng(seed_hex: str, *labels: object) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_key(seed_hex, *labels)))
+
+
+def _gaussian_rows(seed_hex: str, num_vars: int, *labels: object) -> Callable[[int, int], np.ndarray]:
+    """Row source of the Gaussian stream ``labels``: unit ``u``'s ``cnt``
+    rows of ``num_vars`` standard normals."""
+    return lambda u, cnt: _unit_rng(seed_hex, *labels, u).standard_normal((cnt, num_vars))
 
 
 @dataclass(frozen=True)
@@ -139,31 +162,17 @@ def _sign_mean_stderr(pos: int, total: int) -> tuple[float, float]:
     return e, math.sqrt(max(1.0 - e * e, 0.0) / total)
 
 
-def _count_positive_gaussian(
-    f: PTF, n_samples: int, seed_hex: str, label: str, jobs: int
+def _count_positive(
+    f: PTF, n_samples: int, rows: Callable[[int, int], np.ndarray], jobs: int, processes: bool = False
 ) -> int:
-    n = f.poly.num_vars
-    units = -(-n_samples // _UNIT)
-
-    def unit(u: int) -> int:
-        cnt = min(_UNIT, n_samples - u * _UNIT)
-        X = _unit_rng(seed_hex, label, u).standard_normal((cnt, n))
-        return int(np.count_nonzero(eval_ptf_batch(f, X) > 0))
-
-    return sum(_run_units(units, unit, jobs))
-
-
-def _count_positive_generator(
-    f: PTF, gen: GeneratorConfig, n_samples: int, seed_hex: str, jobs: int
-) -> int:
-    units = -(-n_samples // _UNIT)
-
-    def unit(u: int) -> int:
-        cnt = min(_UNIT, n_samples - u * _UNIT)
-        Y = sample_batch(gen, seed_hex, cnt, start=u * _UNIT)
-        return int(np.count_nonzero(eval_ptf_batch(f, Y) > 0))
-
-    return sum(_run_units(units, unit, jobs, processes=True))
+    """How many of the ``n_samples`` rows that ``rows(u, cnt)`` yields unit
+    by unit have f > 0."""
+    return _sum_units(
+        n_samples,
+        lambda u, cnt: int(np.count_nonzero(eval_ptf_batch(f, rows(u, cnt)) > 0)),
+        jobs,
+        processes=processes,
+    )
 
 
 def estimate_gap(
@@ -192,17 +201,23 @@ def estimate_gap(
         ptf_id = _content_id(ptf_to_json(f))
     if generator_id is None:
         generator_id = "gaussian" if gen == "gaussian" else _content_id(config_to_json(gen))
+    n = f.poly.num_vars
     if gen == "gaussian":
-        pos = _count_positive_gaussian(f, n_gen, master_seed, gen_stream, jobs)
+        pos = _count_positive(f, n_gen, _gaussian_rows(master_seed, n, gen_stream), jobs)
     else:
-        pos = _count_positive_generator(f, gen, n_gen, subseed(master_seed, gen_stream), jobs)
+        seed_hex = subseed(master_seed, gen_stream)
+
+        def rows(u: int, cnt: int) -> np.ndarray:
+            return sample_batch(gen, seed_hex, cnt, start=u * _UNIT)
+
+        pos = _count_positive(f, n_gen, rows, jobs, processes=True)
     e_gen, se_gen = _sign_mean_stderr(pos, n_gen)
     if baseline == "analytic":
         w, theta = linear_threshold_params(f)
         e_base, se_base, n_base = halfspace_expectation(w, theta), 0.0, 0
     elif baseline == "mc":
         n_base = n_baseline if n_baseline is not None else 10 * n_gen
-        bpos = _count_positive_gaussian(f, n_base, master_seed, baseline_stream, jobs)
+        bpos = _count_positive(f, n_base, _gaussian_rows(master_seed, n, baseline_stream), jobs)
         e_base, se_base = _sign_mean_stderr(bpos, n_base)
     else:
         raise ValueError(f"unknown baseline {baseline!r}")
@@ -237,6 +252,45 @@ def _ensemble_ptf(num_vars: int, degree: int, seed_hex: str, index: int) -> PTF:
     return random_ptf(RandomPolyConfig(num_vars, degree, rng_seed))
 
 
+def _threshold_check(
+    kind: str,
+    columns: tuple[str, ...],
+    hit: Callable[[np.ndarray, np.float64], np.ndarray],
+    judge: Callable[[np.float64, float], dict],
+    d: int,
+    thresholds: Sequence[float],
+    n_polys: int,
+    n_samples: int,
+    *,
+    num_vars: int,
+    const: float,
+    master_seed: str,
+    polys: Sequence[PTF] | None,
+    jobs: int,
+) -> Report:
+    """Count, for each polynomial and each sorted threshold t, the Gaussian
+    draws (stream ``kind``) with ``hit(|p(X)|, t)``; ``judge(t, empirical)``
+    gives the rest of that row: the threshold column, the bound and
+    ``passed``."""
+    t_arr = np.asarray(sorted(thresholds), dtype=np.float64)
+    if polys is None:
+        polys = [_ensemble_ptf(num_vars, d, master_seed, pi) for pi in range(n_polys)]
+    rows = []
+    for pi, f in enumerate(polys):
+        draw = _gaussian_rows(master_seed, f.poly.num_vars, kind, d, pi)
+
+        def unit(u: int, cnt: int) -> np.ndarray:
+            a = np.abs(f.poly.evaluate_batch(draw(u, cnt)))
+            return np.array([np.count_nonzero(hit(a, t)) for t in t_arr], dtype=np.int64)
+
+        for t, c in zip(t_arr, _sum_units(n_samples, unit, jobs)):
+            empirical = c / n_samples
+            row = {"poly": pi, "degree": d, "n_samples": n_samples, "empirical": empirical}
+            rows.append({**row, **judge(t, empirical)})
+    passed = all(row["passed"] for row in rows)
+    return Report(kind, columns, tuple(rows), passed, {"const": const, "num_vars": num_vars})
+
+
 def check_carbery_wright(
     d: int,
     eps_list: Sequence[float],
@@ -253,47 +307,19 @@ def check_carbery_wright(
     polynomials, compared with the anticoncentration envelope
     const * d * eps^(1/d). Instances come from the random Hermite-coefficient
     ensemble unless explicit polys are supplied."""
-    eps_arr = np.asarray(sorted(eps_list), dtype=np.float64)
-    units = -(-n_samples // _UNIT)
-    if polys is not None:
-        n_polys = len(polys)
+    if not all(e >= 0 for e in eps_list):
+        raise ValueError(f"epsilons must be >= 0, got {list(eps_list)}")
 
-    def poly_counts(pi: int) -> np.ndarray:
-        f = polys[pi] if polys is not None else _ensemble_ptf(num_vars, d, master_seed, pi)
-        nv = f.poly.num_vars
+    def judge(e: np.float64, empirical: float) -> dict:
+        envelope = d * e ** (1.0 / d)
+        ratio = empirical / envelope if envelope > 0 else 0.0
+        return {"epsilon": float(e), "envelope": envelope, "ratio": ratio, "passed": int(ratio <= const)}
 
-        def unit(u: int) -> np.ndarray:
-            cnt = min(_UNIT, n_samples - u * _UNIT)
-            X = _unit_rng(master_seed, "cw", d, pi, u).standard_normal((cnt, nv))
-            a = np.abs(f.poly.evaluate_batch(X))
-            return np.array([np.count_nonzero(a <= e) for e in eps_arr], dtype=np.int64)
-
-        return sum(_run_units(units, unit, jobs))
-
-    rows = []
-    ok = True
-    for pi in range(n_polys):
-        counts = poly_counts(pi)
-        for e, c in zip(eps_arr, counts):
-            envelope = d * e ** (1.0 / d)
-            empirical = c / n_samples
-            ratio = empirical / envelope if envelope > 0 else 0.0
-            passed = ratio <= const
-            ok &= passed
-            rows.append(
-                {
-                    "poly": pi,
-                    "degree": d,
-                    "epsilon": float(e),
-                    "n_samples": n_samples,
-                    "empirical": empirical,
-                    "envelope": envelope,
-                    "ratio": ratio,
-                    "passed": int(passed),
-                }
-            )
     cols = ("poly", "degree", "epsilon", "n_samples", "empirical", "envelope", "ratio", "passed")
-    return Report("cw", cols, tuple(rows), ok, {"const": const, "num_vars": num_vars})
+    return _threshold_check(
+        "cw", cols, operator.le, judge, d, eps_list, n_polys, n_samples,
+        num_vars=num_vars, const=const, master_seed=master_seed, polys=polys, jobs=jobs,
+    )
 
 
 def check_tail_bound(
@@ -309,45 +335,16 @@ def check_tail_bound(
     jobs: int = 1,
 ) -> Report:
     """Empirical tails Pr(|p(X)| > N) vs const * 2^(-(N/2)^(2/d))."""
-    N_arr = np.asarray(sorted(N_list), dtype=np.float64)
-    units = -(-n_samples // _UNIT)
-    if polys is not None:
-        n_polys = len(polys)
 
-    def poly_counts(pi: int) -> np.ndarray:
-        f = polys[pi] if polys is not None else _ensemble_ptf(num_vars, d, master_seed, pi)
-        nv = f.poly.num_vars
+    def judge(N: np.float64, empirical: float) -> dict:
+        bound = const * 2.0 ** (-((N / 2.0) ** (2.0 / d))) if N > 0 else const
+        return {"N": float(N), "bound": bound, "passed": int(empirical <= bound)}
 
-        def unit(u: int) -> np.ndarray:
-            cnt = min(_UNIT, n_samples - u * _UNIT)
-            X = _unit_rng(master_seed, "tail", d, pi, u).standard_normal((cnt, nv))
-            a = np.abs(f.poly.evaluate_batch(X))
-            return np.array([np.count_nonzero(a > N) for N in N_arr], dtype=np.int64)
-
-        return sum(_run_units(units, unit, jobs))
-
-    rows = []
-    ok = True
-    for pi in range(n_polys):
-        counts = poly_counts(pi)
-        for N, c in zip(N_arr, counts):
-            bound = const * 2.0 ** (-((N / 2.0) ** (2.0 / d))) if N > 0 else const
-            empirical = c / n_samples
-            passed = empirical <= bound
-            ok &= passed
-            rows.append(
-                {
-                    "poly": pi,
-                    "degree": d,
-                    "N": float(N),
-                    "n_samples": n_samples,
-                    "empirical": empirical,
-                    "bound": bound,
-                    "passed": int(passed),
-                }
-            )
     cols = ("poly", "degree", "N", "n_samples", "empirical", "bound", "passed")
-    return Report("tail", cols, tuple(rows), ok, {"const": const, "num_vars": num_vars})
+    return _threshold_check(
+        "tail", cols, operator.gt, judge, d, N_list, n_polys, n_samples,
+        num_vars=num_vars, const=const, master_seed=master_seed, polys=polys, jobs=jobs,
+    )
 
 
 def _mixed_partials(p: SparsePolynomial, ell: int) -> dict[tuple[int, ...], SparsePolynomial]:
@@ -388,10 +385,8 @@ def check_derivative_identity(
         partials = _mixed_partials(p, ell)
         ordered = [tuple(sorted(t)) for t in _var_tuples(n, ell)]
         uniq = sorted(set(ordered))
-        units = -(-n_samples // _UNIT)
 
-        def unit(u: int, ell=ell, ordered=ordered, uniq=uniq, partials=partials):
-            cnt = min(_UNIT, n_samples - u * _UNIT)
+        def unit(u: int, cnt: int) -> np.ndarray:
             rng = _unit_rng(master_seed, "deriv", ell, u)
             X = rng.standard_normal((cnt, n))
             # (ell, n, cnt): the direction columns V[j, :, var] made contiguous
@@ -405,11 +400,9 @@ def check_derivative_identity(
                     term = np.multiply(term, V[j, var], out=buf)
                 D += term
             sq = D * D
-            return float(sq.sum()), float((sq * sq).sum()), cnt
+            return np.array([sq.sum(), (sq * sq).sum()])
 
-        parts = _run_units(units, unit, jobs)
-        s1 = sum(pt[0] for pt in parts)
-        s2 = sum(pt[1] for pt in parts)
+        s1, s2 = _sum_units(n_samples, unit, jobs).tolist()
         mean = s1 / n_samples
         var = max(s2 / n_samples - mean * mean, 0.0)
         stderr = math.sqrt(var / n_samples)
@@ -652,6 +645,14 @@ def _need_list(section: dict, path: str, cast: Callable, default: list | None = 
         raise ValueError(f"config {path}: {exc}") from None
 
 
+def _ensemble_count(ensemble: dict) -> int:
+    """``ensemble.count``, default 0; a negative count raises ValueError."""
+    count = int(ensemble.get("count", 0))
+    if count < 0:
+        raise ValueError(f"ensemble.count must be >= 0, got {count}")
+    return count
+
+
 def _plan_from_params(params: dict, prefix: str = "generator.") -> GeneratorConfig:
     return plan(
         n=int(_need(params, prefix + "n")),
@@ -712,7 +713,7 @@ def _run_moments(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def _run_fool(spec: ExperimentSpec) -> ExperimentResult:
-    count = int(spec.ensemble.get("count", 0))
+    count = _ensemble_count(spec.ensemble)
     num_vars = int(_need(spec.ensemble, "ensemble.num_vars")) if count else 0
     degree = int(spec.ensemble.get("degree", 1))
     epsilons = _need_list(spec.generator, "generator.epsilons", float)
@@ -776,54 +777,33 @@ def _run_fool(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(passed, tuple(rows), (spec.out, side))
 
 
-def _run_cw(spec: ExperimentSpec) -> ExperimentResult:
+def _run_threshold_check(spec: ExperimentSpec) -> ExperimentResult:
+    """``check cw`` or ``check tail``, one report per degree."""
+    if spec.kind == "cw":
+        check, key, const = check_carbery_wright, "samples.epsilons", 3.0
+    else:
+        check, key, const = check_tail_bound, "samples.N_list", 10.0
     degrees = _need_list(spec.ensemble, "ensemble.degrees", int, [spec.ensemble.get("degree", 2)])
-    epsilons = _need_list(spec.samples, "samples.epsilons", float)
-    all_rows: list[dict] = []
-    ok = True
-    cols: tuple[str, ...] = ()
-    for d in degrees:
-        rep = check_carbery_wright(
+    thresholds = _need_list(spec.samples, key, float)
+    count = _ensemble_count(spec.ensemble)
+    n_samples = int(_need(spec.samples, "samples.n_samples"))
+    reports = [
+        check(
             d,
-            epsilons,
-            int(spec.ensemble.get("count", 0)),
-            int(_need(spec.samples, "samples.n_samples")),
+            thresholds,
+            count,
+            n_samples,
             num_vars=int(spec.ensemble.get("num_vars", 3)),
-            const=float(spec.samples.get("const", 3.0)),
+            const=float(spec.samples.get("const", const)),
             master_seed=spec.seed,
             jobs=spec.jobs,
         )
-        all_rows.extend(rep.rows)
-        ok &= rep.passed
-        cols = rep.columns
-    _write_csv(spec.out, cols, all_rows)
+        for d in degrees
+    ]
+    rows = tuple(row for rep in reports for row in rep.rows)
+    _write_csv(spec.out, reports[-1].columns if reports else (), rows)
     side = _write_spec_sidecar(spec)
-    return ExperimentResult(ok, tuple(all_rows), (spec.out, side))
-
-
-def _run_tail(spec: ExperimentSpec) -> ExperimentResult:
-    degrees = _need_list(spec.ensemble, "ensemble.degrees", int, [spec.ensemble.get("degree", 2)])
-    N_list = _need_list(spec.samples, "samples.N_list", float)
-    all_rows: list[dict] = []
-    ok = True
-    cols: tuple[str, ...] = ()
-    for d in degrees:
-        rep = check_tail_bound(
-            d,
-            N_list,
-            int(spec.ensemble.get("count", 0)),
-            int(_need(spec.samples, "samples.n_samples")),
-            num_vars=int(spec.ensemble.get("num_vars", 3)),
-            const=float(spec.samples.get("const", 10.0)),
-            master_seed=spec.seed,
-            jobs=spec.jobs,
-        )
-        all_rows.extend(rep.rows)
-        ok &= rep.passed
-        cols = rep.columns
-    _write_csv(spec.out, cols, all_rows)
-    side = _write_spec_sidecar(spec)
-    return ExperimentResult(ok, tuple(all_rows), (spec.out, side))
+    return ExperimentResult(all(rep.passed for rep in reports), rows, (spec.out, side))
 
 
 def _run_deriv(spec: ExperimentSpec) -> ExperimentResult:
@@ -838,7 +818,7 @@ def _run_deriv(spec: ExperimentSpec) -> ExperimentResult:
                 spec.seed,
                 pi,
             ).poly
-            for pi in range(int(spec.ensemble.get("count", 0)))
+            for pi in range(_ensemble_count(spec.ensemble))
         ]
     ells = _need_list(spec.samples, "samples.ells", int)
     rows: list[dict] = []
@@ -878,8 +858,8 @@ _RUNNERS = {
     "sample": _run_sample,
     "moments": _run_moments,
     "fool": _run_fool,
-    "cw": _run_cw,
-    "tail": _run_tail,
+    "cw": _run_threshold_check,
+    "tail": _run_threshold_check,
     "deriv": _run_deriv,
     "prop4": _run_prop4,
 }
