@@ -352,46 +352,38 @@ class TestArgumentErrors:
     }
 
     @pytest.mark.parametrize(
-        "command, config",
+        "command, config, message",
         [
-            (["check", "cw"], {"ensemble": {"count": 1}, "samples": {"epsilons": [0.1], "n_samples": 0}}),
-            (["check", "cw"], {"ensemble": {"count": 1}, "samples": {"epsilons": [0.1], "n_samples": -5}}),
-            (["check", "tail"], {"ensemble": {"count": 1}, "samples": {"N_list": [4.0], "n_samples": 0}}),
+            (["check", "cw"], {"ensemble": {"count": 1}, "samples": {"epsilons": [0.1], "n_samples": 0}},
+             "sample count must be >= 1"),
+            (["check", "cw"], {"ensemble": {"count": 1}, "samples": {"epsilons": [0.1], "n_samples": -5}},
+             "sample count must be >= 1"),
+            (["check", "tail"], {"ensemble": {"count": 1}, "samples": {"N_list": [4.0], "n_samples": 0}},
+             "sample count must be >= 1"),
             (["check", "deriv"], {"ensemble": {"count": 1, "num_vars": 2, "degree": 2},
-                                  "samples": {"ells": [1], "n_samples": 0}}),
-            (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 0}}),
-            (["fool"], {**FOOL_SMALL, "samples": {"n_gen": -3}}),
-            (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 100, "baseline": "mc", "n_baseline": 0}}),
-        ],
-    )
-    def test_sample_count_below_one(self, tmp_path, capsys, command, config):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps(config))
-        out = tmp_path / "out.jsonl"
-        line = self._rejects(command + ["--config", str(cfg), "--out", str(out)], capsys, tmp_path)
-        assert "sample count must be >= 1" in line
-
-    @pytest.mark.parametrize(
-        "command, config, key",
-        [
+                                  "samples": {"ells": [1], "n_samples": 0}}, "sample count must be >= 1"),
+            (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 0}}, "sample count must be >= 1"),
+            (["fool"], {**FOOL_SMALL, "samples": {"n_gen": -3}}, "sample count must be >= 1"),
+            (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 100, "baseline": "mc", "n_baseline": 0}},
+             "sample count must be >= 1"),
             (["check", "cw"], {"ensemble": {"count": -1}, "samples": {"epsilons": [0.1], "n_samples": 100}},
-             "ensemble.count"),
+             "ensemble.count must be >= 0"),
             (["check", "tail"], {"ensemble": {"count": -2}, "samples": {"N_list": [4.0], "n_samples": 100}},
-             "ensemble.count"),
+             "ensemble.count must be >= 0"),
             (["check", "deriv"], {"ensemble": {"count": -1, "num_vars": 2, "degree": 2},
-                                  "samples": {"ells": [1], "n_samples": 100}}, "ensemble.count"),
+                                  "samples": {"ells": [1], "n_samples": 100}}, "ensemble.count must be >= 0"),
             (["fool"], {**FOOL_SMALL, "ensemble": {"count": -1, "num_vars": 2}, "samples": {"n_gen": 100}},
-             "ensemble.count"),
+             "ensemble.count must be >= 0"),
             (["check", "cw"], {"ensemble": {"count": 1},
-                               "samples": {"epsilons": [0.1, -0.01], "n_samples": 100}}, "epsilons"),
+                               "samples": {"epsilons": [0.1, -0.01], "n_samples": 100}}, "epsilons must be >= 0"),
         ],
     )
-    def test_negative_count_or_epsilon(self, tmp_path, capsys, command, config, key):
+    def test_count_or_epsilon_out_of_range(self, tmp_path, capsys, command, config, message):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(config))
         out = tmp_path / "out.jsonl"
         line = self._rejects(command + ["--config", str(cfg), "--out", str(out)], capsys, tmp_path)
-        assert f"{key} must be >= 0" in line
+        assert message in line
 
     def test_string_ell_cap(self, tmp_path, capsys):
         cfg = tmp_path / "plan.json"
