@@ -15,8 +15,8 @@ import json
 import sys
 
 from ._bits import normalize_hex_seed
-from .generator import config_to_json
-from .harness import ExperimentSpec, _atomic_open, _plan_from_params, run_experiment
+from .generator import config_to_json, plan
+from .harness import ExperimentSpec, _atomic_open, _read_config, _samples_key, run_experiment
 
 
 def _load_config(parser: argparse.ArgumentParser, path: str | None) -> dict:
@@ -32,30 +32,22 @@ def _load_config(parser: argparse.ArgumentParser, path: str | None) -> dict:
     return cfg
 
 
-def _section(parser: argparse.ArgumentParser, cfg: dict, key: str, path: str | None) -> dict:
-    value = cfg.get(key, {})
-    if not isinstance(value, dict):
-        parser.error(f"--config {path}: {key} must be a JSON object, got {type(value).__name__}")
-    return dict(value)
-
-
 def _build_spec(
     parser: argparse.ArgumentParser, kind: str, cfg: dict, args: argparse.Namespace
 ) -> ExperimentSpec:
-    samples = _section(parser, cfg, "samples", args.config)
-    if getattr(args, "samples", None) is not None:
+    sections = {s: cfg.get(s, {}) for s in ("ensemble", "generator", "samples")}
+    for s, value in sections.items():
+        if not isinstance(value, dict):
+            parser.error(f"--config {args.config}: {s} must be a JSON object, got {type(value).__name__}")
+    for key in sorted(cfg.keys() - sections.keys()):
+        parser.error(f"--config {args.config}: config has unknown key {key}")
+    if args.samples is not None:
         # --samples overrides the kind's main count knob
-        key = {"sample": "count", "fool": "n_gen"}.get(kind, "n_samples")
-        samples[key] = args.samples
-    return ExperimentSpec(
-        kind=kind,
-        ensemble=_section(parser, cfg, "ensemble", args.config),
-        generator=_section(parser, cfg, "generator", args.config),
-        samples=samples,
-        seed=args.seed,
-        out=args.out,
-        jobs=args.jobs,
-    )
+        key = _samples_key(kind)
+        if key is None:
+            parser.error(f"--samples: {kind} has no sample count")
+        sections["samples"] = {**sections["samples"], key: args.samples}
+    return ExperimentSpec(kind=kind, **sections, seed=args.seed, out=args.out, jobs=args.jobs)
 
 
 def _add_common(p: argparse.ArgumentParser, need_out: bool = True) -> None:
@@ -93,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "plan":
         cfg = _load_config(parser, args.config)
         try:
-            config = _plan_from_params(cfg, prefix="")
+            config = plan(**_read_config("plan", {"": cfg})[""])
         except ValueError as exc:
             parser.error(f"--config {args.config}: {exc}")
         text = config_to_json(config)

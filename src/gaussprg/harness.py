@@ -434,8 +434,7 @@ def _var_tuples(n: int, ell: int):
 
 def _smooth_expectation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """E[sgn((1+a) X + b)] = 1 - 2*Phi(-b/(1+a)) for scalar Gaussian X."""
-    # Imported here: nothing else needs scipy.special, and importing it
-    # after scipy.linalg takes another 50-70 ms.
+    # Imported here: only check prop4 needs scipy.
     from scipy.special import erf
 
     t = -b / (1.0 + a)
@@ -621,53 +620,132 @@ def _write_spec_sidecar(spec: ExperimentSpec) -> str:
     return path
 
 
-def _need(section: dict, path: str):
-    """The config value at the dotted ``path``, read from ``section``; a
-    missing key raises ValueError naming ``path``."""
-    key = path.rpartition(".")[2]
-    if key not in section:
-        raise ValueError(f"config is missing {path}")
-    return section[key]
+_REQ = "required"
+_IF_COUNT = "required if ensemble.count > 0"
+_COUNT = "sample count"  # an int whose range error says "sample count"
+_PLAN_KEYS = {
+    "n": (int, 1, _REQ), "d": (int, 1, _REQ), "k": (int, 1, _REQ), "epsilon": (float, None, _REQ),
+    "ell_cap": (int, 1, None),
+}
+_N_SAMPLES = (_COUNT, 1, _REQ)
+_THRESHOLDS = {
+    "count": (int, 0, 0), "num_vars": (int, 1, 3), "degree": (int, 1, 2), "degrees": ([int], 1, None),
+}
+# _SCHEMA[kind][section][key] = (type, lowest value, default): every config
+# key each command reads. [t] is a list of t, each item at least the lowest
+# value. A default of None makes a key optional, and null counts as absent.
+# ensemble comes first where a default is _IF_COUNT. --samples sets the
+# first sample count of samples. plan reads top-level keys (section "").
+_SCHEMA = {
+    "plan": {"": _PLAN_KEYS},
+    "sample": {"generator": _PLAN_KEYS, "samples": {"count": (_COUNT, 1, _REQ)}},
+    "moments": {
+        "generator": {
+            "M": (int, 1, _REQ), "K": (int, 1, _REQ), "n": (int, 1, _REQ),
+            "tv_budget": (float, None, _REQ),
+        },
+        # Only "mc" mode reads n_samples; verify_moments checks its range.
+        "samples": {
+            "mode": (str, None, "exhaustive"), "max_order": (int, 1, 4),
+            "n_samples": (_COUNT, None, 10**6),
+        },
+    },
+    "fool": {
+        "ensemble": {"count": (int, 0, 0), "num_vars": (int, 1, _IF_COUNT), "degree": (int, 1, 1)},
+        "generator": {
+            "k": (int, 1, _IF_COUNT), "epsilons": ([float], None, _REQ), "ell_cap": (int, 1, None),
+        },
+        "samples": {
+            "n_gen": (_COUNT, 1, _REQ), "n_baseline": (_COUNT, 1, None), "baseline": (str, None, None),
+            "max_gap_stderr": (float, 0, None), "max_gap_slack": (float, 0, 0.0),
+        },
+    },
+    "cw": {"ensemble": _THRESHOLDS, "samples": {
+        "epsilons": ([float], 0, _REQ), "n_samples": _N_SAMPLES, "const": (float, None, 3.0),
+    }},
+    "tail": {"ensemble": _THRESHOLDS, "samples": {
+        "N_list": ([float], None, _REQ), "n_samples": _N_SAMPLES, "const": (float, None, 10.0),
+    }},
+    "deriv": {
+        "ensemble": {
+            "count": (int, 0, 0), "num_vars": (int, 1, _IF_COUNT), "degree": (int, 1, _IF_COUNT),
+            "poly": (dict, None, None),
+        },
+        "samples": {"ells": ([int], 0, _REQ), "n_samples": _N_SAMPLES, "tol": (float, 0, 0.05)},
+    },
+    "prop4": {"samples": {
+        "k": (int, 1, _REQ), "shells": ([float], None, (0.2, 0.1, 0.05)), "fit_grid": (int, 1, 15),
+        "shell_points": (int, 1, 64), "inner_scale": (float, None, 0.5),
+    }},
+}
+# Pairs of dotted keys that one config may not both give.
+_CONFLICTS = {
+    "cw": [("ensemble.degree", "ensemble.degrees")],
+    "tail": [("ensemble.degree", "ensemble.degrees")],
+    "deriv": [("ensemble.poly", f"ensemble.{key}") for key in ("count", "num_vars", "degree")],
+}
+_TYPE_NAMES = {
+    int: "an integer", _COUNT: "an integer", float: "a number", str: "a string", dict: "an object",
+}
 
 
-def _need_list(section: dict, path: str, cast: Callable, default: list | None = None) -> list:
-    """The config list at the dotted ``path``, ``cast`` applied to each
-    item. ``default`` stands in for a missing key; without one the key is
-    required. A value that is not a list, or an item ``cast`` rejects,
-    raises ValueError naming ``path``."""
-    key = path.rpartition(".")[2]
-    value = default if default is not None and key not in section else _need(section, path)
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"config {path} must be a list, got {type(value).__name__}")
-    try:
-        return [cast(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config {path}: {exc}") from None
+def _samples_key(kind: str) -> str | None:
+    """The ``samples`` key that ``--samples`` sets for ``kind``, if any."""
+    return next((key for key, e in _SCHEMA[kind].get("samples", {}).items() if e[0] is _COUNT), None)
 
 
-def _ensemble_count(ensemble: dict) -> int:
-    """``ensemble.count``, default 0; a negative count raises ValueError."""
-    count = int(ensemble.get("count", 0))
-    if count < 0:
-        raise ValueError(f"ensemble.count must be >= 0, got {count}")
-    return count
+def _typed(path: str, value, typ, lowest):
+    """``value`` of the config key ``path`` as a ``typ`` of at least ``lowest``. No number
+    is read from a bool or a string, and no integer from a non-integral number."""
+    if isinstance(typ, list):
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"config {path} must be a list, got {type(value).__name__}")
+        return [_typed(path, v, typ[0], lowest) for v in value]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if typ is float and number:
+        value = float(value)
+    elif typ in (int, _COUNT) and number and (isinstance(value, int) or value.is_integer()):
+        value = int(value)
+    elif typ in (str, dict) and isinstance(value, typ):
+        return value
+    else:
+        raise ValueError(f"config {path} must be {_TYPE_NAMES[typ]}, got {value!r}")
+    if lowest is not None and not value >= lowest:
+        what = f"{path}: sample count" if typ is _COUNT else path
+        raise ValueError(f"config {what} must be >= {lowest}, got {value}")
+    return value
 
 
-def _plan_from_params(params: dict, prefix: str = "generator.") -> GeneratorConfig:
-    return plan(
-        n=int(_need(params, prefix + "n")),
-        d=int(_need(params, prefix + "d")),
-        k=int(_need(params, prefix + "k")),
-        epsilon=float(_need(params, prefix + "epsilon")),
-        ell_cap=params.get("ell_cap"),
-    )
+def _read_config(kind: str, sections: dict[str, dict]) -> dict[str, dict]:
+    """``{section: {key: value}}`` for every key in ``_SCHEMA[kind]``, read
+    from the config ``sections`` (typed, defaults for absent keys). An
+    unknown, conflicting or missing key, or a value of the wrong type or
+    below its lowest value, raises ValueError naming the dotted key."""
+    schema = _SCHEMA[kind]
+    given = [f"{s}.{key}".lstrip(".") for s, obj in sections.items() for key in obj]
+    known = {f"{s}.{key}".lstrip(".") for s, table in schema.items() for key in table}
+    for path in sorted(set(given) - known):
+        raise ValueError(f"config has unknown key {path}")
+    for a, b in _CONFLICTS.get(kind, ()):
+        if a in given and b in given:
+            raise ValueError(f"config gives both {a} and {b}; give one")
+    cfg: dict[str, dict] = {}
+    for s, table in schema.items():
+        obj, cfg[s] = sections.get(s, {}), {}
+        for key, (typ, lowest, default) in table.items():
+            path = f"{s}.{key}".lstrip(".")
+            if key in obj and not (obj[key] is None and default is None):
+                cfg[s][key] = _typed(path, obj[key], typ, lowest)
+            elif default is _REQ or (default is _IF_COUNT and cfg["ensemble"]["count"]):
+                raise ValueError(f"config is missing {path}")
+            else:
+                cfg[s][key] = None if default is _IF_COUNT else default
+    return cfg
 
 
-def _run_sample(spec: ExperimentSpec) -> ExperimentResult:
-    config = _plan_from_params(spec.generator)
-    count = int(_need(spec.samples, "samples.count"))
-    if count < 1:
-        raise ValueError(f"samples.count must be >= 1, got {count}")
+def _run_sample(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
+    config = plan(**cfg["generator"])
+    count = cfg["samples"]["count"]
     block = 4096
     units = -(-count // block)
 
@@ -689,21 +767,9 @@ def _run_sample(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(True, (), (spec.out,))
 
 
-def _run_moments(spec: ExperimentSpec) -> ExperimentResult:
-    g = spec.generator
-    sampler = build_sampler(
-        int(_need(g, "generator.M")),
-        int(_need(g, "generator.K")),
-        int(_need(g, "generator.n")),
-        float(_need(g, "generator.tv_budget")),
-    )
-    mode = spec.samples.get("mode", "exhaustive")
+def _run_moments(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
     report = verify_moments(
-        sampler,
-        int(spec.samples.get("max_order", 4)),
-        mode=mode,
-        n_samples=int(spec.samples.get("n_samples", 10**6)),
-        rng_seed=derive_key(spec.seed, "moments"),
+        build_sampler(**cfg["generator"]), **cfg["samples"], rng_seed=derive_key(spec.seed, "moments")
     )
     rows = report.rows()
     cols = ("scope", "orders", "empirical", "target", "tolerance", "passed")
@@ -712,19 +778,12 @@ def _run_moments(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(report.passed, tuple(rows), (spec.out, side))
 
 
-def _run_fool(spec: ExperimentSpec) -> ExperimentResult:
-    count = _ensemble_count(spec.ensemble)
-    num_vars = int(_need(spec.ensemble, "ensemble.num_vars")) if count else 0
-    degree = int(spec.ensemble.get("degree", 1))
-    epsilons = _need_list(spec.generator, "generator.epsilons", float)
-    n_gen = int(_need(spec.samples, "samples.n_gen"))
-    baseline = spec.samples.get("baseline", "analytic" if degree == 1 else "mc")
-    max_stderr = spec.samples.get("max_gap_stderr")
-    slack = float(spec.samples.get("max_gap_slack", 0.0))
-    configs = {}
-    if count:
-        k = int(_need(spec.generator, "generator.k"))
-        configs = {e: plan(num_vars, degree, k, e, spec.generator.get("ell_cap")) for e in epsilons}
+def _run_fool(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
+    ens, gen, smp = cfg["ensemble"], cfg["generator"], cfg["samples"]
+    count, num_vars, degree, epsilons = ens["count"], ens["num_vars"], ens["degree"], gen["epsilons"]
+    baseline = smp["baseline"] if smp["baseline"] is not None else "analytic" if degree == 1 else "mc"
+    max_stderr = smp["max_gap_stderr"]
+    configs = {e: plan(num_vars, degree, gen["k"], e, gen["ell_cap"]) for e in epsilons} if count else {}
 
     def unit(idx: int) -> list[dict]:
         pi, ei = divmod(idx, len(epsilons))
@@ -733,9 +792,9 @@ def _run_fool(spec: ExperimentSpec) -> ExperimentResult:
         est = estimate_gap(
             f,
             configs[eps],
-            n_gen,
+            smp["n_gen"],
             baseline,
-            n_baseline=spec.samples.get("n_baseline"),
+            n_baseline=smp["n_baseline"],
             master_seed=subseed(spec.seed, "fool", pi, eps),
             jobs=1,
         )
@@ -756,7 +815,7 @@ def _run_fool(spec: ExperimentSpec) -> ExperimentResult:
             "ci_hi": est.ci95[1],
         }
         if max_stderr is not None:
-            row["passed"] = int(abs(est.gap) <= float(max_stderr) * est.stderr + slack)
+            row["passed"] = int(abs(est.gap) <= max_stderr * est.stderr + smp["max_gap_slack"])
         return [row]
 
     units = count * len(epsilons) if count else 0
@@ -777,28 +836,16 @@ def _run_fool(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(passed, tuple(rows), (spec.out, side))
 
 
-def _run_threshold_check(spec: ExperimentSpec) -> ExperimentResult:
+def _run_threshold_check(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
     """``check cw`` or ``check tail``, one report per degree."""
-    if spec.kind == "cw":
-        check, key, const = check_carbery_wright, "samples.epsilons", 3.0
-    else:
-        check, key, const = check_tail_bound, "samples.N_list", 10.0
-    degrees = _need_list(spec.ensemble, "ensemble.degrees", int, [spec.ensemble.get("degree", 2)])
-    thresholds = _need_list(spec.samples, key, float)
-    count = _ensemble_count(spec.ensemble)
-    n_samples = int(_need(spec.samples, "samples.n_samples"))
+    check, key = (check_carbery_wright, "epsilons") if spec.kind == "cw" else (check_tail_bound, "N_list")
+    ens, smp = cfg["ensemble"], cfg["samples"]
     reports = [
         check(
-            d,
-            thresholds,
-            count,
-            n_samples,
-            num_vars=int(spec.ensemble.get("num_vars", 3)),
-            const=float(spec.samples.get("const", const)),
-            master_seed=spec.seed,
-            jobs=spec.jobs,
+            d, smp[key], ens["count"], smp["n_samples"],
+            num_vars=ens["num_vars"], const=smp["const"], master_seed=spec.seed, jobs=spec.jobs,
         )
-        for d in degrees
+        for d in (ens["degrees"] if ens["degrees"] is not None else [ens["degree"]])
     ]
     rows = tuple(row for rep in reports for row in rep.rows)
     _write_csv(spec.out, reports[-1].columns if reports else (), rows)
@@ -806,29 +853,23 @@ def _run_threshold_check(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(all(rep.passed for rep in reports), rows, (spec.out, side))
 
 
-def _run_deriv(spec: ExperimentSpec) -> ExperimentResult:
-    if "poly" in spec.ensemble:
+def _run_deriv(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
+    ens, smp = cfg["ensemble"], cfg["samples"]
+    if ens["poly"] is not None:
         # explicit polynomial in the shared JSON format
-        polys = [poly_from_json(json.dumps(spec.ensemble["poly"]))]
+        polys = [poly_from_json(json.dumps(ens["poly"]))]
     else:
         polys = [
-            _ensemble_ptf(
-                int(_need(spec.ensemble, "ensemble.num_vars")),
-                int(_need(spec.ensemble, "ensemble.degree")),
-                spec.seed,
-                pi,
-            ).poly
-            for pi in range(_ensemble_count(spec.ensemble))
+            _ensemble_ptf(ens["num_vars"], ens["degree"], spec.seed, i).poly for i in range(ens["count"])
         ]
-    ells = _need_list(spec.samples, "samples.ells", int)
     rows: list[dict] = []
     ok = True
     for pi, poly in enumerate(polys):
         rep = check_derivative_identity(
             poly,
-            ells,
-            int(_need(spec.samples, "samples.n_samples")),
-            tol=float(spec.samples.get("tol", 0.05)),
+            smp["ells"],
+            smp["n_samples"],
+            tol=smp["tol"],
             master_seed=subseed(spec.seed, "deriv-poly", pi),
             jobs=spec.jobs,
         )
@@ -841,14 +882,8 @@ def _run_deriv(spec: ExperimentSpec) -> ExperimentResult:
     return ExperimentResult(ok, tuple(rows), (spec.out, side))
 
 
-def _run_prop4(spec: ExperimentSpec) -> ExperimentResult:
-    rep = check_prop4_1d(
-        int(_need(spec.samples, "samples.k")),
-        _need_list(spec.samples, "samples.shells", float, [0.2, 0.1, 0.05]),
-        fit_grid=int(spec.samples.get("fit_grid", 15)),
-        shell_points=int(spec.samples.get("shell_points", 64)),
-        inner_scale=float(spec.samples.get("inner_scale", 0.5)),
-    )
+def _run_prop4(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
+    rep = check_prop4_1d(**cfg["samples"])
     _write_csv(spec.out, rep.columns, rep.rows)
     side = _write_spec_sidecar(spec)
     return ExperimentResult(rep.passed, rep.rows, (spec.out, side))
@@ -868,6 +903,7 @@ _RUNNERS = {
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Execute a named experiment and persist its outputs.
 
+    The config sections are checked against ``_SCHEMA`` before any work.
     Re-running an identical spec reproduces the output files byte for byte,
     whatever the jobs value.
     """
@@ -875,5 +911,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         raise ValueError(f"unknown experiment kind {spec.kind!r}")
     if spec.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {spec.jobs}")
+    cfg = _read_config(spec.kind, {s: getattr(spec, s) for s in ("ensemble", "generator", "samples")})
     _check_out(spec.out)
-    return _RUNNERS[spec.kind](spec)
+    return _RUNNERS[spec.kind](spec, cfg)

@@ -2,8 +2,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -376,6 +378,11 @@ class TestArgumentErrors:
              "ensemble.count must be >= 0"),
             (["check", "cw"], {"ensemble": {"count": 1},
                                "samples": {"epsilons": [0.1, -0.01], "n_samples": 100}}, "epsilons must be >= 0"),
+            # An empty ensemble runs no kernel; its counts are still checked.
+            (["fool"], {**FOOL_SMALL, "ensemble": {"count": 0}, "samples": {"n_gen": -3}},
+             "config samples.n_gen: sample count must be >= 1"),
+            (["check", "cw"], {"ensemble": {"count": 0}, "samples": {"epsilons": [0.1], "n_samples": 0}},
+             "config samples.n_samples: sample count must be >= 1"),
         ],
     )
     def test_count_or_epsilon_out_of_range(self, tmp_path, capsys, command, config, message):
@@ -385,11 +392,87 @@ class TestArgumentErrors:
         line = self._rejects(command + ["--config", str(cfg), "--out", str(out)], capsys, tmp_path)
         assert message in line
 
+    POLY = {"num_vars": 1, "terms": [{"exps": [2], "coef": 1.0}]}
+    GEN = {"n": 2, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 2}
+
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            # keys the command does not read
+            (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 100, "max_gap_sterr": 0.0001}}, "samples.max_gap_sterr"),
+            (["check", "tail"], {"ensemble": {"count": 1},
+                                 "samples": {"N_list": [4.0], "n_samples": 100, "cosnt": 3}}, "samples.cosnt"),
+            (["sample"], {"generator": {**GEN, "epsilons": [0.4]}, "samples": {"count": 5}}, "generator.epsilons"),
+            (["sample"], {"generator": GEN, "samples": {"count": 5, "n_gen": 5}}, "samples.n_gen"),
+            (["plan"], {**GEN, "ell_cpa": 3}, "ell_cpa"),
+            (["check", "cw"], {"ensemble": {"count": 1}, "sampels": {"n_samples": 10},
+                               "samples": {"epsilons": [0.1], "n_samples": 100}}, "sampels"),
+            # values of the wrong type or below their lowest value
+            (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 1.9}}, "samples.n_gen"),
+            (["sample"], {"generator": GEN, "samples": {"count": True}}, "samples.count"),
+            (["check", "cw"], {"ensemble": {"count": 1},
+                               "samples": {"epsilons": [0.1], "n_samples": "100"}}, "samples.n_samples"),
+            (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 100, "max_gap_stderr": "x"}}, "samples.max_gap_stderr"),
+            (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 100, "max_gap_stderr": -1}}, "samples.max_gap_stderr"),
+            (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 100, "max_gap_stderr": 3, "max_gap_slack": -0.1}},
+             "samples.max_gap_slack"),
+            # keys that exclude each other
+            (["check", "cw"], {"ensemble": {"count": 1, "degree": 2, "degrees": [3]},
+                               "samples": {"epsilons": [0.1], "n_samples": 100}}, "ensemble.degrees"),
+            (["check", "tail"], {"ensemble": {"count": 1, "degree": 2, "degrees": [3]},
+                                 "samples": {"N_list": [4.0], "n_samples": 100}}, "ensemble.degrees"),
+            (["check", "deriv"], {"ensemble": {"poly": POLY, "count": 1},
+                                  "samples": {"ells": [1], "n_samples": 100}}, "ensemble.count"),
+            (["check", "deriv"], {"ensemble": {"poly": POLY, "num_vars": 2},
+                                  "samples": {"ells": [1], "n_samples": 100}}, "ensemble.num_vars"),
+            (["check", "deriv"], {"ensemble": {"poly": POLY, "degree": 2},
+                                  "samples": {"ells": [1], "n_samples": 100}}, "ensemble.degree"),
+            # check prop4 has no sample count for --samples to set
+            (["check", "prop4", "--samples", "5"], {"samples": {"k": 2}}, "--samples"),
+        ],
+    )
+    def test_config_key_rejected(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        out = [] if command == ["plan"] else ["--out", str(tmp_path / "out.jsonl")]
+        line = self._rejects(command + ["--config", str(cfg)] + out, capsys, tmp_path)
+        assert key in line
+        assert not (tmp_path / "out.jsonl.spec.json").exists()
+
+    def test_integral_float_counts(self, tmp_path):
+        # 1e1 is an integer count; the JSONL header echoes it as given.
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"generator": self.GEN, "samples": {"count": 1e1}}))
+        out = tmp_path / "y.jsonl"
+        assert run_cli(["sample", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == 11 and json.loads(lines[0])["spec"]["samples"] == {"count": 10.0}
+
     def test_string_ell_cap(self, tmp_path, capsys):
         cfg = tmp_path / "plan.json"
         cfg.write_text(json.dumps({"n": 4, "d": 1, "k": 2, "epsilon": 0.25, "ell_cap": "50"}))
         line = self._rejects(["plan", "--config", str(cfg)], capsys, tmp_path)
         assert "ell_cap" in line
+
+
+class TestConfigSchemaDocs:
+    def test_readme_names_every_schema_key(self):
+        # Each "- `command`:" entry of README's Config schemas section
+        # names exactly the keys harness._SCHEMA lists for that command:
+        # dotted section keys, or plain top-level keys for plan.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config schemas\n", 1)[1].split("\n### ", 1)[0]
+        entries = re.findall(r"^- `([a-z0-9 ]+)`:(.*?)(?=^- `|\Z)", section, re.M | re.S)
+        documented = {}
+        for command, text in entries:
+            kind = command.removeprefix("check ")
+            pattern = r"^\w+$" if kind == "plan" else r"^(?:ensemble|generator|samples)\.\w+$"
+            documented[kind] = {t for t in re.findall(r"`([^`]+)`", text) if re.match(pattern, t)}
+        schema = {
+            kind: {f"{s}.{key}".lstrip(".") for s, table in sections.items() for key in table}
+            for kind, sections in harness._SCHEMA.items()
+        }
+        assert documented == schema
 
 
 class TestConsoleEntry:
