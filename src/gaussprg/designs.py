@@ -519,6 +519,7 @@ class MomentReport:
 
 
 _EXHAUSTIVE_CAP = 10**7
+_UNIT = 25_000  # fixed Monte-Carlo work-unit size (samples per unit)
 
 
 def _shear_sum(table: np.ndarray, c: int) -> None:
@@ -600,8 +601,9 @@ def verify_moments(
     law comes from count tables of the field values built by convolution
     over the k seed symbols, O(k q) for a coordinate and O(k q^2) for the
     pair, not from the q^k seeds one by one. Monte-Carlo mode draws
-    ``n_samples`` seeds (at least 2) and checks against that bound plus 4
-    standard errors. Only orders 1..max_order (max_order >= 1) that the
+    ``n_samples`` seeds (at least 2) in 25,000-seed units, keeps only
+    coordinates 0 and 1 (about 32 bytes per sample at peak) and checks
+    against that bound plus 4 standard errors. Only orders 1..max_order (max_order >= 1) that the
     quadrature matches (<= 2M-1) are compared.
     """
     if max_order < 1:
@@ -651,22 +653,31 @@ def verify_moments(
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 for Monte-Carlo moments, got {n_samples}")
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
-    seeds = rng.integers(0, sampler.q, size=(n_samples, k), dtype=np.int64)
-    Y = design_sample_batch(sampler, seeds)
-    for i in range(min(sampler.n, 2)):
-        # Y[:, i]^j as a running product over one contiguous column (orders
-        # run 1, 2, ...): numpy's power has CPU-dependent last bits.
-        col = np.ascontiguousarray(Y[:, i])
+    # Only coordinates 0 and 1 are checked, so only they are kept, one
+    # contiguous row each. The seeds are drawn unit by unit: chunked
+    # integers() calls on one Generator give the rows of a single call, and
+    # the contraction is exact, so the rows do not depend on the unit size.
+    Y = np.empty((min(sampler.n, 2), n_samples))
+    for lo in range(0, n_samples, _UNIT):
+        seeds = rng.integers(0, sampler.q, size=(min(_UNIT, n_samples - lo), k), dtype=np.int64)
+        Y[:, lo : lo + len(seeds)] = design_sample_batch(sampler, seeds)[:, : len(Y)].T
+    # Powers are running products (orders run 1, 2, ...), as numpy's power
+    # has CPU-dependent last bits. Each product is built in place in one
+    # scratch row, which is bit for bit the product into a new array.
+    scratch = np.empty(n_samples)
+    for i, col in enumerate(Y):
         powers = col
         for j in orders:
-            if j > 1:
-                powers = powers * col
+            if j == 2:
+                powers = np.multiply(col, col, out=scratch)
+            elif j > 2:
+                powers *= col
             emp = float(powers.mean())
             se = float(powers.std(ddof=1) / math.sqrt(n_samples))
             tol = _tv_tolerance(sampler, (j,)) + 4.0 * se
             checks.append(MomentCheck(f"coord {i}", (j,), emp, gaussian_moment(j), tol))
     if sampler.n >= 2 and k >= 2:
-        prod = Y[:, 0] * Y[:, 1]
+        prod = np.multiply(Y[0], Y[1], out=scratch)
         se = float(prod.std(ddof=1) / math.sqrt(n_samples))
         checks.append(
             MomentCheck(
@@ -675,7 +686,9 @@ def verify_moments(
             )
         )
         if max_order >= 4 and k >= 4 and sampler.quadrature.order >= 2:
-            prod2 = Y[:, 0] ** 2 * Y[:, 1] ** 2
+            np.multiply(Y[1], Y[1], out=Y[1])  # row 1 is not read again
+            prod2 = np.multiply(Y[0], Y[0], out=scratch)
+            prod2 *= Y[1]
             se = float(prod2.std(ddof=1) / math.sqrt(n_samples))
             checks.append(
                 MomentCheck(

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._bits import derive_key, subseed
-from .designs import build_sampler, verify_moments
+from .designs import _UNIT, build_sampler, verify_moments
 from .generator import GeneratorConfig, config_to_json, plan, sample_batch
 from .hermite import SparsePolynomial, derivative_moment_rhs, poly_from_json
 from .ptf import (
@@ -50,8 +50,6 @@ __all__ = [
     "check_prop4_1d",
     "run_experiment",
 ]
-
-_UNIT = 25_000  # fixed Monte-Carlo work-unit size (samples per unit)
 
 
 _unit_fn: Callable[[int], object] | None = None  # set in each pool worker
@@ -477,6 +475,8 @@ def check_prop4_1d(
     shells = sorted(float(r) for r in shells)
     if not shells or shells[0] <= 0 or shells[-1] >= 0.5:
         raise ValueError("shell radii must lie in (0, 0.5)")
+    if not 0 < inner_scale < math.inf:
+        raise ValueError(f"inner_scale must be a finite number > 0, got {inner_scale}")
     h = inner_scale * shells[0]
     grid = np.linspace(-h, h, fit_grid)
     A, B = np.meshgrid(grid, grid)
@@ -721,6 +721,9 @@ def _read_config(kind: str, sections: dict[str, dict]) -> dict[str, dict]:
     from the config ``sections`` (typed, defaults for absent keys). An
     unknown, conflicting or missing key, or a value of the wrong type or
     below its lowest value, raises ValueError naming the dotted key."""
+    for s, obj in sections.items():
+        if not isinstance(obj, dict):
+            raise ValueError(f"config section {s} must be a dict, got {type(obj).__name__}")
     schema = _SCHEMA[kind]
     given = [f"{s}.{key}".lstrip(".") for s, obj in sections.items() for key in obj]
     known = {f"{s}.{key}".lstrip(".") for s, table in schema.items() for key in table}

@@ -439,6 +439,25 @@ class TestArgumentErrors:
         assert key in line
         assert not (tmp_path / "out.jsonl.spec.json").exists()
 
+    @pytest.mark.parametrize("inner_scale", [0, -1])
+    def test_prop4_inner_scale_not_positive(self, tmp_path, capfd, inner_scale):
+        # Captured at the file descriptors: a fit radius of 0 made LAPACK
+        # print DLASCL lines to the process's stdout, past sys.stdout.
+        cfg = tmp_path / "prop4.json"
+        cfg.write_text(json.dumps({"samples": {"k": 2, "inner_scale": inner_scale}}))
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["check", "prop4", "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        errors = [ln for ln in err if ln.startswith("gaussprg: error: ")]
+        assert len(errors) == 1 and "inner_scale" in errors[0]
+        # argparse's usage line and the error line, nothing else
+        assert [ln for ln in err if not ln.startswith("usage: ")] == errors
+        assert not out.exists()
+
     def test_integral_float_counts(self, tmp_path):
         # 1e1 is an integer count; the JSONL header echoes it as given.
         cfg = tmp_path / "gen.json"

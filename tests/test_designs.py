@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gaussprg.designs import (
     _he_values,
     _power_table,
     _seed_space_counts,
+    _tv_tolerance,
     build_sampler,
     design_sample,
     design_sample_batch,
@@ -495,6 +497,57 @@ class TestVerifyMoments:
         report = verify_moments(s, max_order=4, mode="mc", n_samples=200_000, rng_seed=7)
         assert report.mode == "mc"
         assert report.passed
+
+    # M, K, n, tv_budget and max_order: the benchmark's sampler, one
+    # coordinate (no cross checks), and five coordinates of which only two
+    # are kept, with orders up to 6.
+    @pytest.mark.parametrize(
+        "args", [(3, 4, 2, 3 / 211, 4), (3, 4, 1, 3 / 211, 4), (4, 4, 5, 4 / 211, 6)]
+    )
+    # 2 seeds, one full unit, a one-seed last unit, three units
+    @pytest.mark.parametrize("n_samples", [2, 25_000, 25_001, 60_001])
+    def test_mc_matches_one_batch(self, args, n_samples):
+        # Reference: one integers() draw and one design_sample_batch over
+        # every seed, with each statistic on an array of its own.
+        *build, max_order = args
+        s = build_sampler(*build)
+        k = s.family.k
+        rng = np.random.Generator(np.random.Philox(key=11))
+        Y = design_sample_batch(s, rng.integers(0, s.q, size=(n_samples, k), dtype=np.int64))
+        want = []
+        for i in range(min(s.n, 2)):
+            col = np.ascontiguousarray(Y[:, i])
+            powers = col
+            for j in range(1, max_order + 1):
+                if j > 1:
+                    powers = powers * col
+                want.append((f"coord {i}", (j,), powers))
+        if s.n >= 2:
+            want.append(("cross (0,1)", (1, 1), Y[:, 0] * Y[:, 1]))
+            want.append(("cross (0,1)", (2, 2), Y[:, 0] ** 2 * Y[:, 1] ** 2))
+        report = verify_moments(s, max_order, mode="mc", n_samples=n_samples, rng_seed=11)
+        assert report.n_evaluated == n_samples
+        assert len(report.checks) == len(want)
+        for check, (scope, orders, values) in zip(report.checks, want):
+            se = float(values.std(ddof=1) / math.sqrt(n_samples))
+            assert (check.scope, check.orders) == (scope, orders)
+            assert check.empirical == float(values.mean())
+            assert check.tolerance == _tv_tolerance(s, orders) + 4.0 * se
+
+    def test_mc_memory_per_sample(self):
+        # The draw runs in 25,000-seed units and keeps coordinates 0 and 1
+        # only: two rows, one scratch row and std's temporary, 32 bytes per
+        # sample. Building the whole (n_samples, k) seed batch and its
+        # (n_samples, n) intermediates at once took 88.
+        s = build_sampler(3, 4, 2, tv_budget=3 / 211)
+        n_samples = 400_000
+        tracemalloc.start()
+        try:
+            verify_moments(s, 4, mode="mc", n_samples=n_samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n_samples < 48
 
     @pytest.mark.parametrize("max_order", [0, -1])
     @pytest.mark.parametrize("mode", ["exhaustive", "mc"])

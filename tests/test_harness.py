@@ -184,12 +184,28 @@ class TestProp4:
         with pytest.raises(ValueError):
             check_prop4_1d(0)
 
+    @pytest.mark.parametrize("inner_scale", [0, 0.0, -1, -1e-300, math.nan, math.inf])
+    def test_inner_scale_not_positive(self, inner_scale):
+        # 0 made the fit matrix all NaN; -1 passed with a negative fit radius
+        with pytest.raises(ValueError, match="inner_scale"):
+            check_prop4_1d(3, inner_scale=inner_scale)
+
 
 class TestRunExperiment:
     def test_unknown_kind(self):
         spec = ExperimentSpec("bogus", {}, {}, {}, "00", "/tmp/x.csv")
         with pytest.raises(ValueError):
             run_experiment(spec)
+
+    @pytest.mark.parametrize("section", ["ensemble", "generator", "samples"])
+    @pytest.mark.parametrize("value", [None, [1, 2]])
+    def test_section_not_a_dict(self, tmp_path, section, value):
+        sections = {"ensemble": {"count": 1}, "generator": {},
+                    "samples": {"epsilons": [0.1], "n_samples": 10}, section: value}
+        spec = ExperimentSpec("cw", **sections, seed="00", out=str(tmp_path / "cw.csv"))
+        with pytest.raises(ValueError, match=f"config section {section} must be a dict"):
+            run_experiment(spec)
+        assert not (tmp_path / "cw.csv").exists()
 
     def test_empty_ensemble_header_only(self, tmp_path):
         out = str(tmp_path / "fool.csv")
