@@ -603,8 +603,8 @@ def verify_moments(
     pair, not from the q^k seeds one by one. Monte-Carlo mode draws
     ``n_samples`` seeds (at least 2) in 25,000-seed units, keeps only
     coordinates 0 and 1 (about 32 bytes per sample at peak) and checks
-    against that bound plus 4 standard errors. Only orders 1..max_order (max_order >= 1) that the
-    quadrature matches (<= 2M-1) are compared.
+    against that bound plus 4 standard errors. Only orders 1..max_order
+    (max_order >= 1) that the quadrature matches (<= 2M-1) are compared.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
