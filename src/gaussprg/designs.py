@@ -16,6 +16,7 @@ statistical-distance budget rather than handled by rejection.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -184,6 +185,8 @@ class KWiseFamily:
     eval_points: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.q > _MAX_PRIME:
+            raise ValueError(f"modulus {self.q} exceeds 2^62")
         if not is_prime(self.q):
             raise ValueError(f"modulus {self.q} is not prime")
         if self.k < 1:
@@ -202,6 +205,11 @@ class KWiseFamily:
     @classmethod
     def standard(cls, q: int, k: int, n: int) -> "KWiseFamily":
         return cls(q, k, n, np.arange(n, dtype=np.int64))
+
+    @functools.cached_property
+    def _contraction(self) -> _Contraction:
+        """The family's read-only exact contraction, built on first use."""
+        return _Contraction(self)
 
 
 def kwise_eval(family: KWiseFamily, seed: Sequence[int], i: int) -> int:
@@ -232,34 +240,142 @@ def _power_table(family: KWiseFamily) -> np.ndarray:
     return np.array(tab, dtype=np.int64).reshape(family.k, family.n)
 
 
-def kwise_eval_batch(family: KWiseFamily, seeds: np.ndarray) -> np.ndarray:
-    """Evaluate a (B, k) seed batch at all n points; returns (B, n) int64.
+# Integers below 2^53 are exact in float64, so a matmul whose dot products
+# stay below it is exact.
+_FLOAT_EXACT = 2**53
 
-    Products are taken in float64 when they are exactly representable
-    (k*(q-1)^2 < 2^53), which turns the contraction into a BLAS matmul;
-    otherwise falls back to exact integer paths.
+
+def _limb_split(K: int, q: int) -> tuple[int, int, int, int]:
+    """Limbs ``(nS, a, nP, b)`` of the exact float64 contraction mod q.
+
+    Symbols split into nS limbs of a bits and power-table entries into nP
+    limbs of b bits, so that every dot product of limbs, at most
+    ``K*nS*(2^a-1)*(2^b-1)``, stays below 2^53; an unsplit side counts as
+    ``q-1``. The split with the fewest blocks nS*nP wins, on ties the one
+    with fewer symbol limbs. ``(1, 1)`` is chosen exactly when
+    ``K*(q-1)^2 < 2^53``.
     """
+    bits = (q - 1).bit_length()
+    best = None
+    for nS in range(1, bits + 1):
+        if best is not None and nS > best[0] * best[2]:
+            break
+        a = -(-bits // nS)
+        sym_max = q - 1 if nS == 1 else 2**a - 1
+        for nP in range(1, bits + 1):
+            b = -(-bits // nP)
+            tab_max = q - 1 if nP == 1 else 2**b - 1
+            if K * nS * sym_max * tab_max < _FLOAT_EXACT:
+                if best is None or nS * nP < best[0] * best[2]:
+                    best = (nS, a, nP, b)
+                break
+    return best
+
+
+def _shift_steps(q: int, width: int, low_max: int) -> list[int]:
+    """Shift widths that take r < q to ``(r << width) + low`` mod q in
+    uint64, for any ``low <= low_max``, reducing after each shift: every
+    ``(q-1) << s`` stays below 2^64, and the last shift leaves room for
+    ``low``."""
+    span = 64 - (q - 1).bit_length()
+    last = span
+    while ((q - 1) << last) + low_max >= 2**64:
+        last -= 1
+    last = min(last, width)
+    rest = width - last
+    steps = [span] * (rest // span)
+    if rest % span:
+        steps.append(rest % span)
+    return steps + [last]
+
+
+def _reduce(x: np.ndarray, q: np.uint64, quot: np.ndarray) -> None:
+    """x <- x mod q in place for uint64 x; quot is scratch of x's shape."""
+    # x - (x // q) * q: uint64 division by a scalar is far cheaper than %
+    np.floor_divide(x, q, out=quot)
+    np.multiply(quot, q, out=quot)
+    np.subtract(x, quot, out=x)
+
+
+def _shift_in(r: np.ndarray, steps: list[int], low: np.ndarray, q: np.uint64, quot: np.ndarray) -> None:
+    """r <- ((r << sum(steps)) + low) mod q for r < q, in uint64."""
+    for s in steps[:-1]:
+        np.left_shift(r, np.uint64(s), out=r)
+        _reduce(r, q, quot)
+    np.left_shift(r, np.uint64(steps[-1]), out=r)
+    np.add(r, low, out=r)
+    _reduce(r, q, quot)
+
+
+class _Contraction:
+    """Seed polynomials of one family at all n points, exact mod q <= 2^62.
+
+    One float64 matmul of symbol limbs against the limb table (see
+    :func:`_limb_split`); block (i, j) of the table is limb j of
+    ``(2^(a*i) * x^t) mod q``. Built once per family (``_contraction``);
+    the table is read-only and callers pass their own :meth:`buffers`.
+    """
+
+    def __init__(self, family: KWiseFamily):
+        q, K, n = family.q, family.k, family.n
+        nS, a, nP, b = _limb_split(K, q)
+        self.K, self.n, self.q, self.nS, self.a, self.nP = K, n, np.uint64(q), nS, a, nP
+        powers = _power_table(family).tolist()
+        rows = [[(p << (a * i)) % q for p in row] for i in range(nS) for row in powers]
+        shifted = np.array(rows, dtype=np.uint64).reshape(nS * K, n)
+        limbs = [(shifted >> np.uint64(b * j)) & np.uint64(2**b - 1) for j in range(nP)]
+        self.table = np.concatenate(limbs, axis=1).astype(np.float64)
+        self.table.setflags(write=False)
+        self.combine_steps = _shift_steps(q, b, _FLOAT_EXACT - 1)
+
+    def buffers(self, m: int) -> tuple:
+        """Work arrays for up to m seed rows."""
+        K, width = self.K, self.nP * self.n
+        limb = np.empty((m, K), dtype=np.uint64) if self.nS > 2 else None
+        return np.empty((m, self.nS * K)), limb, np.empty((m, width)), np.empty((m, width), dtype=np.uint64)
+
+    def __call__(self, sym: np.ndarray, buffers: tuple) -> np.ndarray:
+        """(m, K) int64 symbols in [0, q) -> (m, n) uint64 values, a view into buffers."""
+        (m, K), n = sym.shape, self.n
+        fsym, limb, acc, parts = (buf if buf is None else buf[:m] for buf in buffers)
+        if self.nS == 1:
+            np.copyto(fsym, sym)
+        else:
+            # Limb i of every symbol, a bits from bit a*i, into column block i.
+            usym = sym.view(np.uint64)
+            mask = np.uint64(2**self.a - 1)
+            np.bitwise_and(usym, mask, out=fsym[:, :K])
+            for i in range(1, self.nS):
+                dst = fsym[:, i * K : (i + 1) * K]
+                if i == self.nS - 1:
+                    np.right_shift(usym, np.uint64(self.a * i), out=dst)
+                else:
+                    np.right_shift(usym, np.uint64(self.a * i), out=limb)
+                    np.bitwise_and(limb, mask, out=dst)
+        np.matmul(fsym, self.table, out=acc)
+        # Every entry is an integer below 2^53, so the cast is exact. Limb
+        # column blocks j then combine as sum_j 2^(b*j) * block_j mod q,
+        # Horner-style from the top block.
+        np.copyto(parts, acc, casting="unsafe")
+        # acc is read no more, so its first m*n words are the quotient scratch.
+        quot = acc.reshape(-1)[: m * n].view(np.uint64).reshape(m, n)
+        r = parts[:, (self.nP - 1) * n :]
+        _reduce(r, self.q, quot)
+        for j in range(self.nP - 2, -1, -1):
+            _shift_in(r, self.combine_steps, parts[:, j * n : (j + 1) * n], self.q, quot)
+        return r
+
+
+def kwise_eval_batch(family: KWiseFamily, seeds: np.ndarray) -> np.ndarray:
+    """(B, k) seeds in [0, q) -> (B, n) int64 values at all n points, by the
+    family's exact :class:`_Contraction` (the one the tile pipeline runs)."""
     seeds = np.asarray(seeds)
     if seeds.ndim != 2 or seeds.shape[1] != family.k:
         raise ValueError(f"seeds must have shape (B, {family.k})")
-    q = family.q
-    powers = _power_table(family)
-    if family.k * (q - 1) ** 2 < 2**53:
-        vals = seeds.astype(np.float64) @ powers.astype(np.float64)
-        return np.asarray(vals, dtype=np.int64) % q
-    if family.k * (q - 1) ** 2 < 2**63:
-        vals = np.einsum("bt,tn->bn", seeds.astype(np.int64), powers)
-        return vals % q
-    if (q - 1) ** 2 < 2**63:
-        acc = np.zeros((seeds.shape[0], family.n), dtype=np.int64)
-        for t in range(family.k - 1, -1, -1):
-            acc = (acc * family.eval_points + seeds[:, t, None]) % q
-        return acc
-    out = np.empty((seeds.shape[0], family.n), dtype=object)
-    for b in range(seeds.shape[0]):
-        for j in range(family.n):
-            out[b, j] = kwise_eval(family, seeds[b], j)
-    return out
+    if seeds.size and not (seeds.min() >= 0 and seeds.max() < family.q):
+        raise ValueError("seed entries must lie in [0, q)")
+    contract = family._contraction
+    return contract(np.asarray(seeds, dtype=np.int64), contract.buffers(len(seeds))).view(np.int64)
 
 
 def thresholds_from_weights(weights: np.ndarray, q: int) -> np.ndarray:
@@ -403,9 +519,7 @@ def build_sampler(M: int, K: int, n: int, tv_budget: float) -> DesignSampler:
     if tv_budget <= 0:
         raise ValueError("tv_budget must be positive")
     lo = max(n + 1, math.ceil(M / tv_budget))
-    if lo > _MAX_PRIME:
-        raise ValueError(f"tv_budget {tv_budget} needs a prime beyond 2^62")
-    q = next_prime(lo)
+    q = next_prime(lo) if lo <= _MAX_PRIME else lo
     if q > _MAX_PRIME:
         raise ValueError(f"tv_budget {tv_budget} needs a prime beyond 2^62")
     quad = gauss_hermite(M)
@@ -424,13 +538,8 @@ def _atoms_from_values(sampler: DesignSampler, values: np.ndarray) -> np.ndarray
 
 def design_sample(sampler: DesignSampler, seed: Sequence[int]) -> np.ndarray:
     """One n-coordinate design draw from k field symbols."""
-    seed = [int(s) for s in seed]
-    if len(seed) != sampler.family.k:
-        raise ValueError(f"seed must have exactly {sampler.family.k} entries")
-    if any(not 0 <= s < sampler.q for s in seed):
-        raise ValueError("seed entries must lie in [0, q)")
-    vals = kwise_eval_batch(sampler.family, np.array([seed], dtype=np.int64))[0]
-    return sampler.quadrature.nodes[_atoms_from_values(sampler, vals)]
+    # Python integers, so that kwise_eval_batch range-checks any size.
+    return design_sample_batch(sampler, np.array([[int(s) for s in seed]], dtype=object))[0]
 
 
 def design_sample_batch(sampler: DesignSampler, seeds: np.ndarray) -> np.ndarray:
@@ -440,27 +549,16 @@ def design_sample_batch(sampler: DesignSampler, seeds: np.ndarray) -> np.ndarray
 
 
 def symbols_from_bytes(sampler: DesignSampler, data: np.ndarray, n_symbols: int) -> np.ndarray:
-    """Reduce leading block_bits-wide blocks of each byte row mod q."""
-    blocks = extract_blocks(data, n_symbols, sampler.block_bits)
-    if blocks.dtype == object:
-        return np.array([[int(v) % sampler.q for v in row] for row in blocks], dtype=np.int64)
-    return blocks % sampler.q
+    """Leading block_bits-wide blocks of each byte row mod q, as int64 (from
+    Python integers for blocks wider than 57 bits)."""
+    return (extract_blocks(data, n_symbols, sampler.block_bits) % sampler.q).astype(np.int64)
 
 
 def design_sample_batch_f64(sampler: DesignSampler, seeds_f64: np.ndarray) -> np.ndarray:
-    """Float64 fast path of :func:`design_sample_batch`.
-
-    seeds_f64 holds integer-valued field symbols; exactness of the BLAS
-    contraction requires k*(q-1)^2 < 2^53.
-    """
-    fam = sampler.family
-    if fam.k * (fam.q - 1) ** 2 >= 2**53:
+    """:func:`design_sample_batch` of float64 seeds; needs k*(q-1)^2 < 2^53."""
+    if sampler.family.k * (sampler.q - 1) ** 2 >= _FLOAT_EXACT:
         raise ValueError("q too large for the exact float64 contraction")
-    powers = _power_table(fam).astype(np.float64)
-    vals = seeds_f64 @ powers
-    np.mod(vals, float(fam.q), out=vals)
-    atoms = np.searchsorted(sampler.thresholds.astype(np.float64), vals, side="right")
-    return sampler.quadrature.nodes[atoms]
+    return design_sample_batch(sampler, seeds_f64)
 
 
 def _paired_moment(nodes: np.ndarray, probs: np.ndarray, order: int, symmetric: bool) -> float:
@@ -518,7 +616,7 @@ class MomentReport:
         ]
 
 
-_EXHAUSTIVE_CAP = 10**7
+_PAIR_TABLE_CAP = 10**7  # cells of exhaustive mode's q x q int64 count table (80 MB)
 _UNIT = 25_000  # fixed Monte-Carlo work-unit size (samples per unit)
 
 
@@ -597,11 +695,11 @@ def verify_moments(
     """Compare per-coordinate and pairwise moments with Gaussian targets.
 
     Exhaustive mode reads the exact law of the design over all q^k seeds
-    (requires q^k <= 10^7) and checks against the TV-propagated bound. The
-    law comes from count tables of the field values built by convolution
-    over the k seed symbols, O(k q) for a coordinate and O(k q^2) for the
-    pair, not from the q^k seeds one by one. Monte-Carlo mode draws
-    ``n_samples`` seeds (at least 2) in 25,000-seed units, keeps only
+    (requires q^2 <= 10^7 and q^k < 2^63) and checks against the
+    TV-propagated bound. The law comes from count tables of the field
+    values built by convolution over the k seed symbols, O(k q) for a
+    coordinate and O(k q^2) for the pair. Monte-Carlo mode draws
+    ``n_samples`` seeds (at least 2) in 25,000-seed units, evaluates only
     coordinates 0 and 1 (about 32 bytes per sample at peak) and checks
     against that bound plus 4 standard errors. Only orders 1..max_order
     (max_order >= 1) that the quadrature matches (<= 2M-1) are compared.
@@ -614,8 +712,8 @@ def verify_moments(
     orders = [j for j in range(1, max_order + 1) if j <= sampler.quadrature.order]
     if mode == "exhaustive":
         space = sampler.q**k
-        if space > _EXHAUSTIVE_CAP:
-            raise ValueError(f"seed space {space} exceeds exhaustive cap {_EXHAUSTIVE_CAP}")
+        if sampler.q**2 > _PAIR_TABLE_CAP or space >= 2**63:
+            raise ValueError(f"exhaustive mode needs q^2 <= 10^7 and q^k < 2^63, got q={sampler.q}, k={k}")
         sym = sampler.is_symmetric
         powers = _power_table(sampler.family)
         atom_of = _atoms_from_values(sampler, np.arange(sampler.q))
@@ -653,14 +751,17 @@ def verify_moments(
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2 for Monte-Carlo moments, got {n_samples}")
     rng = np.random.Generator(np.random.Philox(key=rng_seed))
-    # Only coordinates 0 and 1 are checked, so only they are kept, one
-    # contiguous row each. The seeds are drawn unit by unit: chunked
+    # Only coordinates 0 and 1 are checked, so only their two evaluation
+    # points are contracted and kept, one contiguous row each. Seeds are
+    # drawn unit by unit: chunked
     # integers() calls on one Generator give the rows of a single call, and
     # the contraction is exact, so the rows do not depend on the unit size.
-    Y = np.empty((min(sampler.n, 2), n_samples))
+    m = min(sampler.n, 2)
+    head = KWiseFamily(sampler.q, k, m, sampler.family.eval_points[:m])
+    Y = np.empty((m, n_samples))
     for lo in range(0, n_samples, _UNIT):
         seeds = rng.integers(0, sampler.q, size=(min(_UNIT, n_samples - lo), k), dtype=np.int64)
-        Y[:, lo : lo + len(seeds)] = design_sample_batch(sampler, seeds)[:, : len(Y)].T
+        Y[:, lo : lo + len(seeds)] = nodes[_atoms_from_values(sampler, kwise_eval_batch(head, seeds))].T
     # Powers are running products (orders run 1, 2, ...), as numpy's power
     # has CPU-dependent last bits. Each product is built in place in one
     # scratch row, which is bit for bit the product into a new array.

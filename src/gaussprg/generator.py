@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import derive_key, philox_at, stream_words
+from .designs import _limb_split, _reduce, _shift_in, _shift_steps  # noqa: F401 (_limb_split: tests)
 from .designs import (
     DesignSampler,
-    _power_table,
     build_sampler,
     design_sample_batch,
     sampler_to_json,
@@ -205,9 +205,10 @@ def sample(config: GeneratorConfig, seed_bits_data: bytes) -> np.ndarray:
     """One output vector from an explicit bitstream.
 
     Consumes exactly total_seed_bits(config) bits; design i reads the block
-    range [i*K*block_bits, (i+1)*K*block_bits). This byte path shares no
-    code with the tile pipeline of :func:`sample_batch`; tests compare the
-    two.
+    range [i*K*block_bits, (i+1)*K*block_bits). It shares only the contraction
+    (``designs.kwise_eval_batch``) with :func:`sample_batch`; its block
+    extraction, ``% q``, ``searchsorted`` and :func:`_blend` are its own.
+    Tests compare the two, and the contraction with ``designs.kwise_eval``.
     """
     need = total_seed_bits(config)
     if len(seed_bits_data) * 8 < need:
@@ -227,55 +228,8 @@ _TILE_BYTES = 2**18
 # Widest field that one unaligned 8-byte window holds at any bit phase:
 # a field starting at bit 7 of its first byte must end by bit 64.
 _WINDOW_BITS = 57
-# Integers below 2^53 are exact in float64, so a matmul whose dot products
-# stay below it is exact.
-_FLOAT_EXACT = 2**53
 # The atom lookup table has at most 2^16 buckets.
 _BUCKET_BITS = 16
-
-
-def _limb_split(K: int, q: int) -> tuple[int, int, int, int]:
-    """Limbs ``(nS, a, nP, b)`` of the exact float64 contraction mod q.
-
-    Symbols split into nS limbs of a bits and power-table entries into nP
-    limbs of b bits, so that every dot product of limbs, at most
-    ``K*nS*(2^a-1)*(2^b-1)``, stays below 2^53; an unsplit side counts as
-    ``q-1``. The split with the fewest blocks nS*nP wins, on ties the one
-    with fewer symbol limbs. ``(1, 1)`` is chosen exactly when
-    ``K*(q-1)^2 < 2^53``.
-    """
-    bits = (q - 1).bit_length()
-    best = None
-    for nS in range(1, bits + 1):
-        if best is not None and nS > best[0] * best[2]:
-            break
-        a = -(-bits // nS)
-        sym_max = q - 1 if nS == 1 else 2**a - 1
-        for nP in range(1, bits + 1):
-            b = -(-bits // nP)
-            tab_max = q - 1 if nP == 1 else 2**b - 1
-            if K * nS * sym_max * tab_max < _FLOAT_EXACT:
-                if best is None or nS * nP < best[0] * best[2]:
-                    best = (nS, a, nP, b)
-                break
-    return best
-
-
-def _shift_steps(q: int, width: int, low_max: int) -> list[int]:
-    """Shift widths that take r < q to ``(r << width) + low`` mod q in
-    uint64, for any ``low <= low_max``, reducing after each shift: every
-    ``(q-1) << s`` stays below 2^64, and the last shift leaves room for
-    ``low``."""
-    span = 64 - (q - 1).bit_length()
-    last = span
-    while ((q - 1) << last) + low_max >= 2**64:
-        last -= 1
-    last = min(last, width)
-    rest = width - last
-    steps = [span] * (rest // span)
-    if rest % span:
-        steps.append(rest % span)
-    return steps + [last]
 
 
 class _PlanTables:
@@ -286,7 +240,7 @@ class _PlanTables:
     threads share them.
 
     - ``fields``: where each block's bit fields sit in a row's bytes.
-    - ``table``: the limb table of the powers (see :func:`_limb_split`).
+    - ``contraction``: the family's k-wise contraction; ``table`` its limb table.
     - ``edges``, ``buckets``: the atom lookup. Only atoms with a nonzero
       gap can be drawn; numbered 0..Mc-1 in order, ``edges`` holds their
       upper thresholds. ``buckets[v >> shift]`` is the atom of every value
@@ -299,7 +253,7 @@ class _PlanTables:
         sampler = config.sampler
         fam = sampler.family
         q, K, n, ell = fam.q, fam.k, fam.n, config.ell
-        self.ell, self.K, self.q, self.n = ell, K, q, n
+        self.ell, self.K, self.n = ell, K, n
         B = sampler.block_bits
         starts = np.arange(ell * K, dtype=np.int64) * B
         # A block is its top min(B, 57) bits, reduced mod q, then for
@@ -314,19 +268,8 @@ class _PlanTables:
             spec = self._field_spec(starts, pos, width)
             self.fields.append(spec + (_shift_steps(q, width, 2**width - 1),))
 
-        nS, a, nP, b = _limb_split(K, q)
-        self.nS, self.a, self.nP = nS, a, nP
-        # Block (i, j) of the table is limb j of (2^(a*i) * x^t) mod q.
-        powers = _power_table(fam).tolist()
-        shifted = np.array(
-            [[(p << (a * i)) % q for p in row] for i in range(nS) for row in powers],
-            dtype=np.uint64,
-        ).reshape(nS * K, n)
-        mask = np.uint64(2**b - 1)
-        self.table = np.concatenate(
-            [(shifted >> np.uint64(b * j)) & mask for j in range(nP)], axis=1
-        ).astype(np.float64)
-        self.combine_steps = _shift_steps(q, b, _FLOAT_EXACT - 1)
+        self.contraction = fam._contraction
+        self.table = self.contraction.table
 
         drawn = np.flatnonzero(np.diff(sampler.thresholds, prepend=0))
         self.edges = sampler.thresholds[drawn]
@@ -345,7 +288,7 @@ class _PlanTables:
         self.weighted = (w[:, None] * sampler.quadrature.nodes[drawn]).ravel()
         self.offsets = np.arange(ell)[:, None, None] * drawn.size
         field_arrays = [arr for spec in self.fields for arr in spec[:2]]
-        for arr in [self.table, self.edges, self.buckets, self.weighted, self.offsets, *field_arrays]:
+        for arr in [self.edges, self.buckets, self.weighted, self.offsets, *field_arrays]:
             arr.setflags(write=False)
 
     @staticmethod
@@ -371,12 +314,11 @@ class _TilePipeline:
     contraction -> mod q -> atom lookup -> weighted-node gather ->
     chain-order blend, reading the plan's :class:`_PlanTables`. Blocks are
     read from unaligned big-endian 8-byte windows of the tile's bytes.
-    The contraction is one float64 matmul of symbol limbs against the limb
-    table, exact for every q <= 2^62. The stages write into buffers
-    allocated once per call. Only the Philox words and the window gather
-    are new arrays in each tile, and they are the same size every time, so
-    the allocator hands back the same memory instead of mapping fresh
-    pages.
+    The contraction is the family's ``designs._Contraction``. The stages
+    write into buffers allocated once per call. Only the Philox words and
+    the window gather are new arrays in each tile, and they are the same
+    size every time, so the allocator hands back the same memory instead
+    of mapping fresh pages.
     """
 
     def __init__(self, tables: _PlanTables, nwords: int, rows: int):
@@ -396,12 +338,7 @@ class _TilePipeline:
         if len(t.fields) > 1:
             self.chunk = np.empty(shape, dtype=np.uint64)
         m, n = rows * t.ell, t.n
-        self.fsym = np.empty((m, t.nS * t.K))
-        if t.nS > 2:
-            self.limb = np.empty((m, t.K), dtype=np.uint64)
-        self.acc = np.empty((m, t.nP * n))
-        self.parts = np.empty((m, t.nP * n), dtype=np.uint64)
-        self.cquot = np.empty((m, n), dtype=np.uint64)
+        self.contraction_buffers = t.contraction.buffers(m)
         # Lookup and gather buffers, design-major (ell, rows, n). They are
         # flat so that every tile's prefix is contiguous.
         self.bucket = np.empty(m * n, dtype=np.int64)
@@ -414,66 +351,18 @@ class _TilePipeline:
         np.left_shift(self.windows[:rows, byte], shift, out=out)
         return np.right_shift(out, right, out=out)
 
-    def _reduce(self, x: np.ndarray, quot: np.ndarray) -> None:
-        # x - (x // q) * q: uint64 division by a scalar is far cheaper than %
-        q = np.uint64(self.t.q)
-        np.floor_divide(x, q, out=quot)
-        np.multiply(quot, q, out=quot)
-        np.subtract(x, quot, out=x)
-
-    def _shift_in(self, r: np.ndarray, steps: list[int], low: np.ndarray, quot: np.ndarray) -> None:
-        """r <- ((r << sum(steps)) + low) mod q for r < q, in uint64."""
-        for s in steps[:-1]:
-            np.left_shift(r, np.uint64(s), out=r)
-            self._reduce(r, quot)
-        np.left_shift(r, np.uint64(steps[-1]), out=r)
-        np.add(r, low, out=r)
-        self._reduce(r, quot)
-
     def _symbols(self, rows: int) -> np.ndarray:
         """Blocks mod q, shape (rows * ell, K)."""
-        fields = self.t.fields
+        fields, q = self.t.fields, self.t.contraction.q
         quot = self.quot[:rows]
         blocks = self._field(rows, fields[0], self.blocks[:rows])
-        self._reduce(blocks, quot)
+        _reduce(blocks, q, quot)
         for spec in fields[1:]:
-            self._shift_in(blocks, spec[3], self._field(rows, spec, self.chunk[:rows]), quot)
+            _shift_in(blocks, spec[3], self._field(rows, spec, self.chunk[:rows]), q, quot)
         return blocks.view(np.int64).reshape(rows * self.t.ell, self.t.K)
 
     def _contract(self, sym: np.ndarray) -> np.ndarray:
-        """Seed polynomials at every evaluation point, mod q."""
-        t = self.t
-        m, K = sym.shape
-        fsym = self.fsym[:m]
-        if t.nS == 1:
-            np.copyto(fsym, sym)
-        else:
-            # Limb i of every symbol, a bits from bit a*i, into column block i.
-            usym = sym.view(np.uint64)
-            mask = np.uint64(2**t.a - 1)
-            np.bitwise_and(usym, mask, out=fsym[:, :K])
-            for i in range(1, t.nS):
-                dst = fsym[:, i * K : (i + 1) * K]
-                if i == t.nS - 1:
-                    np.right_shift(usym, np.uint64(t.a * i), out=dst)
-                else:
-                    limb = self.limb[:m]
-                    np.right_shift(usym, np.uint64(t.a * i), out=limb)
-                    np.bitwise_and(limb, mask, out=dst)
-        acc = self.acc[:m]
-        np.matmul(fsym, t.table, out=acc)
-        # Every entry is an integer below 2^53, so the cast is exact. Limb
-        # column blocks j then combine as sum_j 2^(b*j) * block_j mod q,
-        # Horner-style from the top block.
-        parts = self.parts[:m]
-        np.copyto(parts, acc, casting="unsafe")
-        n = t.n
-        r = parts[:, (t.nP - 1) * n :]
-        quot = self.cquot[:m]
-        self._reduce(r, quot)
-        for j in range(t.nP - 2, -1, -1):
-            self._shift_in(r, t.combine_steps, parts[:, j * n : (j + 1) * n], quot)
-        return r
+        return self.t.contraction(sym, self.contraction_buffers)
 
     def run(self, words: np.ndarray, out: np.ndarray) -> None:
         t = self.t

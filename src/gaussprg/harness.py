@@ -860,7 +860,10 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
     ens, smp = cfg["ensemble"], cfg["samples"]
     if ens["poly"] is not None:
         # explicit polynomial in the shared JSON format
-        polys = [poly_from_json(json.dumps(ens["poly"]))]
+        try:
+            polys = [poly_from_json(ens["poly"])]
+        except ValueError as exc:
+            raise ValueError(f"config ensemble.poly: {exc}") from None
     else:
         polys = [
             _ensemble_ptf(ens["num_vars"], ens["degree"], spec.seed, i).poly for i in range(ens["count"])

@@ -325,6 +325,10 @@ def poly_to_json(p: SparsePolynomial) -> str:
 
 
 def poly_from_json(text: str | Mapping) -> SparsePolynomial:
+    """Inverse of :func:`poly_to_json`; a malformed document raises ValueError."""
     obj = json.loads(text) if isinstance(text, str) else text
-    terms = {tuple(row["exps"]): float(row["coef"]) for row in obj["terms"]}
-    return SparsePolynomial(int(obj["num_vars"]), terms)
+    try:
+        terms = {tuple(row["exps"]): float(row["coef"]) for row in obj["terms"]}
+        return SparsePolynomial(int(obj["num_vars"]), terms)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed polynomial JSON ({type(exc).__name__}: {exc})") from None

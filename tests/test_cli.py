@@ -439,6 +439,26 @@ class TestArgumentErrors:
         assert key in line
         assert not (tmp_path / "out.jsonl.spec.json").exists()
 
+    @pytest.mark.parametrize(
+        "poly",
+        [
+            {},
+            {"num_vars": 2},
+            {"terms": [{"exps": [1], "coef": 1.0}]},
+            {"num_vars": 2, "terms": [{"exps": [1, 0]}]},
+            {"num_vars": 2, "terms": 5},
+            {"num_vars": 2, "terms": [5]},
+            {"num_vars": 2, "terms": [{"exps": 1, "coef": 1.0}]},
+            {"num_vars": [2], "terms": []},
+        ],
+    )
+    def test_deriv_malformed_poly(self, tmp_path, capsys, poly):
+        cfg = tmp_path / "dv.json"
+        cfg.write_text(json.dumps({"ensemble": {"poly": poly}, "samples": {"ells": [1], "n_samples": 100}}))
+        out = tmp_path / "out.jsonl"
+        line = self._rejects(["check", "deriv", "--config", str(cfg), "--out", str(out)], capsys, tmp_path)
+        assert "ensemble.poly" in line
+
     @pytest.mark.parametrize("inner_scale", [0, -1])
     def test_prop4_inner_scale_not_positive(self, tmp_path, capfd, inner_scale):
         # Captured at the file descriptors: a fit radius of 0 made LAPACK

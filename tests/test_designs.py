@@ -200,14 +200,40 @@ class TestKWiseFamily:
                 seen[pair] = seen.get(pair, 0) + 1
             assert seen == {p: 1 for p in itertools.product(range(5), repeat=2)}
 
-    def test_batch_matches_scalar(self):
-        fam = KWiseFamily.standard(101, 4, 7)
+    # At K = 120 (the plans' order) the contraction splits symbols and
+    # powers into (nS, nP) limbs (1, 1), (1, 2), (2, 3) and (3, 3).
+    @pytest.mark.parametrize("q", [101, 488000017, 488000000000011, 3903999999999999013])
+    def test_batch_matches_scalar(self, q):
+        K = 120
+        fam = KWiseFamily(q, K, 5, np.array([0, 1, 3, 97, q - 1]))
         rng = np.random.default_rng(3)
-        seeds = rng.integers(0, 101, size=(20, 4), dtype=np.int64)
+        seeds = np.vstack([np.full((1, K), q - 1), rng.integers(0, q, size=(20, K), dtype=np.int64)])
         vals = kwise_eval_batch(fam, seeds)
-        for b in range(20):
-            for i in range(7):
+        assert vals.dtype == np.int64 and vals.shape == (21, 5)
+        for b in range(21):
+            for i in range(5):
                 assert vals[b, i] == kwise_eval(fam, seeds[b], i)
+
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            np.array([[1, -1]]),
+            np.array([[5, 0]]),
+            np.array([[0, 0], [2**63 - 1, 0]]),
+            np.array([[0, 2**64 - 1]], dtype=np.uint64),
+            np.array([[0.0, np.nan]]),
+            np.array([[1, 2**70]], dtype=object),
+        ],
+    )
+    def test_batch_rejects_seeds_outside_field(self, seeds):
+        fam = KWiseFamily.standard(5, 2, 4)
+        with pytest.raises(ValueError, match=r"\[0, q\)"):
+            kwise_eval_batch(fam, seeds)
+
+    def test_modulus_above_two_to_62(self):
+        q = next_prime(2**62)
+        with pytest.raises(ValueError, match="2\\^62"):
+            KWiseFamily.standard(q, 2, 2)
 
     @pytest.mark.parametrize("q", [101, 488000017, 3903999999999999013])
     def test_power_table_is_exact(self, q):
@@ -487,10 +513,19 @@ class TestVerifyMoments:
         assert report.passed
 
     def test_exhaustive_cap(self):
-        s = build_sampler(3, 4, 2, tv_budget=3 / 211)
-        assert s.q == 211
-        with pytest.raises(ValueError):
-            verify_moments(s, 4, mode="exhaustive")
+        # The cost is O(k q^2): q^2 <= 10^7 bounds the pair table, and
+        # q^k < 2^63 keeps the int64 counts exact. q^k itself is not capped.
+        s = build_sampler(3, 4, 2, tv_budget=0.01)
+        assert s.q == 307  # q^k = 8.9e9
+        report = verify_moments(s, 4, mode="exhaustive")
+        assert report.n_evaluated == 307**4 and report.passed
+        assert verify_moments(build_sampler(3, 8, 2, 3 / 211), 4).n_evaluated == 211**8
+        with pytest.raises(ValueError, match="q\\^k < 2\\^63"):
+            verify_moments(build_sampler(3, 9, 2, 3 / 211), 4)  # 211^9 > 2^63
+        s = build_sampler(3, 2, 2, tv_budget=3 / 3200)
+        assert s.q**2 > 10**7
+        with pytest.raises(ValueError, match="q\\^2 <= 10\\^7"):
+            verify_moments(s, 4)
 
     def test_mc_mode(self):
         s = build_sampler(3, 4, 2, tv_budget=3 / 211)
@@ -548,6 +583,17 @@ class TestVerifyMoments:
         finally:
             tracemalloc.stop()
         assert peak / n_samples < 48
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_mc_report_independent_of_n(self, n):
+        # Only coordinates 0 and 1 are checked, and q = 211 for every n
+        # here, so more coordinates must not change a report row.
+        def rows(n):
+            s = build_sampler(3, 4, n, tv_budget=3 / 211)
+            assert s.q == 211
+            return verify_moments(s, 4, mode="mc", n_samples=60_001, rng_seed=5).rows()
+
+        assert rows(n) == rows(2)
 
     @pytest.mark.parametrize("max_order", [0, -1])
     @pytest.mark.parametrize("mode", ["exhaustive", "mc"])
