@@ -216,11 +216,12 @@ def kwise_eval(family: KWiseFamily, seed: Sequence[int], i: int) -> int:
     """Value of the seed polynomial at evaluation point i (Horner, mod q)."""
     if not 0 <= i < family.n:
         raise ValueError(f"coordinate index {i} out of range")
-    seed = [int(s) for s in seed]
+    seed = list(seed)
     if len(seed) != family.k:
         raise ValueError(f"seed must have exactly {family.k} entries")
-    if any(not 0 <= s < family.q for s in seed):
-        raise ValueError("seed entries must lie in [0, q)")
+    if any(not (0 <= s < family.q and s % 1 == 0) for s in seed):
+        raise ValueError("seed entries must be whole numbers in [0, q)")
+    seed = [int(s) for s in seed]
     x = int(family.eval_points[i])
     acc = 0
     for coef in reversed(seed):
@@ -372,8 +373,11 @@ def kwise_eval_batch(family: KWiseFamily, seeds: np.ndarray) -> np.ndarray:
     seeds = np.asarray(seeds)
     if seeds.ndim != 2 or seeds.shape[1] != family.k:
         raise ValueError(f"seeds must have shape (B, {family.k})")
-    if seeds.size and not (seeds.min() >= 0 and seeds.max() < family.q):
-        raise ValueError("seed entries must lie in [0, q)")
+    # Range first: inf % 1 would warn. Integer dtypes are whole numbers.
+    if seeds.size and not (
+        seeds.min() >= 0 and seeds.max() < family.q and (seeds.dtype.kind in "iu" or np.all(seeds % 1 == 0))
+    ):
+        raise ValueError("seed entries must be whole numbers in [0, q)")
     contract = family._contraction
     return contract(np.asarray(seeds, dtype=np.int64), contract.buffers(len(seeds))).view(np.int64)
 
@@ -538,8 +542,8 @@ def _atoms_from_values(sampler: DesignSampler, values: np.ndarray) -> np.ndarray
 
 def design_sample(sampler: DesignSampler, seed: Sequence[int]) -> np.ndarray:
     """One n-coordinate design draw from k field symbols."""
-    # Python integers, so that kwise_eval_batch range-checks any size.
-    return design_sample_batch(sampler, np.array([[int(s) for s in seed]], dtype=object))[0]
+    # The entries as given, so that kwise_eval_batch checks any size and type.
+    return design_sample_batch(sampler, np.array([list(seed)], dtype=object))[0]
 
 
 def design_sample_batch(sampler: DesignSampler, seeds: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import derive_key, philox_at, stream_words
-from .designs import _limb_split, _reduce, _shift_in, _shift_steps  # noqa: F401 (_limb_split: tests)
+from .designs import _reduce, _shift_in, _shift_steps
 from .designs import (
     DesignSampler,
     build_sampler,
@@ -269,7 +269,6 @@ class _PlanTables:
             self.fields.append(spec + (_shift_steps(q, width, 2**width - 1),))
 
         self.contraction = fam._contraction
-        self.table = self.contraction.table
 
         drawn = np.flatnonzero(np.diff(sampler.thresholds, prepend=0))
         self.edges = sampler.thresholds[drawn]
@@ -361,14 +360,11 @@ class _TilePipeline:
             _shift_in(blocks, spec[3], self._field(rows, spec, self.chunk[:rows]), q, quot)
         return blocks.view(np.int64).reshape(rows * self.t.ell, self.t.K)
 
-    def _contract(self, sym: np.ndarray) -> np.ndarray:
-        return self.t.contraction(sym, self.contraction_buffers)
-
     def run(self, words: np.ndarray, out: np.ndarray) -> None:
         t = self.t
         rows, n = out.shape
         self.words.view(">u8")[:rows, : self.nwords] = words
-        v = self._contract(self._symbols(rows)).view(np.int64)
+        v = t.contraction(self._symbols(rows), self.contraction_buffers).view(np.int64)
         # Design-major views, so the blend adds contiguous (rows, n) terms.
         v = v.reshape(rows, t.ell, n).transpose(1, 0, 2)
         shape, size = v.shape, v.size

@@ -41,7 +41,6 @@ from .ptf import (
 __all__ = [
     "GapEstimate",
     "ExperimentSpec",
-    "ExperimentResult",
     "Report",
     "estimate_gap",
     "check_carbery_wright",
@@ -544,13 +543,6 @@ class ExperimentSpec:
         return cls(**obj)
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    passed: bool
-    rows: tuple[dict, ...]
-    paths: tuple[str, ...]
-
-
 def _fmt_cell(v) -> str:
     if isinstance(v, bool):
         return str(int(v))
@@ -612,12 +604,10 @@ def _write_csv(path: str, columns: Sequence[str], rows: Sequence[dict]) -> None:
             w.writerow([_fmt_cell(row[c]) for c in columns])
 
 
-def _write_spec_sidecar(spec: ExperimentSpec) -> str:
-    path = spec.out + ".spec.json"
-    with _atomic_open(path) as fh:
+def _write_spec_sidecar(spec: ExperimentSpec) -> None:
+    with _atomic_open(spec.out + ".spec.json") as fh:
         fh.write(spec.echo_json())
         fh.write("\n")
-    return path
 
 
 _REQ = "required"
@@ -746,7 +736,7 @@ def _read_config(kind: str, sections: dict[str, dict]) -> dict[str, dict]:
     return cfg
 
 
-def _run_sample(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
+def _run_sample(spec: ExperimentSpec, cfg: dict) -> Report:
     config = plan(**cfg["generator"])
     count = cfg["samples"]["count"]
     block = 4096
@@ -767,80 +757,54 @@ def _run_sample(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
             rows = chunk.tolist()
             fh.writelines('{"seed_index": %d, "y": %r}\n' % row for row in enumerate(rows, idx))
             idx += len(rows)
-    return ExperimentResult(True, (), (spec.out,))
+    return Report("sample", (), (), True, {})
 
 
-def _run_moments(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
+def _run_moments(spec: ExperimentSpec, cfg: dict) -> Report:
     report = verify_moments(
         build_sampler(**cfg["generator"]), **cfg["samples"], rng_seed=derive_key(spec.seed, "moments")
     )
-    rows = report.rows()
     cols = ("scope", "orders", "empirical", "target", "tolerance", "passed")
-    _write_csv(spec.out, cols, rows)
-    side = _write_spec_sidecar(spec)
-    return ExperimentResult(report.passed, tuple(rows), (spec.out, side))
+    return Report("moments", cols, tuple(report.rows()), report.passed, {"mode": report.mode})
 
 
-def _run_fool(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
+def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
     ens, gen, smp = cfg["ensemble"], cfg["generator"], cfg["samples"]
     count, num_vars, degree, epsilons = ens["count"], ens["num_vars"], ens["degree"], gen["epsilons"]
     baseline = smp["baseline"] if smp["baseline"] is not None else "analytic" if degree == 1 else "mc"
     max_stderr = smp["max_gap_stderr"]
     configs = {e: plan(num_vars, degree, gen["k"], e, gen["ell_cap"]) for e in epsilons} if count else {}
 
-    def unit(idx: int) -> list[dict]:
+    def unit(idx: int) -> dict:
         pi, ei = divmod(idx, len(epsilons))
         eps = epsilons[ei]
-        f = _ensemble_ptf(num_vars, degree, spec.seed, pi)
+        config = configs[eps]
         est = estimate_gap(
-            f,
-            configs[eps],
-            smp["n_gen"],
-            baseline,
-            n_baseline=smp["n_baseline"],
-            master_seed=subseed(spec.seed, "fool", pi, eps),
-            jobs=1,
+            _ensemble_ptf(num_vars, degree, spec.seed, pi), config, smp["n_gen"], baseline,
+            n_baseline=smp["n_baseline"], master_seed=subseed(spec.seed, "fool", pi, eps), jobs=1,
         )
-        row = {
-            "ptf_index": pi,
-            "ptf_id": est.ptf_id,
-            "generator_id": est.generator_id,
-            "epsilon": eps,
-            "ell": configs[eps].ell,
-            "truncated": int(configs[eps].truncated),
-            "n_samples_gen": est.n_samples_gen,
-            "n_samples_baseline": est.n_samples_baseline,
-            "e_gen": est.e_gen,
-            "e_baseline": est.e_baseline,
-            "gap": est.gap,
-            "stderr": est.stderr,
-            "ci_lo": est.ci95[0],
-            "ci_hi": est.ci95[1],
-        }
+        row = {"ptf_index": pi, "epsilon": eps, "ell": config.ell, "truncated": int(config.truncated)}
+        row.update(asdict(est))
+        row["ci_lo"], row["ci_hi"] = row.pop("ci95")
         if max_stderr is not None:
             row["passed"] = int(abs(est.gap) <= max_stderr * est.stderr + smp["max_gap_slack"])
-        return [row]
+        return row
 
     units = count * len(epsilons) if count else 0
     # Sampling time grows with ell: start the longest chains first.
     heavy_first = sorted(range(units), key=lambda idx: -configs[epsilons[idx % len(epsilons)]].ell)
-    results = _run_units(units, unit, spec.jobs, heavy_first, processes=True)
-    rows = [r for part in results for r in part]
-    cols = [
+    rows = tuple(_run_units(units, unit, spec.jobs, heavy_first, processes=True))
+    cols = (
         "ptf_index", "ptf_id", "generator_id", "epsilon", "ell", "truncated",
         "n_samples_gen", "n_samples_baseline", "e_gen", "e_baseline",
         "gap", "stderr", "ci_lo", "ci_hi",
-    ]
-    if max_stderr is not None:
-        cols.append("passed")
-    _write_csv(spec.out, cols, rows)
-    side = _write_spec_sidecar(spec)
+    ) + (("passed",) if max_stderr is not None else ())
     passed = all(r.get("passed", 1) for r in rows)
-    return ExperimentResult(passed, tuple(rows), (spec.out, side))
+    return Report("fool", cols, rows, passed, {"baseline": baseline})
 
 
-def _run_threshold_check(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
-    """``check cw`` or ``check tail``, one report per degree."""
+def _run_threshold_check(spec: ExperimentSpec, cfg: dict) -> Report:
+    """``check cw`` or ``check tail``: the per-degree reports in one."""
     check, key = (check_carbery_wright, "epsilons") if spec.kind == "cw" else (check_tail_bound, "N_list")
     ens, smp = cfg["ensemble"], cfg["samples"]
     reports = [
@@ -851,12 +815,12 @@ def _run_threshold_check(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
         for d in (ens["degrees"] if ens["degrees"] is not None else [ens["degree"]])
     ]
     rows = tuple(row for rep in reports for row in rep.rows)
-    _write_csv(spec.out, reports[-1].columns if reports else (), rows)
-    side = _write_spec_sidecar(spec)
-    return ExperimentResult(all(rep.passed for rep in reports), rows, (spec.out, side))
+    cols = reports[-1].columns if reports else ()
+    meta = {"const": smp["const"], "num_vars": ens["num_vars"]}
+    return Report(spec.kind, cols, rows, all(rep.passed for rep in reports), meta)
 
 
-def _run_deriv(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
+def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
     ens, smp = cfg["ensemble"], cfg["samples"]
     if ens["poly"] is not None:
         # explicit polynomial in the shared JSON format
@@ -883,16 +847,11 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
             rows.append({"poly": pi, **r})
         ok &= rep.passed
     cols = ("poly", "ell", "n_samples", "estimate", "exact", "rel_error", "stderr", "passed")
-    _write_csv(spec.out, cols, rows)
-    side = _write_spec_sidecar(spec)
-    return ExperimentResult(ok, tuple(rows), (spec.out, side))
+    return Report("deriv", cols, tuple(rows), ok, {"tol": smp["tol"]})
 
 
-def _run_prop4(spec: ExperimentSpec, cfg: dict) -> ExperimentResult:
-    rep = check_prop4_1d(**cfg["samples"])
-    _write_csv(spec.out, rep.columns, rep.rows)
-    side = _write_spec_sidecar(spec)
-    return ExperimentResult(rep.passed, rep.rows, (spec.out, side))
+def _run_prop4(spec: ExperimentSpec, cfg: dict) -> Report:
+    return check_prop4_1d(**cfg["samples"])
 
 
 _RUNNERS = {
@@ -906,8 +865,10 @@ _RUNNERS = {
 }
 
 
-def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Execute a named experiment and persist its outputs.
+def run_experiment(spec: ExperimentSpec) -> Report:
+    """Execute a named experiment and persist its outputs: the JSONL of
+    ``sample``, or for every other kind the report's CSV at ``spec.out``
+    and the spec echo at ``spec.out + ".spec.json"``.
 
     The config sections are checked against ``_SCHEMA`` before any work.
     Re-running an identical spec reproduces the output files byte for byte,
@@ -919,4 +880,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         raise ValueError(f"jobs must be >= 1, got {spec.jobs}")
     cfg = _read_config(spec.kind, {s: getattr(spec, s) for s in ("ensemble", "generator", "samples")})
     _check_out(spec.out)
-    return _RUNNERS[spec.kind](spec, cfg)
+    report = _RUNNERS[spec.kind](spec, cfg)
+    if spec.kind != "sample":
+        _write_csv(spec.out, report.columns, report.rows)
+        _write_spec_sidecar(spec)
+    return report

@@ -61,6 +61,16 @@ def _power_table(columns, max_exps: Sequence[int]) -> list[list]:
     return table
 
 
+def _whole(v) -> int | None:
+    """``v`` as an int if it is a whole number (an integer or an integral
+    float) and not a bool, else None."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, (float, np.floating)) and float(v).is_integer():
+        return int(v)
+    return None
+
+
 @dataclass(frozen=True)
 class SparsePolynomial:
     """Multivariate real polynomial stored as {exponent vector: coefficient}.
@@ -80,8 +90,8 @@ class SparsePolynomial:
             raise ValueError("num_vars must be a positive integer")
         clean: dict[tuple[int, ...], float] = {}
         for exps, coef in self.terms.items():
-            key = tuple(int(e) for e in exps)
-            if len(key) != self.num_vars or any(e < 0 for e in key):
+            key = tuple(_whole(e) for e in exps)
+            if len(key) != self.num_vars or any(e is None or e < 0 for e in key):
                 raise ValueError(f"bad exponent vector {exps!r}")
             c = float(coef)
             if c != 0.0:
@@ -246,34 +256,33 @@ def _sqrt_fact_prod(idx: tuple[int, ...]) -> float:
     return math.sqrt(math.prod(math.factorial(a) for a in idx))
 
 
+def _change_basis(coeffs, table) -> dict[tuple[int, ...], float]:
+    """``{m: sum of c * prod_i table(idx_i)[m_i]}`` over the ``(idx, c)``
+    pairs of ``coeffs``: a change of basis, ``table(j)`` being the integer
+    coefficients of basis element j in the other basis."""
+    out: dict[tuple[int, ...], float] = {}
+    for idx, c in coeffs:
+        tabs = [table(j) for j in idx]
+        supports = [[m for m, v in enumerate(t) if v] for t in tabs]
+        for m in itertools.product(*supports):
+            w = c
+            for t, mi in zip(tabs, m):
+                w *= t[mi]
+            out[m] = out.get(m, 0.0) + w
+    return out
+
+
 def to_hermite(p: SparsePolynomial) -> HermiteExpansion:
     """Expand p over the orthonormal basis h_a."""
-    raw: dict[tuple[int, ...], float] = {}
-    for exps, coef in p.terms.items():
-        tabs = [_monomial_he_table(e) for e in exps]
-        supports = [[m for m, c in enumerate(t) if c] for t in tabs]
-        for a in itertools.product(*supports):
-            w = coef
-            for t, m in zip(tabs, a):
-                w *= t[m]
-            raw[a] = raw.get(a, 0.0) + w
+    raw = _change_basis(p.terms.items(), _monomial_he_table)
     coeffs = {a: r * _sqrt_fact_prod(a) for a, r in raw.items() if r != 0.0}
     return HermiteExpansion(p.num_vars, coeffs)
 
 
 def from_hermite(h: HermiteExpansion) -> SparsePolynomial:
     """Inverse of :func:`to_hermite`."""
-    terms: dict[tuple[int, ...], float] = {}
-    for a, c in h.coeffs.items():
-        r = c / _sqrt_fact_prod(a)
-        tabs = [_he_monomial_table(ai) for ai in a]
-        supports = [[m for m, v in enumerate(t) if v] for t in tabs]
-        for exps in itertools.product(*supports):
-            w = r
-            for t, m in zip(tabs, exps):
-                w *= t[m]
-            terms[exps] = terms.get(exps, 0.0) + w
-    return SparsePolynomial(h.num_vars, terms)
+    scaled = ((a, c / _sqrt_fact_prod(a)) for a, c in h.coeffs.items())
+    return SparsePolynomial(h.num_vars, _change_basis(scaled, _he_monomial_table))
 
 
 def l2_norm(p: SparsePolynomial) -> float:
@@ -325,10 +334,22 @@ def poly_to_json(p: SparsePolynomial) -> str:
 
 
 def poly_from_json(text: str | Mapping) -> SparsePolynomial:
-    """Inverse of :func:`poly_to_json`; a malformed document raises ValueError."""
+    """Inverse of :func:`poly_to_json`. A malformed document, a non-integral
+    ``num_vars`` or exponent, a coefficient that is not a number and two
+    terms with one exponent vector raise ValueError."""
     obj = json.loads(text) if isinstance(text, str) else text
     try:
-        terms = {tuple(row["exps"]): float(row["coef"]) for row in obj["terms"]}
-        return SparsePolynomial(int(obj["num_vars"]), terms)
+        num_vars = _whole(obj["num_vars"])
+        if num_vars is None:
+            raise ValueError(f"num_vars must be an integer, got {obj['num_vars']!r}")
+        terms: dict[tuple, float] = {}
+        for row in obj["terms"]:
+            exps, coef = tuple(row["exps"]), row["coef"]
+            if exps in terms:
+                raise ValueError(f"two terms have exponents {list(exps)}")
+            if isinstance(coef, bool) or not isinstance(coef, (int, float)):
+                raise ValueError(f"coef must be a number, got {coef!r}")
+            terms[exps] = coef
+        return SparsePolynomial(num_vars, terms)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed polynomial JSON ({type(exc).__name__}: {exc})") from None

@@ -450,6 +450,11 @@ class TestArgumentErrors:
             {"num_vars": 2, "terms": [5]},
             {"num_vars": 2, "terms": [{"exps": 1, "coef": 1.0}]},
             {"num_vars": [2], "terms": []},
+            {"num_vars": 1, "terms": [{"exps": [1], "coef": 2.0}, {"exps": [1], "coef": 3.0}]},
+            {"num_vars": 1, "terms": [{"exps": [1.7], "coef": 1.0}]},
+            {"num_vars": 1, "terms": [{"exps": [True], "coef": 1.0}]},
+            {"num_vars": 1.9, "terms": [{"exps": [1], "coef": 1.0}]},
+            {"num_vars": 1, "terms": [{"exps": [1], "coef": "3"}]},
         ],
     )
     def test_deriv_malformed_poly(self, tmp_path, capsys, poly):

@@ -223,6 +223,8 @@ class TestKWiseFamily:
             np.array([[0, 2**64 - 1]], dtype=np.uint64),
             np.array([[0.0, np.nan]]),
             np.array([[1, 2**70]], dtype=object),
+            np.array([[1.5, 0.0]]),
+            np.array([[0, 2.25]], dtype=object),
         ],
     )
     def test_batch_rejects_seeds_outside_field(self, seeds):
@@ -248,6 +250,8 @@ class TestKWiseFamily:
             kwise_eval(fam, (1, 2), 4)
         with pytest.raises(ValueError):
             kwise_eval(fam, (1,), 0)
+        with pytest.raises(ValueError, match=r"\[0, q\)"):
+            kwise_eval(fam, (1.5, 0), 0)
         with pytest.raises(ValueError):
             KWiseFamily.standard(6, 2, 4)  # composite modulus
         with pytest.raises(ValueError):
@@ -382,6 +386,8 @@ class TestDesignSample:
             design_sample(s, (1,))
         with pytest.raises(ValueError):
             design_sample(s, (1, s.q))
+        with pytest.raises(ValueError, match=r"\[0, q\)"):
+            design_sample(s, (1.5, 0))
 
 
 class TestSeedBits:

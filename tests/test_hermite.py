@@ -228,6 +228,9 @@ class TestPolynomialType:
             SparsePolynomial(2, {(1,): 1.0})
         with pytest.raises(ValueError):
             SparsePolynomial(2, {(-1, 0): 1.0})
+        for bad in [(1.7, 0), (True, 0)]:
+            with pytest.raises(ValueError):
+                SparsePolynomial(2, {bad: 1.0})
         with pytest.raises(ValueError):
             SparsePolynomial(0, {})
 

@@ -21,12 +21,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussprg._bits import derive_key, philox_at, stream_bytes, stream_words
-from gaussprg.designs import DesignSampler, KWiseFamily, Quadrature1D, is_prime, next_prime
-from gaussprg.generator import _PlanTables, _TilePipeline, _limb_split, plan, sample, sample_batch, total_seed_bits
+from gaussprg.designs import DesignSampler, KWiseFamily, Quadrature1D, _limb_split, is_prime, next_prime
+from gaussprg.generator import _PlanTables, _TilePipeline, plan, sample, sample_batch, total_seed_bits
 
 # plan arguments -> (master seed, count, start, SHA-256 of the little-endian
 # float64 output). One plan per limb split of the contraction: symbols in
-# nS limbs, powers in nP limbs (generator._limb_split):
+# nS limbs, powers in nP limbs (designs._limb_split):
 #   (8,1,2,0.25,200): (nS, nP) = (1, 1), B=33, q=123653
 #   (4,1,3,0.01,2):   (1, 2), B=45, q=488000017
 #   (4,1,3,1e-4,2):   (2, 3), blocks wider than 57 bits, B=65, q~4.9e14
@@ -131,7 +131,7 @@ def test_tables_built_once_per_plan_and_read_only():
     tables = vars(config)["_tables"]
     sample_batch(config, SEED, 3, start=5)
     assert config._tables is tables
-    for arr in (tables.table, tables.edges, tables.buckets, tables.weighted):
+    for arr in (tables.contraction.table, tables.edges, tables.buckets, tables.weighted):
         assert not arr.flags.writeable
 
 
@@ -209,7 +209,7 @@ def _check_contraction(q: int, K: int, points, symbols) -> None:
     # Every batch also carries the all-(q-1) row, the largest dot products.
     rows = [[q - 1] * K] + [list(r) for r in symbols]
     pipe = _pipeline(q, K, points, len(rows))
-    got = pipe._contract(np.array(rows, dtype=np.uint64).view(np.int64))
+    got = pipe.t.contraction(np.array(rows, dtype=np.uint64).view(np.int64), pipe.contraction_buffers)
     assert [[int(v) for v in row] for row in got] == [_horner(q, points, r) for r in rows]
 
 
