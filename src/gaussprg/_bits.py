@@ -17,7 +17,6 @@ import hashlib
 import numpy as np
 
 # Philox-4x64 emits four 64-bit words per counter increment.
-_PHILOX_BLOCK_BYTES = 32
 _PHILOX_BLOCK_WORDS = 4
 
 # Widest block that always spans at most two 64-bit words at any offset.
@@ -112,17 +111,6 @@ def stream_bytes(key: int, index: int, count: int, nbytes: int) -> np.ndarray:
     return data[:, :nbytes]
 
 
-def words_from_bytes(data: np.ndarray) -> np.ndarray:
-    """Repack a (rows, nbytes) byte matrix as MSB-first uint64 words."""
-    if data.ndim != 2 or data.dtype != np.uint8:
-        raise ValueError("data must be a 2-D uint8 array")
-    rows, nbytes = data.shape
-    nwords = -(-nbytes // 8)
-    padded = np.zeros((rows, nwords * 8), dtype=np.uint8)
-    padded[:, :nbytes] = data
-    return padded.view(">u8").astype(np.uint64)
-
-
 def extract_blocks_from_words(words: np.ndarray, n_blocks: int, block_bits: int) -> np.ndarray:
     """Read consecutive block_bits-wide big-endian integers from each row.
 
@@ -154,9 +142,11 @@ def extract_blocks_from_words(words: np.ndarray, n_blocks: int, block_bits: int)
 
 
 def extract_blocks(data: np.ndarray, n_blocks: int, block_bits: int) -> np.ndarray:
-    """Byte-matrix counterpart of :func:`extract_blocks_from_words`.
+    """Consecutive block_bits-wide big-endian integers of each byte row, of
+    any width, as an object array of exact Python integers.
 
-    Falls back to exact Python integers for blocks wider than 57 bits.
+    Block j of a row covers stream bits [j*block_bits, (j+1)*block_bits)
+    and is read from the bytes that hold it.
     """
     if data.ndim != 2 or data.dtype != np.uint8:
         raise ValueError("data must be a 2-D uint8 array")
@@ -165,14 +155,15 @@ def extract_blocks(data: np.ndarray, n_blocks: int, block_bits: int) -> np.ndarr
     rows, nbytes = data.shape
     if n_blocks * block_bits > nbytes * 8:
         raise ValueError(f"rows carry {nbytes * 8} bits, need {n_blocks * block_bits}")
-    if block_bits <= _FAST_BLOCK_BITS:
-        blocks = extract_blocks_from_words(words_from_bytes(data), n_blocks, block_bits)
-        return blocks.astype(np.int64)
     out = np.empty((rows, n_blocks), dtype=object)
-    total = nbytes * 8
+    mask = (1 << block_bits) - 1
+    # Block j ends at stream bit e = (j+1)*block_bits, so it lies in bytes
+    # [(e - block_bits) // 8, ceil(e / 8)) with -e % 8 bits after it.
+    ends = range(block_bits, (n_blocks + 1) * block_bits, block_bits)
     for row in range(rows):
-        big = int.from_bytes(data[row].tobytes(), "big")
-        for j in range(n_blocks):
-            lo = total - (j + 1) * block_bits
-            out[row, j] = (big >> lo) & ((1 << block_bits) - 1)
+        raw = data[row].tobytes()
+        out[row] = [
+            (int.from_bytes(raw[(e - block_bits) >> 3 : (e + 7) >> 3], "big") >> (-e % 8)) & mask
+            for e in ends
+        ]
     return out

@@ -127,10 +127,6 @@ class Quadrature1D:
         """Highest moment order the rule matches exactly: 2M - 1."""
         return 2 * self.M - 1
 
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.nodes.tolist(), self.weights.tolist()))
-
 
 def _he_values(M: int, x: float) -> np.ndarray:
     """He_0..He_M at x."""
@@ -221,11 +217,14 @@ def kwise_eval(family: KWiseFamily, seed: Sequence[int], i: int) -> int:
         raise ValueError(f"seed must have exactly {family.k} entries")
     if any(not (0 <= s < family.q and s % 1 == 0) for s in seed):
         raise ValueError("seed entries must be whole numbers in [0, q)")
-    seed = [int(s) for s in seed]
-    x = int(family.eval_points[i])
+    return _horner([int(s) for s in seed], int(family.eval_points[i]), family.q)
+
+
+def _horner(seed: list[int], x: int, q: int) -> int:
+    """sum_t seed[t] * x^t mod q over Python integers, for entries in [0, q)."""
     acc = 0
     for coef in reversed(seed):
-        acc = (acc * x + coef) % family.q
+        acc = (acc * x + coef) % q
     return acc
 
 
@@ -553,8 +552,8 @@ def design_sample_batch(sampler: DesignSampler, seeds: np.ndarray) -> np.ndarray
 
 
 def symbols_from_bytes(sampler: DesignSampler, data: np.ndarray, n_symbols: int) -> np.ndarray:
-    """Leading block_bits-wide blocks of each byte row mod q, as int64 (from
-    Python integers for blocks wider than 57 bits)."""
+    """Leading block_bits-wide blocks of each byte row mod q, as int64; the
+    blocks are read and reduced as exact Python integers."""
     return (extract_blocks(data, n_symbols, sampler.block_bits) % sampler.q).astype(np.int64)
 
 

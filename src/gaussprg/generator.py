@@ -18,6 +18,7 @@ design order 10*d*(3k+3), per-design statistical budget eps^k/(n*ell).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import derive_key, philox_at, stream_words
-from .designs import _reduce, _shift_in, _shift_steps
+from .designs import _horner, _reduce, _shift_in, _shift_steps
 from .designs import (
     DesignSampler,
     build_sampler,
@@ -191,32 +192,34 @@ def seed_breakdown(config: GeneratorConfig) -> dict:
     }
 
 
-def _blend(config: GeneratorConfig, design_vals: np.ndarray) -> np.ndarray:
-    """(B, ell, n) design draws -> (B, n) blended output, accumulated in
-    chain order so results do not depend on BLAS reduction order."""
-    w = blend_weights(config.delta, config.ell).w
-    out = np.zeros((design_vals.shape[0], design_vals.shape[2]))
-    for i in range(config.ell):
-        out += w[i] * design_vals[:, i, :]
-    return out
-
-
 def sample(config: GeneratorConfig, seed_bits_data: bytes) -> np.ndarray:
-    """One output vector from an explicit bitstream.
+    """One output vector from an explicit bitstream, over Python integers.
 
     Consumes exactly total_seed_bits(config) bits; design i reads the block
-    range [i*K*block_bits, (i+1)*K*block_bits). It shares only the contraction
-    (``designs.kwise_eval_batch``) with :func:`sample_batch`; its block
-    extraction, ``% q``, ``searchsorted`` and :func:`_blend` are its own.
-    Tests compare the two, and the contraction with ``designs.kwise_eval``.
+    range [i*K*block_bits, (i+1)*K*block_bits). Its K symbols (blocks mod q)
+    are the coefficients of a polynomial evaluated at every point by Horner's
+    rule, ``bisect`` on the thresholds picks each value's atom, and
+    ``w[i] * node`` is added to each coordinate in chain order from 0.0.
+    This is the reference that tests and the benchmark hold every
+    :func:`sample_batch` row to, so it runs none of the tile pipeline's
+    numpy stages (the contraction, the atom lookup, the blend).
     """
     need = total_seed_bits(config)
     if len(seed_bits_data) * 8 < need:
         raise ValueError(f"need {need} seed bits, got {len(seed_bits_data) * 8}")
+    sampler, K, q = config.sampler, config.kwise_order, config.q
     data = np.frombuffer(seed_bits_data, dtype=np.uint8)[None, :]
-    symbols = symbols_from_bytes(config.sampler, data, config.ell * config.kwise_order)
-    vals = design_sample_batch(config.sampler, symbols.reshape(config.ell, config.kwise_order))
-    return _blend(config, vals[None])[0]
+    symbols = symbols_from_bytes(sampler, data, config.ell * K)[0].tolist()
+    points = sampler.family.eval_points.tolist()
+    thresholds = sampler.thresholds.tolist()
+    nodes = sampler.quadrature.nodes.tolist()
+    w = blend_weights(config.delta, config.ell).w.tolist()
+    out = [0.0] * config.n
+    for i in range(config.ell):
+        seed = symbols[i * K : (i + 1) * K]
+        for j, x in enumerate(points):
+            out[j] += w[i] * nodes[bisect.bisect_right(thresholds, _horner(seed, x, q))]
+    return np.array(out)
 
 
 # Philox words per tile, in bytes: the fastest of the sizes from 2^15 to
@@ -371,7 +374,7 @@ class _TilePipeline:
         atom = t.atoms(v, self.bucket[:size].reshape(shape), self.atom[:size].reshape(shape))
         idx = np.add(atom, t.offsets, out=self.idx[:size].reshape(shape))
         terms = np.take(t.weighted, idx, out=self.terms[:size].reshape(shape))
-        # Chain order from 0.0, as _blend adds them.
+        # Chain order from 0.0, as sample() adds them.
         np.add(terms[0], 0.0, out=out)
         for term in terms[1:]:
             np.add(out, term, out=out)

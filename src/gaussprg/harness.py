@@ -180,8 +180,6 @@ def estimate_gap(
     *,
     n_baseline: int | None = None,
     master_seed: str = "00",
-    ptf_id: str | None = None,
-    generator_id: str | None = None,
     gen_stream: str = "gen",
     baseline_stream: str = "baseline",
     jobs: int = 1,
@@ -194,10 +192,6 @@ def estimate_gap(
     (n_baseline true-Gaussian samples, default 10x n_gen so baseline noise
     is subdominant).
     """
-    if ptf_id is None:
-        ptf_id = _content_id(ptf_to_json(f))
-    if generator_id is None:
-        generator_id = "gaussian" if gen == "gaussian" else _content_id(config_to_json(gen))
     n = f.poly.num_vars
     if gen == "gaussian":
         pos = _count_positive(f, n_gen, _gaussian_rows(master_seed, n, gen_stream), jobs)
@@ -221,8 +215,8 @@ def estimate_gap(
     gap = e_gen - e_base
     stderr = math.hypot(se_gen, se_base)
     return GapEstimate(
-        ptf_id=ptf_id,
-        generator_id=generator_id,
+        ptf_id=_content_id(ptf_to_json(f)),
+        generator_id="gaussian" if gen == "gaussian" else _content_id(config_to_json(gen)),
         n_samples_gen=n_gen,
         n_samples_baseline=n_base,
         e_gen=e_gen,

@@ -71,6 +71,26 @@ def _whole(v) -> int | None:
     return None
 
 
+def _clean_terms(num_vars: int, terms: Mapping) -> dict[tuple[int, ...], float]:
+    """``{exponents: coefficient}`` with int exponents and float
+    coefficients, zeros dropped. Each exponent vector must have
+    ``num_vars`` whole non-negative entries and each coefficient must be a
+    real number (not a bool or a string), else ValueError."""
+    if num_vars < 1:
+        raise ValueError("num_vars must be a positive integer")
+    clean: dict[tuple[int, ...], float] = {}
+    for exps, coef in terms.items():
+        key = tuple(_whole(e) for e in exps)
+        if len(key) != num_vars or any(e is None or e < 0 for e in key):
+            raise ValueError(f"bad exponent vector {exps!r}")
+        if isinstance(coef, bool) or not isinstance(coef, (int, float, np.integer, np.floating)):
+            raise ValueError(f"coef must be a number, got {coef!r}")
+        c = float(coef)
+        if c != 0.0:
+            clean[key] = c
+    return clean
+
+
 @dataclass(frozen=True)
 class SparsePolynomial:
     """Multivariate real polynomial stored as {exponent vector: coefficient}.
@@ -86,16 +106,7 @@ class SparsePolynomial:
     degree: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.num_vars < 1:
-            raise ValueError("num_vars must be a positive integer")
-        clean: dict[tuple[int, ...], float] = {}
-        for exps, coef in self.terms.items():
-            key = tuple(_whole(e) for e in exps)
-            if len(key) != self.num_vars or any(e is None or e < 0 for e in key):
-                raise ValueError(f"bad exponent vector {exps!r}")
-            c = float(coef)
-            if c != 0.0:
-                clean[key] = c
+        clean = _clean_terms(self.num_vars, self.terms)
         object.__setattr__(self, "terms", clean)
         deg = max((sum(e) for e in clean), default=0)
         object.__setattr__(self, "degree", deg)
@@ -198,17 +209,7 @@ class HermiteExpansion:
     coeffs: dict[tuple[int, ...], float]
 
     def __post_init__(self) -> None:
-        if self.num_vars < 1:
-            raise ValueError("num_vars must be a positive integer")
-        clean: dict[tuple[int, ...], float] = {}
-        for idx, c in self.coeffs.items():
-            key = tuple(int(a) for a in idx)
-            if len(key) != self.num_vars or any(a < 0 for a in key):
-                raise ValueError(f"bad multi-index {idx!r}")
-            c = float(c)
-            if c != 0.0:
-                clean[key] = c
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", _clean_terms(self.num_vars, self.coeffs))
 
     @property
     def degree(self) -> int:
@@ -347,8 +348,6 @@ def poly_from_json(text: str | Mapping) -> SparsePolynomial:
             exps, coef = tuple(row["exps"]), row["coef"]
             if exps in terms:
                 raise ValueError(f"two terms have exponents {list(exps)}")
-            if isinstance(coef, bool) or not isinstance(coef, (int, float)):
-                raise ValueError(f"coef must be a number, got {coef!r}")
             terms[exps] = coef
         return SparsePolynomial(num_vars, terms)
     except (KeyError, TypeError) as exc:

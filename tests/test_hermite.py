@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaussprg.hermite import (
+    HermiteExpansion,
     SparsePolynomial,
     degree_part,
     derivative_moment_rhs,
@@ -233,6 +234,16 @@ class TestPolynomialType:
                 SparsePolynomial(2, {bad: 1.0})
         with pytest.raises(ValueError):
             SparsePolynomial(0, {})
+        # Hermite multi-indices pass the same check, and coefficients must
+        # be real numbers: no bool, no numeric string.
+        for bad in [(1.5,), (True,)]:
+            with pytest.raises(ValueError):
+                HermiteExpansion(1, {bad: 1.0})
+        for coef in ["3", True]:
+            with pytest.raises(ValueError):
+                SparsePolynomial(1, {(1,): coef})
+            with pytest.raises(ValueError):
+                HermiteExpansion(1, {(1,): coef})
 
     def test_evaluate_matches_batch(self):
         # Both paths build x^e by the same products, so they agree exactly.

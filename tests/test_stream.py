@@ -5,7 +5,8 @@ contraction regime, and a property test checks that ``start``/``count``
 slicing never changes a row and that every row equals the scalar
 ``sample()`` fed the byte stream of its index. The tile contraction is
 checked on its own against a Python-integer Horner scheme for moduli up
-to 2^62, and the bucket-table atom lookup against ``searchsorted``.
+to 2^62, and the bucket-table atom lookup against ``searchsorted``;
+``sample()`` runs neither.
 """
 
 import functools
@@ -13,16 +14,16 @@ import hashlib
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaussprg import designs
 from gaussprg._bits import derive_key, philox_at, stream_bytes, stream_words
-from gaussprg.designs import DesignSampler, KWiseFamily, Quadrature1D, _limb_split, is_prime, next_prime
-from gaussprg.generator import _PlanTables, _TilePipeline, plan, sample, sample_batch, total_seed_bits
+from gaussprg.designs import KWiseFamily, _limb_split, is_prime, next_prime
+from gaussprg.generator import plan, sample, sample_batch, total_seed_bits
 
 # plan arguments -> (master seed, count, start, SHA-256 of the little-endian
 # float64 output). One plan per limb split of the contraction: symbols in
@@ -180,19 +181,27 @@ def test_large_q_plans_sample(args):
         assert out[i].tobytes() == _reference_row(config, SEED, 4 + i).tobytes()
 
 
+@pytest.mark.parametrize("args", PLANS)
+def test_sample_runs_no_pipeline_stage(args, monkeypatch):
+    # sample() is the reference for sample_batch, so it must not share the
+    # contraction or the searchsorted atom lookup with it: with both broken
+    # it still gives the rows sample_batch gave before.
+    config = _config(args)
+    rows = _reference_batch(args)
+
+    def broken(*_args, **_kwargs):
+        raise AssertionError("pipeline stage called")
+
+    monkeypatch.setattr(designs._Contraction, "__call__", broken)
+    monkeypatch.setattr(np, "searchsorted", broken)
+    for i in (0, 1, REF_ROWS - 1):
+        assert _reference_row(config, SEED, i).tobytes() == rows[i].tobytes()
+
+
 def _prime_below(m: int) -> int:
     while not is_prime(m):
         m -= 1
     return m
-
-
-def _pipeline(q: int, K: int, points, rows: int) -> _TilePipeline:
-    """Tile pipeline of one design of order K over F_q at the given points."""
-    family = KWiseFamily(q, K, len(points), np.array(points, dtype=np.int64))
-    single_atom = Quadrature1D(np.array([0.0]), np.array([1.0]))
-    sampler = DesignSampler(single_atom, family, np.array([q]))
-    config = SimpleNamespace(sampler=sampler, ell=1, delta=0.5)
-    return _TilePipeline(_PlanTables(config), 1, rows)
 
 
 def _horner(q: int, points, row) -> list[int]:
@@ -208,8 +217,9 @@ def _horner(q: int, points, row) -> list[int]:
 def _check_contraction(q: int, K: int, points, symbols) -> None:
     # Every batch also carries the all-(q-1) row, the largest dot products.
     rows = [[q - 1] * K] + [list(r) for r in symbols]
-    pipe = _pipeline(q, K, points, len(rows))
-    got = pipe.t.contraction(np.array(rows, dtype=np.uint64).view(np.int64), pipe.contraction_buffers)
+    # The family's contraction is the one _PlanTables.contraction holds.
+    contract = KWiseFamily(q, K, len(points), np.array(points, dtype=np.int64))._contraction
+    got = contract(np.array(rows, dtype=np.uint64).view(np.int64), contract.buffers(len(rows)))
     assert [[int(v) for v in row] for row in got] == [_horner(q, points, r) for r in rows]
 
 
