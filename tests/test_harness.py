@@ -308,6 +308,17 @@ class TestRunExperiment:
         data = out.read_bytes() + Path(str(out) + ".spec.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    # SHA-256 of check prop4's CSV followed by its .spec.json sidecar, at
+    # k = 3 with the default shells, fit grid, shell points and inner scale.
+    PROP4_GOLDEN = "72f39bc07cf6c1d34b6fa53c58605ee2eb95edcb3c78c9785b29ec5a9ee5c18f"
+
+    def test_prop4_golden_digest(self, tmp_path):
+        out = tmp_path / "p.csv"
+        result = run_experiment(ExperimentSpec("prop4", {}, {}, {"k": 3}, "5eed", str(out)))
+        assert result.passed
+        data = out.read_bytes() + Path(str(out) + ".spec.json").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == self.PROP4_GOLDEN
+
     # SHA-256 of each Gaussian check's CSV followed by its .spec.json
     # sidecar, 50,000 samples each. cw and tail evaluate degree-2 and
     # degree-3 polynomials (cubes of the coordinates); deriv takes first

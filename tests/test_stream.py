@@ -181,6 +181,39 @@ def test_large_q_plans_sample(args):
         assert out[i].tobytes() == _reference_row(config, SEED, 4 + i).tobytes()
 
 
+# The ends of the chain-length range, outside the pinned plans' ell 2..21:
+# the longest chain ell_cap=200 allows (B=46, q=736000003, two rows per
+# tile) and a single design. plan arguments -> (master seed, count, start,
+# SHA-256 of the little-endian float64 output).
+CHAIN_GOLDEN = {
+    (8, 1, 2, 0.01, 200): (
+        "5eed11", 40, 7,
+        "9e079f6bdb6a62fa7b6cde5776c9b244ff3819bc60caeedb1d0c5594bec759a1",
+    ),
+    (8, 1, 2, 0.25, 1): (
+        "5eed12", 2000, 11,
+        "f1611213120f87e306d6255731676faac05d032f1b94bd21fea7a3a4467ef938",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(CHAIN_GOLDEN))
+def test_chain_ends_golden_digest(args):
+    seed_hex, count, start, digest = CHAIN_GOLDEN[args]
+    config = _config(args)
+    assert config.ell == args[4]
+    assert _digest(sample_batch(config, seed_hex, count, start=start)) == digest
+
+
+@pytest.mark.parametrize("args", list(CHAIN_GOLDEN))
+def test_chain_ends_batch_matches_sample(args):
+    seed_hex, count, start, _ = CHAIN_GOLDEN[args]
+    config = _config(args)
+    out = sample_batch(config, seed_hex, count, start=start)
+    for i in (0, 1, 2, count // 2, count - 1):
+        assert out[i].tobytes() == _reference_row(config, seed_hex, start + i).tobytes(), f"row {i}"
+
+
 @pytest.mark.parametrize("args", PLANS)
 def test_sample_runs_no_pipeline_stage(args, monkeypatch):
     # sample() is the reference for sample_batch, so it must not share the
