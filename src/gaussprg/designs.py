@@ -9,9 +9,14 @@ order <= k inherit the rule's exactness. Everything here is a pure
 function of (sampler, seed), so sampling parallelizes with no coordination.
 
 Seed accounting: one field symbol is read from a master bitstream as a
-(ceil(log2 q) + 16)-bit block reduced mod q; the 16 extra bits push the
-reduction bias below 2^-16 per symbol, which is folded into the stated
-statistical-distance budget rather than handled by rejection.
+B-bit block, B = ceil(log2 q) + 16, reduced mod q without rejection. With
+r = 2^B mod q, a symbol is delta = r(q-r)/(q 2^B) <= 2^-18 from uniform in
+statistical distance. That bias is not charged to the budget, which sets
+only q: a design's n values are a rank-min(n, K) linear image of its K
+symbols, so a blend of ell designs is within ell*min(n, K)*delta of its law
+under uniform symbols. At plan(8, 1, 2, 0.25, 200) that is 1.5e-4 against
+a whole budget eps^k = 0.0625; at plan(4, 1, 3, 0.01, 2) it is 1.2e-5,
+above eps^k = 1e-6.
 """
 
 from __future__ import annotations
@@ -508,7 +513,8 @@ def seed_bits(sampler: DesignSampler) -> int:
     """Master-bitstream bits consumed per design sample: k * block_bits.
 
     Each of the k field symbols is a (ceil(log2 q) + 16)-bit block reduced
-    mod q; no rejection, the bias lives in the tv accounting.
+    mod q, without rejection. The reduction bias is not charged to tv_bound
+    (see the module docstring).
     """
     return sampler.family.k * sampler.block_bits
 
@@ -711,8 +717,16 @@ def verify_moments(
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     k = sampler.family.k
     nodes = sampler.quadrature.nodes
-    checks: list[MomentCheck] = []
     orders = [j for j in range(1, max_order + 1) if j <= sampler.quadrature.order]
+    m = min(sampler.n, 2)
+    # (scope, orders, target) of every check; each mode appends one
+    # (empirical, standard error) per check, in this order.
+    specs = [(f"coord {i}", (j,), gaussian_moment(j)) for i in range(m) for j in orders]
+    cross = [] if sampler.n < 2 or k < 2 else [((1, 1), 0.0)]
+    if cross and max_order >= 4 and k >= 4 and sampler.quadrature.order >= 2:
+        cross.append(((2, 2), 1.0))
+    specs += [("cross (0,1)", o, target) for o, target in cross]
+    stats: list[tuple[float, float]] = []
     if mode == "exhaustive":
         space = sampler.q**k
         if sampler.q**2 > _PAIR_TABLE_CAP or space >= 2**63:
@@ -720,16 +734,11 @@ def verify_moments(
         sym = sampler.is_symmetric
         powers = _power_table(sampler.family)
         atom_of = _atoms_from_values(sampler, np.arange(sampler.q))
-        for i in range(min(sampler.n, 2)):
+        for i in range(m):
             counts = _seed_space_counts(powers[:, i : i + 1], sampler.q)
-            atom_counts = np.bincount(atom_of, weights=counts, minlength=sampler.M)
-            probs = atom_counts / space
-            for j in orders:
-                emp = _paired_moment(nodes, probs, j, sym)
-                checks.append(
-                    MomentCheck(f"coord {i}", (j,), emp, gaussian_moment(j), _tv_tolerance(sampler, (j,)))
-                )
-        if sampler.n >= 2 and k >= 2:
+            probs = np.bincount(atom_of, weights=counts, minlength=sampler.M) / space
+            stats += [(_paired_moment(nodes, probs, j, sym), 0.0) for j in orders]
+        if cross:
             pair = _seed_space_counts(powers[:, :2], sampler.q)
             # reduceat over the atoms with a non-empty interval only: an
             # empty one would read the next atom's first row (or index q)
@@ -739,68 +748,53 @@ def verify_moments(
             atom_pair[np.ix_(live, live)] = np.add.reduceat(
                 np.add.reduceat(pair, starts[live], axis=0), starts[live], axis=1
             ) / space
-            emp11 = float(nodes @ atom_pair @ nodes)
-            checks.append(
-                MomentCheck("cross (0,1)", (1, 1), emp11, 0.0, _tv_tolerance(sampler, (1, 1)))
-            )
-            if max_order >= 4 and k >= 4 and sampler.quadrature.order >= 2:
-                emp22 = float((nodes**2) @ atom_pair @ (nodes**2))
-                checks.append(
-                    MomentCheck("cross (0,1)", (2, 2), emp22, 1.0, _tv_tolerance(sampler, (2, 2)))
-                )
-        return MomentReport("exhaustive", space, tuple(checks))
-    if mode not in ("mc", "monte_carlo"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2 for Monte-Carlo moments, got {n_samples}")
-    rng = np.random.Generator(np.random.Philox(key=rng_seed))
-    # Only coordinates 0 and 1 are checked, so only their two evaluation
-    # points are contracted and kept, one contiguous row each. Seeds are
-    # drawn unit by unit: chunked
-    # integers() calls on one Generator give the rows of a single call, and
-    # the contraction is exact, so the rows do not depend on the unit size.
-    m = min(sampler.n, 2)
-    head = KWiseFamily(sampler.q, k, m, sampler.family.eval_points[:m])
-    Y = np.empty((m, n_samples))
-    for lo in range(0, n_samples, _UNIT):
-        seeds = rng.integers(0, sampler.q, size=(min(_UNIT, n_samples - lo), k), dtype=np.int64)
-        Y[:, lo : lo + len(seeds)] = nodes[_atoms_from_values(sampler, kwise_eval_batch(head, seeds))].T
-    # Powers are running products (orders run 1, 2, ...), as numpy's power
-    # has CPU-dependent last bits. Each product is built in place in one
-    # scratch row, which is bit for bit the product into a new array.
-    scratch = np.empty(n_samples)
-    for i, col in enumerate(Y):
-        powers = col
-        for j in orders:
-            if j == 2:
-                powers = np.multiply(col, col, out=scratch)
-            elif j > 2:
-                powers *= col
-            emp = float(powers.mean())
-            se = float(powers.std(ddof=1) / math.sqrt(n_samples))
-            tol = _tv_tolerance(sampler, (j,)) + 4.0 * se
-            checks.append(MomentCheck(f"coord {i}", (j,), emp, gaussian_moment(j), tol))
-    if sampler.n >= 2 and k >= 2:
-        prod = np.multiply(Y[0], Y[1], out=scratch)
-        se = float(prod.std(ddof=1) / math.sqrt(n_samples))
-        checks.append(
-            MomentCheck(
-                "cross (0,1)", (1, 1), float(prod.mean()), 0.0,
-                _tv_tolerance(sampler, (1, 1)) + 4.0 * se,
-            )
-        )
-        if max_order >= 4 and k >= 4 and sampler.quadrature.order >= 2:
+            stats += [(float(nodes ** o[0] @ atom_pair @ nodes ** o[1]), 0.0) for o, _ in cross]
+        n_evaluated = space
+    elif mode in ("mc", "monte_carlo"):
+        if n_samples < 2:
+            raise ValueError(f"n_samples must be >= 2 for Monte-Carlo moments, got {n_samples}")
+        rng = np.random.Generator(np.random.Philox(key=rng_seed))
+        # Only coordinates 0 and 1 are checked, so only their two evaluation
+        # points are contracted and kept, one contiguous row each. Seeds are
+        # drawn unit by unit: chunked integers() calls on one Generator give
+        # the rows of a single call, and the contraction is exact, so the
+        # rows do not depend on the unit size.
+        head = KWiseFamily(sampler.q, k, m, sampler.family.eval_points[:m])
+        Y = np.empty((m, n_samples))
+        for lo in range(0, n_samples, _UNIT):
+            seeds = rng.integers(0, sampler.q, size=(min(_UNIT, n_samples - lo), k), dtype=np.int64)
+            Y[:, lo : lo + len(seeds)] = nodes[_atoms_from_values(sampler, kwise_eval_batch(head, seeds))].T
+
+        def mean_se(x: np.ndarray) -> tuple[float, float]:
+            return float(x.mean()), float(x.std(ddof=1) / math.sqrt(n_samples))
+
+        # Powers are running products (orders run 1, 2, ...), as numpy's power
+        # has CPU-dependent last bits. Each product is built in place in one
+        # scratch row, which is bit for bit the product into a new array.
+        scratch = np.empty(n_samples)
+        for col in Y:
+            powers = col
+            for j in orders:
+                if j == 2:
+                    powers = np.multiply(col, col, out=scratch)
+                elif j > 2:
+                    powers *= col
+                stats.append(mean_se(powers))
+        if cross:
+            stats.append(mean_se(np.multiply(Y[0], Y[1], out=scratch)))
+        if len(cross) > 1:
             np.multiply(Y[1], Y[1], out=Y[1])  # row 1 is not read again
             prod2 = np.multiply(Y[0], Y[0], out=scratch)
             prod2 *= Y[1]
-            se = float(prod2.std(ddof=1) / math.sqrt(n_samples))
-            checks.append(
-                MomentCheck(
-                    "cross (0,1)", (2, 2), float(prod2.mean()), 1.0,
-                    _tv_tolerance(sampler, (2, 2)) + 4.0 * se,
-                )
-            )
-    return MomentReport("mc", n_samples, tuple(checks))
+            stats.append(mean_se(prod2))
+        mode, n_evaluated = "mc", n_samples
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    checks = (
+        MomentCheck(scope, o, emp, target, _tv_tolerance(sampler, o) + 4.0 * se)
+        for (scope, o, target), (emp, se) in zip(specs, stats)
+    )
+    return MomentReport(mode, n_evaluated, tuple(checks))
 
 
 def sampler_to_json(sampler: DesignSampler) -> str:

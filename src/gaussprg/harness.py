@@ -34,6 +34,7 @@ from .ptf import (
     eval_ptf_batch,
     halfspace_expectation,
     linear_threshold_params,
+    normal_cdf,
     ptf_to_json,
     random_ptf,
 )
@@ -425,11 +426,7 @@ def _var_tuples(n: int, ell: int):
 
 def _smooth_expectation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """E[sgn((1+a) X + b)] = 1 - 2*Phi(-b/(1+a)) for scalar Gaussian X."""
-    # Imported here: only check prop4 needs scipy.
-    from scipy.special import erf
-
-    t = -b / (1.0 + a)
-    return 1.0 - 2.0 * (0.5 * (1.0 + erf(t / math.sqrt(2.0))))
+    return 1.0 - 2.0 * np.vectorize(normal_cdf, otypes=[float])(-b / (1.0 + a))
 
 
 def _square_shell(r: float, m: int) -> np.ndarray:

@@ -531,9 +531,9 @@ class TestConsoleEntry:
         assert json.loads(proc.stdout)["ell"] == 2
 
     def test_commands_run_without_scipy(self, tmp_path):
-        # Only check prop4 needs scipy (for erf). With sys.modules["scipy"]
-        # set to None, any scipy import raises ImportError, so every other
-        # command must import and run without it.
+        # The package depends on numpy only. With sys.modules["scipy"] set
+        # to None, any scipy import raises ImportError, so every command
+        # must import and run without it.
         configs = {
             "plan": {"n": 2, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 2},
             "sample": {"generator": {"n": 2, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 2}},
@@ -550,12 +550,21 @@ class TestConsoleEntry:
                 "ensemble": {"degrees": [2], "count": 1, "num_vars": 2},
                 "samples": {"epsilons": [0.01], "n_samples": 2000},
             },
+            "tail": {
+                "ensemble": {"degrees": [2], "count": 1, "num_vars": 2},
+                "samples": {"N_list": [2.0], "n_samples": 2000},
+            },
+            "deriv": {
+                "ensemble": {"count": 1, "num_vars": 2, "degree": 2},
+                "samples": {"ells": [1], "n_samples": 20_000, "tol": 0.5},
+            },
+            "prop4": {"samples": {"k": 2}},
         }
         commands = []
         for name, cfg in configs.items():
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(cfg))
-            command = ["check", "cw"] if name == "cw" else [name]
+            command = ["check", name] if name in ("cw", "tail", "deriv", "prop4") else [name]
             argv = command + ["--config", str(path), "--out", str(tmp_path / f"{name}.out")]
             commands.append(argv + (["--samples", "10"] if name == "sample" else []))
         code = (
