@@ -374,13 +374,10 @@ class _TilePipeline:
         atom = t.atoms(v, self.bucket[:size].reshape(shape), self.atom[:size].reshape(shape))
         idx = np.add(atom, t.offsets, out=self.idx[:size].reshape(shape))
         terms = np.take(t.weighted, idx, out=self.terms[:size].reshape(shape))
-        # Chain order from 0.0, as sample() adds them: the reduce adds whole
-        # (rows, n) planes one after another, but numpy would sum the
-        # column of a lone output pairwise.
-        if out.size > 1:
-            np.add.reduce(terms, axis=0, out=out, initial=0.0)
-        else:
-            out[...] = functools.reduce(operator.add, terms.ravel().tolist(), 0.0)
+        # Chain order from 0.0, as sample() adds them.
+        np.add(terms[0], 0.0, out=out)
+        for term in terms[1:]:
+            np.add(out, term, out=out)
 
 
 def sample_batch(
