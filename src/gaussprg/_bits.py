@@ -13,6 +13,7 @@ words while byte-level callers see the identical stream.
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
 
@@ -59,6 +60,15 @@ def subseed(master_hex: str, *labels: object) -> str:
     return h.hexdigest()[:32]
 
 
+def as_index(value, name: str) -> int:
+    """``value`` as an int, or ValueError naming ``name`` if it is not an
+    integer (``operator.index`` fails: a float such as 1.5, a string)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _philox_blocks(words_per_index: int) -> int:
     return -(-words_per_index // _PHILOX_BLOCK_WORDS)
 
@@ -69,6 +79,7 @@ def philox_at(key: int, index: int, words_per_index: int) -> np.random.Philox:
     Index i always occupies Philox counters [i*b, (i+1)*b) for
     b = ceil(wpi/4) blocks, so the words are independent of batching.
     """
+    index = as_index(index, "index")
     if words_per_index <= 0 or index < 0:
         raise ValueError("index must be non-negative and width positive")
     return np.random.Philox(key=key, counter=index * _philox_blocks(words_per_index))

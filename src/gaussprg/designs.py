@@ -750,7 +750,7 @@ def verify_moments(
             ) / space
             stats += [(float(nodes ** o[0] @ atom_pair @ nodes ** o[1]), 0.0) for o, _ in cross]
         n_evaluated = space
-    elif mode in ("mc", "monte_carlo"):
+    elif mode == "mc":
         if n_samples < 2:
             raise ValueError(f"n_samples must be >= 2 for Monte-Carlo moments, got {n_samples}")
         rng = np.random.Generator(np.random.Philox(key=rng_seed))
@@ -787,7 +787,7 @@ def verify_moments(
             prod2 = np.multiply(Y[0], Y[0], out=scratch)
             prod2 *= Y[1]
             stats.append(mean_se(prod2))
-        mode, n_evaluated = "mc", n_samples
+        n_evaluated = n_samples
     else:
         raise ValueError(f"unknown mode {mode!r}")
     checks = (

@@ -22,17 +22,15 @@ import bisect
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._bits import derive_key, philox_at, stream_words
+from ._bits import as_index, derive_key, philox_at, stream_words
 from .designs import _horner, _reduce, _shift_in, _shift_steps
 from .designs import (
     DesignSampler,
     build_sampler,
-    design_sample_batch,
     sampler_to_json,
     seed_bits,
     symbols_from_bytes,
@@ -47,8 +45,6 @@ __all__ = [
     "seed_breakdown",
     "sample",
     "sample_batch",
-    "prop9_coefficients",
-    "prop9_hybrid_sample",
     "config_to_json",
 ]
 
@@ -136,10 +132,7 @@ def plan(n: int, d: int, k: int, epsilon: float, ell_cap: int | None = None) -> 
     if d < 1 or k < 1 or n < 1:
         raise ValueError("need n, d, k >= 1")
     if ell_cap is not None:
-        try:
-            ell_cap = operator.index(ell_cap)
-        except TypeError:
-            raise ValueError(f"ell_cap must be an integer, got {ell_cap!r}") from None
+        ell_cap = as_index(ell_cap, "ell_cap")
     delta = epsilon ** (1.0 / 3.0)
     log_term = k * (2 * d + 1) * math.log(1.0 / epsilon)
     raw_ell = delta**-2 * log_term
@@ -386,8 +379,10 @@ def sample_batch(
     """Outputs for seed indices [start, start+count) under a hex master seed.
 
     Sample i is a pure function of (master_seed, i): batching and worker
-    layout never change the stream.
+    layout never change the stream. A non-integer count or start raises
+    ValueError.
     """
+    count, start = as_index(count, "count"), as_index(start, "start")
     key = derive_key(master_seed, "generator", config.n, config.d, config.k, config.epsilon, config.ell)
     out = np.empty((count, config.n))
     nwords = -(-total_seed_bits(config) // 64)
@@ -398,41 +393,6 @@ def sample_batch(
     for lo in range(0, count, rows):
         hi = min(lo + rows, count)
         pipe.run(stream_words(key, start + lo, hi - lo, nwords, bitgen), out[lo:hi])
-    return out
-
-
-def prop9_coefficients(epsilon: float, ell: int) -> tuple[np.ndarray, float]:
-    """Deterministic mixture coefficients eps*(sqrt(1-eps^2))^(i-1) for the
-    ell design terms plus (sqrt(1-eps^2))^ell for the Gaussian remainder;
-    the squared coefficients sum to 1 identically."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    beta = math.sqrt(1.0 - epsilon * epsilon)
-    coefs = epsilon * np.cumprod(np.concatenate(([1.0], np.full(max(ell - 1, 0), beta))))[:ell]
-    return coefs, beta**ell
-
-
-def prop9_hybrid_sample(
-    epsilon: float,
-    ell: int,
-    sampler: DesignSampler,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One draw of the design/Gaussian mixture with a true-Gaussian tail.
-
-    Experiment-grade only: design seeds and the Gaussian remainder both
-    come from the supplied conventional RNG, which is not charged to any
-    seed-length accounting.
-    """
-    coefs, gauss_coef = prop9_coefficients(epsilon, ell)
-    out = gauss_coef * rng.standard_normal(sampler.n)
-    if ell:
-        seeds = rng.integers(0, sampler.q, size=(ell, sampler.family.k), dtype=np.int64)
-        vals = design_sample_batch(sampler, seeds)
-        for i in range(ell):
-            out += coefs[i] * vals[i]
     return out
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._bits import derive_key, subseed
-from .designs import _UNIT, build_sampler, verify_moments
+from .designs import _MAX_QUAD_POINTS, _UNIT, build_sampler, verify_moments
 from .generator import GeneratorConfig, config_to_json, plan, sample_batch
 from .hermite import SparsePolynomial, derivative_moment_rhs, poly_from_json
 from .ptf import (
@@ -181,8 +181,6 @@ def estimate_gap(
     *,
     n_baseline: int | None = None,
     master_seed: str = "00",
-    gen_stream: str = "gen",
-    baseline_stream: str = "baseline",
     jobs: int = 1,
 ) -> GapEstimate:
     """Estimate E[f(Y)] - E[f(X)] for generator output Y against a baseline.
@@ -191,28 +189,35 @@ def estimate_gap(
     true-Gaussian control stream (calibration runs). baseline is
     "analytic" (degree-1 only, exact normal-CDF value) or "mc"
     (n_baseline true-Gaussian samples, default 10x n_gen so baseline noise
-    is subdominant).
+    is subdominant). Y is read from the stream labelled "gen" and X from
+    the one labelled "baseline". Any other gen or baseline, and a plan
+    whose n is not f's variable count, raise ValueError before a row is
+    drawn.
     """
     n = f.poly.num_vars
     if gen == "gaussian":
-        pos = _count_positive(f, n_gen, _gaussian_rows(master_seed, n, gen_stream), jobs)
+        gen_rows, processes = _gaussian_rows(master_seed, n, "gen"), False
+    elif not isinstance(gen, GeneratorConfig):
+        raise ValueError(f"gen must be a GeneratorConfig or 'gaussian', got {gen!r}")
+    elif gen.n != n:
+        raise ValueError(f"the PTF has {n} variables but the plan has n={gen.n}")
     else:
-        seed_hex = subseed(master_seed, gen_stream)
+        seed_hex = subseed(master_seed, "gen")
 
-        def rows(u: int, cnt: int) -> np.ndarray:
+        def gen_rows(u: int, cnt: int) -> np.ndarray:
             return sample_batch(gen, seed_hex, cnt, start=u * _UNIT)
 
-        pos = _count_positive(f, n_gen, rows, jobs, processes=True)
-    e_gen, se_gen = _sign_mean_stderr(pos, n_gen)
+        processes = True
     if baseline == "analytic":
         w, theta = linear_threshold_params(f)
         e_base, se_base, n_base = halfspace_expectation(w, theta), 0.0, 0
     elif baseline == "mc":
         n_base = n_baseline if n_baseline is not None else 10 * n_gen
-        bpos = _count_positive(f, n_base, _gaussian_rows(master_seed, n, baseline_stream), jobs)
+        bpos = _count_positive(f, n_base, _gaussian_rows(master_seed, n, "baseline"), jobs)
         e_base, se_base = _sign_mean_stderr(bpos, n_base)
     else:
         raise ValueError(f"unknown baseline {baseline!r}")
+    e_gen, se_gen = _sign_mean_stderr(_count_positive(f, n_gen, gen_rows, jobs, processes), n_gen)
     gap = e_gen - e_base
     stderr = math.hypot(se_gen, se_base)
     return GapEstimate(
@@ -236,7 +241,6 @@ class Report:
     columns: tuple[str, ...]
     rows: tuple[dict, ...]
     passed: bool
-    meta: dict
 
 
 def _ensemble_ptf(num_vars: int, degree: int, seed_hex: str, index: int) -> PTF:
@@ -255,7 +259,6 @@ def _threshold_check(
     n_samples: int,
     *,
     num_vars: int,
-    const: float,
     master_seed: str,
     polys: Sequence[PTF] | None,
     jobs: int,
@@ -280,7 +283,7 @@ def _threshold_check(
             row = {"poly": pi, "degree": d, "n_samples": n_samples, "empirical": empirical}
             rows.append({**row, **judge(t, empirical)})
     passed = all(row["passed"] for row in rows)
-    return Report(kind, columns, tuple(rows), passed, {"const": const, "num_vars": num_vars})
+    return Report(kind, columns, tuple(rows), passed)
 
 
 def check_carbery_wright(
@@ -310,7 +313,7 @@ def check_carbery_wright(
     cols = ("poly", "degree", "epsilon", "n_samples", "empirical", "envelope", "ratio", "passed")
     return _threshold_check(
         "cw", cols, operator.le, judge, d, eps_list, n_polys, n_samples,
-        num_vars=num_vars, const=const, master_seed=master_seed, polys=polys, jobs=jobs,
+        num_vars=num_vars, master_seed=master_seed, polys=polys, jobs=jobs,
     )
 
 
@@ -335,7 +338,7 @@ def check_tail_bound(
     cols = ("poly", "degree", "N", "n_samples", "empirical", "bound", "passed")
     return _threshold_check(
         "tail", cols, operator.gt, judge, d, N_list, n_polys, n_samples,
-        num_vars=num_vars, const=const, master_seed=master_seed, polys=polys, jobs=jobs,
+        num_vars=num_vars, master_seed=master_seed, polys=polys, jobs=jobs,
     )
 
 
@@ -417,7 +420,7 @@ def check_derivative_identity(
             }
         )
     cols = ("ell", "n_samples", "estimate", "exact", "rel_error", "stderr", "passed")
-    return Report("deriv", cols, tuple(rows), ok, {"tol": tol})
+    return Report("deriv", cols, tuple(rows), ok)
 
 
 def _var_tuples(n: int, ell: int):
@@ -496,13 +499,7 @@ def check_prop4_1d(
     for row in rows:
         row.update({"slope": slope, "origin_value": origin, "passed": int(passed)})
     cols = ("radius", "max_residual", "slope", "origin_value", "passed")
-    return Report(
-        "prop4",
-        cols,
-        tuple(rows),
-        passed,
-        {"k": k, "slope": slope, "origin_value": origin, "fit_radius": h},
-    )
+    return Report("prop4", cols, tuple(rows), passed)
 
 
 @dataclass(frozen=True)
@@ -517,9 +514,6 @@ class ExperimentSpec:
     out: str
     jobs: int = 1
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
     def echo_json(self) -> str:
         """Result-determining fields only: jobs and the output path never
         change the numbers, so they stay out of the reproducibility echo."""
@@ -527,11 +521,6 @@ class ExperimentSpec:
         obj.pop("out")
         obj.pop("jobs")
         return json.dumps(obj, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        obj = json.loads(text)
-        return cls(**obj)
 
 
 def _fmt_cell(v) -> str:
@@ -748,15 +737,18 @@ def _run_sample(spec: ExperimentSpec, cfg: dict) -> Report:
             rows = chunk.tolist()
             fh.writelines('{"seed_index": %d, "y": %r}\n' % row for row in enumerate(rows, idx))
             idx += len(rows)
-    return Report("sample", (), (), True, {})
+    return Report("sample", (), (), True)
 
 
 def _run_moments(spec: ExperimentSpec, cfg: dict) -> Report:
+    M = cfg["generator"]["M"]
+    if M > _MAX_QUAD_POINTS:
+        raise ValueError(f"config generator.M must be <= {_MAX_QUAD_POINTS}, got {M}")
     report = verify_moments(
         build_sampler(**cfg["generator"]), **cfg["samples"], rng_seed=derive_key(spec.seed, "moments")
     )
     cols = ("scope", "orders", "empirical", "target", "tolerance", "passed")
-    return Report("moments", cols, tuple(report.rows()), report.passed, {"mode": report.mode})
+    return Report("moments", cols, tuple(report.rows()), report.passed)
 
 
 def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
@@ -791,7 +783,7 @@ def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
         "gap", "stderr", "ci_lo", "ci_hi",
     ) + (("passed",) if max_stderr is not None else ())
     passed = all(r.get("passed", 1) for r in rows)
-    return Report("fool", cols, rows, passed, {"baseline": baseline})
+    return Report("fool", cols, rows, passed)
 
 
 def _run_threshold_check(spec: ExperimentSpec, cfg: dict) -> Report:
@@ -807,8 +799,7 @@ def _run_threshold_check(spec: ExperimentSpec, cfg: dict) -> Report:
     ]
     rows = tuple(row for rep in reports for row in rep.rows)
     cols = reports[-1].columns if reports else ()
-    meta = {"const": smp["const"], "num_vars": ens["num_vars"]}
-    return Report(spec.kind, cols, rows, all(rep.passed for rep in reports), meta)
+    return Report(spec.kind, cols, rows, all(rep.passed for rep in reports))
 
 
 def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
@@ -838,7 +829,7 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
             rows.append({"poly": pi, **r})
         ok &= rep.passed
     cols = ("poly", "ell", "n_samples", "estimate", "exact", "rel_error", "stderr", "passed")
-    return Report("deriv", cols, tuple(rows), ok, {"tol": smp["tol"]})
+    return Report("deriv", cols, tuple(rows), ok)
 
 
 def _run_prop4(spec: ExperimentSpec, cfg: dict) -> Report:

@@ -325,13 +325,16 @@ def derivative_moment_rhs(p: SparsePolynomial, ell: int) -> float:
     return total
 
 
+def _poly_doc(p: SparsePolynomial) -> dict:
+    """``{"num_vars": n, "terms": [{"exps": [...], "coef": c}, ...]}``, the
+    terms in sorted exponent order."""
+    rows = [{"exps": list(e), "coef": c} for e, c in sorted(p.terms.items())]
+    return {"num_vars": p.num_vars, "terms": rows}
+
+
 def poly_to_json(p: SparsePolynomial) -> str:
     """Shared polynomial text format (see README for the schema)."""
-    rows = [
-        {"exps": list(e), "coef": c}
-        for e, c in sorted(p.terms.items())
-    ]
-    return json.dumps({"num_vars": p.num_vars, "terms": rows}, sort_keys=True)
+    return json.dumps(_poly_doc(p), sort_keys=True)
 
 
 def poly_from_json(text: str | Mapping) -> SparsePolynomial:

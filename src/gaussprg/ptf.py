@@ -16,6 +16,7 @@ import numpy as np
 from .hermite import (
     HermiteExpansion,
     SparsePolynomial,
+    _poly_doc,
     from_hermite,
     poly_from_json,
 )
@@ -59,13 +60,10 @@ class RandomPolyConfig:
     num_vars: int
     degree: int
     rng_seed: int
-    ensemble: str = "gaussian-hermite-coefficients"
 
     def __post_init__(self) -> None:
         if self.num_vars < 1 or self.degree < 1:
             raise ValueError("need num_vars >= 1 and degree >= 1")
-        if self.ensemble != "gaussian-hermite-coefficients":
-            raise ValueError(f"unknown ensemble {self.ensemble!r}")
 
 
 def hermite_indices(num_vars: int, max_degree: int) -> list[tuple[int, ...]]:
@@ -117,10 +115,8 @@ def linear_threshold_params(f: PTF) -> tuple[np.ndarray, float]:
 
 
 def ptf_to_json(f: PTF) -> str:
-    rows = [{"exps": list(e), "coef": c} for e, c in sorted(f.poly.terms.items())]
-    return json.dumps(
-        {"kind": "ptf", "num_vars": f.poly.num_vars, "terms": rows}, sort_keys=True
-    )
+    """:func:`poly_to_json`'s document of ``f.poly`` with ``"kind": "ptf"``."""
+    return json.dumps({"kind": "ptf", **_poly_doc(f.poly)}, sort_keys=True)
 
 
 def ptf_from_json(text: str) -> PTF:

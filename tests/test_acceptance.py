@@ -184,8 +184,9 @@ def test_08_tail_bound():
 def test_09_prop4_residual_scaling():
     t0 = time.monotonic()
     rep = check_prop4_1d(3, shells=(0.2, 0.1, 0.05))
-    ok = rep.meta["slope"] >= 2.5 and abs(rep.meta["origin_value"]) <= 1e-12
-    print(f"  slope: {rep.meta['slope']:.3f}, origin: {rep.meta['origin_value']:.2e}")
+    row = rep.rows[0]
+    ok = row["slope"] >= 2.5 and abs(row["origin_value"]) <= 1e-12
+    print(f"  slope: {row['slope']:.3f}, origin: {row['origin_value']:.2e}")
     _report(9, "1-D smooth-expectation residual scaling", ok, time.monotonic() - t0, 30.0)
 
 

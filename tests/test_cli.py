@@ -269,6 +269,7 @@ class TestArgumentErrors:
             ({"mode": "mc", "n_samples": -5}, "n_samples must be >= 2"),
             ({"mode": "exhaustive", "max_order": 0}, "max_order must be >= 1"),
             ({"mode": "mc", "n_samples": 100, "max_order": -1}, "max_order must be >= 1"),
+            ({"mode": "monte_carlo", "n_samples": 100}, "unknown mode 'monte_carlo'"),
         ],
     )
     def test_bad_moments_samples(self, tmp_path, capsys, samples, message):
@@ -429,6 +430,8 @@ class TestArgumentErrors:
                                   "samples": {"ells": [1], "n_samples": 100}}, "ensemble.degree"),
             # check prop4 has no sample count for --samples to set
             (["check", "prop4", "--samples", "5"], {"samples": {"k": 2}}, "--samples"),
+            # a value above the quadrature table's 64 points
+            (["moments"], {"generator": {"M": 65, "K": 4, "n": 2, "tv_budget": 0.06}}, "generator.M"),
         ],
     )
     def test_config_key_rejected(self, tmp_path, capsys, command, config, key):

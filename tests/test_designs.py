@@ -368,6 +368,16 @@ class TestDesignSample:
         b = design_sample_batch_f64(s, seeds.astype(np.float64))
         assert np.array_equal(a, b)
 
+    def test_design_sample_batch_golden_digest(self):
+        # SHA-256 of the little-endian float64 rows of 200 seeds drawn from
+        # one Philox stream
+        s = build_sampler(3, 4, 5, tv_budget=0.01)
+        rng = np.random.Generator(np.random.Philox(key=11))
+        seeds = rng.integers(0, s.q, size=(200, 4), dtype=np.int64)
+        rows = design_sample_batch(s, seeds)
+        digest = hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
+        assert digest == "c0264dd51dbb2508b9fb2e7042630a8c61135e1f1d21f0a2ef55db3616cee582"
+
     def test_exhaustive_second_moment_q101(self):
         # M=2, q=101, n=1, K=2: enumerate all 101^2 seeds
         s = build_sampler(2, 2, 1, tv_budget=2 / 101)

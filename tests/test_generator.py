@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 
@@ -6,13 +5,11 @@ import numpy as np
 import pytest
 
 from gaussprg._bits import derive_key, stream_bytes
-from gaussprg.designs import build_sampler, seed_bits
+from gaussprg.designs import seed_bits
 from gaussprg.generator import (
     blend_weights,
     config_to_json,
     plan,
-    prop9_coefficients,
-    prop9_hybrid_sample,
     sample,
     sample_batch,
     seed_breakdown,
@@ -179,6 +176,13 @@ class TestSampling:
         tail = sample_batch(cfg, "55", 15, start=25)
         assert np.array_equal(tail, full[25:])
 
+    @pytest.mark.parametrize("count, start", [(2, 1.5), (2.5, 0), (2, 2.0), (2, "1")])
+    def test_non_integer_count_or_start(self, count, start):
+        # A fractional start would set the Philox counter inside a row.
+        cfg = plan(4, 1, 2, 0.5, ell_cap=3)
+        with pytest.raises(ValueError, match="must be an integer"):
+            sample_batch(cfg, "00", count, start=start)
+
     def test_bit_layout_contract(self):
         # flipping a bit inside design i's block range changes only that
         # design's symbols; bits past total_seed_bits are never read
@@ -202,43 +206,6 @@ class TestSampling:
         beyond[0, -1] ^= 0xFF
         assert np.array_equal(sample(cfg, data.tobytes()), sample(cfg, beyond.tobytes()))
 
-
-class TestProp9:
-    @pytest.mark.parametrize("eps", [0.1, 0.3, 0.7])
-    @pytest.mark.parametrize("ell", [1, 5, 50])
-    def test_coefficient_identity(self, eps, ell):
-        coefs, gauss = prop9_coefficients(eps, ell)
-        assert abs(float(np.sum(coefs**2)) + gauss**2 - 1.0) <= 1e-12
-
-    def test_empty_chain_is_gaussian(self):
-        coefs, gauss = prop9_coefficients(0.5, 0)
-        assert coefs.size == 0 and gauss == 1.0
-        s = build_sampler(2, 2, 3, tv_budget=0.05)
-        rng1 = np.random.Generator(np.random.Philox(key=5))
-        rng2 = np.random.Generator(np.random.Philox(key=5))
-        y = prop9_hybrid_sample(0.5, 0, s, rng1)
-        assert np.array_equal(y, rng2.standard_normal(3))
-
-    def test_near_one_eps_suppresses_gaussian(self):
-        coefs, gauss = prop9_coefficients(0.999, 1)
-        assert coefs[0] == pytest.approx(0.999)
-        assert gauss < 0.05
-
-    def test_mixture_shape_and_determinism(self):
-        s = build_sampler(3, 4, 5, tv_budget=0.01)
-        a = prop9_hybrid_sample(0.3, 4, s, np.random.Generator(np.random.Philox(key=9)))
-        b = prop9_hybrid_sample(0.3, 4, s, np.random.Generator(np.random.Philox(key=9)))
-        assert a.shape == (5,)
-        assert np.array_equal(a, b)
-
-
-    def test_golden_digest(self):
-        # SHA-256 of 200 little-endian float64 rows drawn from one Philox stream
-        s = build_sampler(3, 4, 5, tv_budget=0.01)
-        rng = np.random.Generator(np.random.Philox(key=11))
-        rows = np.array([prop9_hybrid_sample(0.3, 6, s, rng) for _ in range(200)])
-        digest = hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
-        assert digest == "62485c5478546e2c760a49bba4a9d50378c9079615308a4d0e9c4b8d858b4681"
 
 class TestConfigJson:
     def test_fields(self):

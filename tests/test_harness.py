@@ -39,21 +39,6 @@ class TestEstimateGap:
         est = estimate_gap(f, "gaussian", 1_000_000, "analytic", master_seed="31")
         assert abs(est.gap) <= 4 * est.stderr
 
-    def test_identical_streams_give_zero_gap(self):
-        f = random_ptf(RandomPolyConfig(3, 2, 11))
-        est = estimate_gap(
-            f,
-            "gaussian",
-            20_000,
-            "mc",
-            n_baseline=20_000,
-            master_seed="42",
-            gen_stream="shared",
-            baseline_stream="shared",
-        )
-        assert est.gap == 0.0
-        assert est.e_gen == est.e_baseline
-
     def test_ci_structure(self):
         f = random_ptf(RandomPolyConfig(2, 1, 3))
         est = estimate_gap(f, "gaussian", 10_000, "analytic", master_seed="00")
@@ -90,6 +75,25 @@ class TestEstimateGap:
         est = estimate_gap(f, "gaussian", 30_001, "mc", n_baseline=55_555, master_seed="5eed")
         assert est.e_gen == -0.6966101129962334
         assert est.e_baseline == -0.6919449194491945
+
+    @pytest.mark.parametrize(
+        "gen, baseline, message",
+        [
+            (plan(4, 1, 1, 0.4, ell_cap=3), "bad", "unknown baseline 'bad'"),
+            ("foo", "analytic", "gen must be a GeneratorConfig or 'gaussian'"),
+            (None, "mc", "gen must be a GeneratorConfig or 'gaussian'"),
+            (plan(2, 1, 1, 0.4, ell_cap=3), "mc", "the PTF has 4 variables but the plan has n=2"),
+        ],
+        ids=["baseline", "gen-str", "gen-none", "plan-n"],
+    )
+    def test_bad_input_rejected_before_sampling(self, monkeypatch, gen, baseline, message):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a generator row was drawn")
+
+        monkeypatch.setattr(harness, "sample_batch", no_rows)
+        f = random_ptf(RandomPolyConfig(4, 1, 3))
+        with pytest.raises(ValueError, match=message):
+            estimate_gap(f, gen, 100_000, baseline)
 
 
 class TestCarberyWright:
@@ -164,11 +168,11 @@ class TestDerivativeIdentity:
 class TestProp4:
     def test_origin_exact_zero(self):
         rep = check_prop4_1d(3)
-        assert rep.meta["origin_value"] == 0.0
+        assert rep.rows[0]["origin_value"] == 0.0
 
     def test_slope_cubic_residual(self):
         rep = check_prop4_1d(3, shells=(0.2, 0.1, 0.05))
-        assert rep.meta["slope"] >= 2.5
+        assert rep.rows[0]["slope"] >= 2.5
         assert rep.passed
 
     def test_linear_coefficient(self):
@@ -370,11 +374,6 @@ class TestRunExperiment:
         assert run_experiment(spec).passed
         data = out.read_bytes() + Path(str(out) + ".spec.json").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
-
-    def test_spec_json_round_trip(self):
-        spec = ExperimentSpec("cw", {"count": 1}, {}, {"epsilons": [0.1], "n_samples": 10}, "01", "x.csv", 2)
-        again = ExperimentSpec.from_json(spec.to_json())
-        assert again == spec
 
 
 HAS_FORK = "fork" in multiprocessing.get_all_start_methods()

@@ -331,3 +331,9 @@ def test_bit_generator_continues_across_calls():
     bitgen = philox_at(key, 11, nwords)
     parts = [stream_words(key, 11 + lo, n, nwords, bitgen) for lo, n in ((0, 2), (2, 0), (2, 4), (6, 3))]
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize("index", [1.5, 2.0, "3"])
+def test_philox_at_rejects_non_integer_index(index):
+    with pytest.raises(ValueError, match="index must be an integer"):
+        philox_at(derive_key("5eed06", "words"), index, 7)
