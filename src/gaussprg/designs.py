@@ -21,6 +21,7 @@ above eps^k = 1e-6.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
@@ -217,12 +218,18 @@ def kwise_eval(family: KWiseFamily, seed: Sequence[int], i: int) -> int:
     """Value of the seed polynomial at evaluation point i (Horner, mod q)."""
     if not 0 <= i < family.n:
         raise ValueError(f"coordinate index {i} out of range")
+    return _horner(_seed_list(family, seed), int(family.eval_points[i]), family.q)
+
+
+def _seed_list(family: KWiseFamily, seed: Sequence[int]) -> list[int]:
+    """The k seed entries as Python integers, or ValueError if they are not
+    whole numbers in [0, q)."""
     seed = list(seed)
     if len(seed) != family.k:
         raise ValueError(f"seed must have exactly {family.k} entries")
     if any(not (0 <= s < family.q and s % 1 == 0) for s in seed):
         raise ValueError("seed entries must be whole numbers in [0, q)")
-    return _horner([int(s) for s in seed], int(family.eval_points[i]), family.q)
+    return [int(s) for s in seed]
 
 
 def _horner(seed: list[int], x: int, q: int) -> int:
@@ -444,6 +451,54 @@ def thresholds_from_weights(weights: np.ndarray, q: int) -> np.ndarray:
     return thresholds
 
 
+# The atom lookup's bucket table has at most 2^16 entries.
+_BUCKET_BITS = 16
+
+
+class _AtomLookup:
+    """Atom index 0..M-1 of every field value, read from a bucket table.
+
+    Value v falls in bucket ``v >> shift``, with at most 2^16 buckets. A
+    bucket holds the atom of every value in it, or -1 where a threshold
+    below q falls inside it; only values in such buckets go through
+    ``searchsorted`` on the thresholds. Built once per sampler
+    (``DesignSampler._lookup``); its arrays are read-only and callers may
+    pass their own buffers.
+    """
+
+    def __init__(self, thresholds: np.ndarray, q: int):
+        self.thresholds = np.array(thresholds, dtype=np.int64)
+        self.shift = max(0, (q - 1).bit_length() - _BUCKET_BITS)
+        # Bucket b holds the atom of its lowest value b << shift: the number
+        # of thresholds at or below it, so atom c fills the buckets from
+        # ceil(th[c-1] / 2^shift) up to ceil(th[c] / 2^shift), none if its
+        # gap is zero. Then -1 marks each bucket that a threshold below q
+        # falls inside. The dtype is the smallest signed one that holds -1
+        # and every atom index.
+        th, M = self.thresholds, self.thresholds.size
+        first = -(-th // 2**self.shift)
+        self.buckets = np.repeat(np.arange(M, dtype=np.min_scalar_type(-M)), np.diff(first, prepend=0))
+        inner = th[(th < q) & (th & (2**self.shift - 1) != 0)]
+        self.buckets[inner >> self.shift] = -1
+        for arr in (self.thresholds, self.buckets):
+            arr.setflags(write=False)
+
+    def __call__(
+        self, v: np.ndarray, scratch: np.ndarray | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Atom of every int64 value ``0 <= v < q``, written to out (of the
+        buckets' dtype and v's shape); scratch is an int64 array of v's
+        shape. Either is allocated when not given."""
+        if out is None:
+            out = np.empty(v.shape, dtype=self.buckets.dtype)
+        bucket = np.right_shift(v, self.shift, out=scratch) if self.shift else v
+        np.take(self.buckets, bucket, out=out)
+        if out.size and out.min() < 0:
+            split = out < 0
+            out[split] = np.searchsorted(self.thresholds, v[split], side="right")
+        return out
+
+
 @dataclass(frozen=True)
 class DesignSampler:
     """Deterministic map from k field-symbol seeds to n atom coordinates.
@@ -508,6 +563,11 @@ class DesignSampler:
         """Master-bitstream block per field symbol (widened for bias)."""
         return self.field_bits + EXTRA_BLOCK_BITS
 
+    @functools.cached_property
+    def _lookup(self) -> _AtomLookup:
+        """The sampler's read-only atom lookup, built on first use."""
+        return _AtomLookup(self.thresholds, self.q)
+
 
 def seed_bits(sampler: DesignSampler) -> int:
     """Master-bitstream bits consumed per design sample: k * block_bits.
@@ -541,20 +601,25 @@ def build_sampler(M: int, K: int, n: int, tv_budget: float) -> DesignSampler:
     return sampler
 
 
-def _atoms_from_values(sampler: DesignSampler, values: np.ndarray) -> np.ndarray:
-    return np.searchsorted(sampler.thresholds, values, side="right")
+def _design_atoms(seed: list[int], points: list[int], thresholds: list[int], q: int) -> list[int]:
+    """Atom of the seed polynomial's value at each point, over Python
+    integers: Horner's rule mod q, then ``bisect`` on the thresholds."""
+    return [bisect.bisect_right(thresholds, _horner(seed, x, q)) for x in points]
 
 
 def design_sample(sampler: DesignSampler, seed: Sequence[int]) -> np.ndarray:
-    """One n-coordinate design draw from k field symbols."""
-    # The entries as given, so that kwise_eval_batch checks any size and type.
-    return design_sample_batch(sampler, np.array([list(seed)], dtype=object))[0]
+    """One n-coordinate design draw from k field symbols, checked as
+    :func:`kwise_eval` checks them. It runs over Python integers and is the
+    reference that :func:`design_sample_batch` is held to."""
+    fam = sampler.family
+    atoms = _design_atoms(_seed_list(fam, seed), fam.eval_points.tolist(), sampler.thresholds.tolist(), fam.q)
+    return sampler.quadrature.nodes[atoms]
 
 
 def design_sample_batch(sampler: DesignSampler, seeds: np.ndarray) -> np.ndarray:
-    """(B, k) seed batch -> (B, n) coordinate batch."""
-    vals = kwise_eval_batch(sampler.family, seeds)
-    return sampler.quadrature.nodes[_atoms_from_values(sampler, vals)]
+    """(B, k) seed batch -> (B, n) coordinate batch, by the family's
+    contraction and the sampler's atom lookup (the tile pipeline's two)."""
+    return sampler.quadrature.nodes[sampler._lookup(kwise_eval_batch(sampler.family, seeds))]
 
 
 def symbols_from_bytes(sampler: DesignSampler, data: np.ndarray, n_symbols: int) -> np.ndarray:
@@ -694,6 +759,11 @@ def _tv_tolerance(sampler: DesignSampler, orders: tuple[int, ...]) -> float:
     return 8.0 * scale * sampler.tv_bound
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in ("exhaustive", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+
 def verify_moments(
     sampler: DesignSampler,
     max_order: int,
@@ -715,6 +785,7 @@ def verify_moments(
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
+    _check_mode(mode)
     k = sampler.family.k
     nodes = sampler.quadrature.nodes
     orders = [j for j in range(1, max_order + 1) if j <= sampler.quadrature.order]
@@ -733,7 +804,7 @@ def verify_moments(
             raise ValueError(f"exhaustive mode needs q^2 <= 10^7 and q^k < 2^63, got q={sampler.q}, k={k}")
         sym = sampler.is_symmetric
         powers = _power_table(sampler.family)
-        atom_of = _atoms_from_values(sampler, np.arange(sampler.q))
+        atom_of = sampler._lookup(np.arange(sampler.q, dtype=np.int64))
         for i in range(m):
             counts = _seed_space_counts(powers[:, i : i + 1], sampler.q)
             probs = np.bincount(atom_of, weights=counts, minlength=sampler.M) / space
@@ -750,7 +821,7 @@ def verify_moments(
             ) / space
             stats += [(float(nodes ** o[0] @ atom_pair @ nodes ** o[1]), 0.0) for o, _ in cross]
         n_evaluated = space
-    elif mode == "mc":
+    else:  # "mc"
         if n_samples < 2:
             raise ValueError(f"n_samples must be >= 2 for Monte-Carlo moments, got {n_samples}")
         rng = np.random.Generator(np.random.Philox(key=rng_seed))
@@ -763,7 +834,7 @@ def verify_moments(
         Y = np.empty((m, n_samples))
         for lo in range(0, n_samples, _UNIT):
             seeds = rng.integers(0, sampler.q, size=(min(_UNIT, n_samples - lo), k), dtype=np.int64)
-            Y[:, lo : lo + len(seeds)] = nodes[_atoms_from_values(sampler, kwise_eval_batch(head, seeds))].T
+            Y[:, lo : lo + len(seeds)] = nodes[sampler._lookup(kwise_eval_batch(head, seeds))].T
 
         def mean_se(x: np.ndarray) -> tuple[float, float]:
             return float(x.mean()), float(x.std(ddof=1) / math.sqrt(n_samples))
@@ -788,8 +859,6 @@ def verify_moments(
             prod2 *= Y[1]
             stats.append(mean_se(prod2))
         n_evaluated = n_samples
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     checks = (
         MomentCheck(scope, o, emp, target, _tv_tolerance(sampler, o) + 4.0 * se)
         for (scope, o, target), (emp, se) in zip(specs, stats)

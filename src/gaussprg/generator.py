@@ -18,7 +18,6 @@ design order 10*d*(3k+3), per-design statistical budget eps^k/(n*ell).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import json
 import math
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import as_index, derive_key, philox_at, stream_words
-from .designs import _horner, _reduce, _shift_in, _shift_steps
+from .designs import _design_atoms, _reduce, _shift_in, _shift_steps
 from .designs import (
     DesignSampler,
     build_sampler,
@@ -63,14 +62,18 @@ class BlendWeights:
         object.__setattr__(self, "w", np.asarray(self.w, dtype=np.float64))
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+
+
 def blend_weights(epsilon: float, ell: int) -> BlendWeights:
     """Normalized averaging weights; sum of squares is exactly 1.
 
     Built by cumulative products so consecutive ratios equal
     sqrt(1 - eps^2) to the last ulp.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     if ell < 1:
         raise ValueError("ell must be >= 1")
     beta = math.sqrt(1.0 - epsilon * epsilon)
@@ -127,8 +130,7 @@ def plan(n: int, d: int, k: int, epsilon: float, ell_cap: int | None = None) -> 
     Raises if the chain length overflows without a cap or if the
     statistical budget needs a modulus beyond 2^62.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+    _check_epsilon(epsilon)
     if d < 1 or k < 1 or n < 1:
         raise ValueError("need n, d, k >= 1")
     if ell_cap is not None:
@@ -191,8 +193,9 @@ def sample(config: GeneratorConfig, seed_bits_data: bytes) -> np.ndarray:
     Consumes exactly total_seed_bits(config) bits; design i reads the block
     range [i*K*block_bits, (i+1)*K*block_bits). Its K symbols (blocks mod q)
     are the coefficients of a polynomial evaluated at every point by Horner's
-    rule, ``bisect`` on the thresholds picks each value's atom, and
-    ``w[i] * node`` is added to each coordinate in chain order from 0.0.
+    rule, ``bisect`` on the thresholds picks each value's atom (the steps of
+    :func:`designs.design_sample`), and ``w[i] * node`` is added to each
+    coordinate in chain order from 0.0.
     This is the reference that tests and the benchmark hold every
     :func:`sample_batch` row to, so it runs none of the tile pipeline's
     numpy stages (the contraction, the atom lookup, the blend).
@@ -209,9 +212,8 @@ def sample(config: GeneratorConfig, seed_bits_data: bytes) -> np.ndarray:
     w = blend_weights(config.delta, config.ell).w.tolist()
     out = [0.0] * config.n
     for i in range(config.ell):
-        seed = symbols[i * K : (i + 1) * K]
-        for j, x in enumerate(points):
-            out[j] += w[i] * nodes[bisect.bisect_right(thresholds, _horner(seed, x, q))]
+        for j, atom in enumerate(_design_atoms(symbols[i * K : (i + 1) * K], points, thresholds, q)):
+            out[j] += w[i] * nodes[atom]
     return np.array(out)
 
 
@@ -224,8 +226,6 @@ _TILE_BYTES = 2**18
 # Widest field that one unaligned 8-byte window holds at any bit phase:
 # a field starting at bit 7 of its first byte must end by bit 64.
 _WINDOW_BITS = 57
-# The atom lookup table has at most 2^16 buckets.
-_BUCKET_BITS = 16
 
 
 class _PlanTables:
@@ -237,12 +237,9 @@ class _PlanTables:
 
     - ``fields``: where each block's bit fields sit in a row's bytes.
     - ``contraction``: the family's k-wise contraction; ``table`` its limb table.
-    - ``edges``, ``buckets``: the atom lookup. Only atoms with a nonzero
-      gap can be drawn; numbered 0..Mc-1 in order, ``edges`` holds their
-      upper thresholds. ``buckets[v >> shift]`` is the atom of every value
-      in that bucket, or -1 where an edge splits the bucket.
-    - ``weighted``: ``w[i] * node`` of drawn atom c at ``i*Mc + c``, the
-      term that the chain-order blend adds for design i.
+    - ``lookup``: the sampler's atom lookup (``DesignSampler._lookup``).
+    - ``weighted``: ``w[i] * node`` of atom c at ``i*M + c``, the term that
+      the chain-order blend adds for design i; ``offsets`` holds ``i*M``.
     """
 
     def __init__(self, config: GeneratorConfig):
@@ -265,41 +262,18 @@ class _PlanTables:
             self.fields.append(spec + (_shift_steps(q, width, 2**width - 1),))
 
         self.contraction = fam._contraction
-
-        drawn = np.flatnonzero(np.diff(sampler.thresholds, prepend=0))
-        self.edges = sampler.thresholds[drawn]
-        self.shift = max(0, (q - 1).bit_length() - _BUCKET_BITS)
-        # Bucket b holds the atom of its lowest value b << shift: the number
-        # of edges at or below it, so atom c fills the buckets from
-        # ceil(edge[c-1] / 2^shift) up to ceil(edge[c] / 2^shift). Then -1
-        # marks each bucket that an edge below q falls inside. The dtype is
-        # the smallest signed one that holds -1 and every atom number.
-        first = -(-self.edges // 2**self.shift)
-        atom_ids = np.arange(drawn.size, dtype=np.min_scalar_type(-drawn.size))
-        self.buckets = np.repeat(atom_ids, np.diff(first, prepend=0))
-        inner = self.edges[:-1][self.edges[:-1] & (2**self.shift - 1) != 0]
-        self.buckets[inner >> self.shift] = -1
+        self.lookup = sampler._lookup
         w = blend_weights(config.delta, ell).w
-        self.weighted = (w[:, None] * sampler.quadrature.nodes[drawn]).ravel()
-        self.offsets = np.arange(ell)[:, None, None] * drawn.size
+        self.weighted = (w[:, None] * sampler.quadrature.nodes).ravel()
+        self.offsets = np.arange(ell)[:, None, None] * sampler.M
         field_arrays = [arr for spec in self.fields for arr in spec[:2]]
-        for arr in [self.edges, self.buckets, self.weighted, self.offsets, *field_arrays]:
+        for arr in [self.weighted, self.offsets, *field_arrays]:
             arr.setflags(write=False)
 
     @staticmethod
     def _field_spec(starts: np.ndarray, pos: int, width: int):
         bits = starts + pos
         return bits >> 3, (bits & 7).astype(np.uint64), np.uint64(64 - width)
-
-    def atoms(self, v: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Drawn atom of every int64 value ``0 <= v < q``, written to out
-        (of the buckets' dtype); scratch is an int64 array of v's shape."""
-        bucket = np.right_shift(v, self.shift, out=scratch) if self.shift else v
-        np.take(self.buckets, bucket, out=out)
-        if out.min() < 0:
-            split = out < 0
-            out[split] = np.searchsorted(self.edges, v[split], side="right")
-        return out
 
 
 class _TilePipeline:
@@ -337,7 +311,7 @@ class _TilePipeline:
         # Lookup and gather buffers, design-major (ell, rows, n). They are
         # flat so that every tile's prefix is contiguous.
         self.bucket = np.empty(m * n, dtype=np.int64)
-        self.atom = np.empty(m * n, dtype=t.buckets.dtype)
+        self.atom = np.empty(m * n, dtype=t.lookup.buckets.dtype)
         self.idx = np.empty(m * n, dtype=np.intp)
         self.terms = np.empty(m * n)
 
@@ -364,7 +338,7 @@ class _TilePipeline:
         # Design-major views, so the blend adds contiguous (rows, n) terms.
         v = v.reshape(rows, t.ell, n).transpose(1, 0, 2)
         shape, size = v.shape, v.size
-        atom = t.atoms(v, self.bucket[:size].reshape(shape), self.atom[:size].reshape(shape))
+        atom = t.lookup(v, self.bucket[:size].reshape(shape), self.atom[:size].reshape(shape))
         idx = np.add(atom, t.offsets, out=self.idx[:size].reshape(shape))
         terms = np.take(t.weighted, idx, out=self.terms[:size].reshape(shape))
         # Chain order from 0.0, as sample() adds them.
@@ -379,10 +353,13 @@ def sample_batch(
     """Outputs for seed indices [start, start+count) under a hex master seed.
 
     Sample i is a pure function of (master_seed, i): batching and worker
-    layout never change the stream. A non-integer count or start raises
-    ValueError.
+    layout never change the stream. A count or start that is not a
+    non-negative integer raises ValueError.
     """
     count, start = as_index(count, "count"), as_index(start, "start")
+    for name, value in (("count", count), ("start", start)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     key = derive_key(master_seed, "generator", config.n, config.d, config.k, config.epsilon, config.ell)
     out = np.empty((count, config.n))
     nwords = -(-total_seed_bits(config) // 64)

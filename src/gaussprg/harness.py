@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._bits import derive_key, subseed
-from .designs import _MAX_QUAD_POINTS, _UNIT, build_sampler, verify_moments
-from .generator import GeneratorConfig, config_to_json, plan, sample_batch
+from .designs import _MAX_QUAD_POINTS, _UNIT, _check_mode, build_sampler, verify_moments
+from .generator import GeneratorConfig, _check_epsilon, config_to_json, plan, sample_batch
 from .hermite import SparsePolynomial, derivative_moment_rhs, poly_from_json
 from .ptf import (
     PTF,
@@ -448,6 +448,13 @@ def _square_shell(r: float, m: int) -> np.ndarray:
     return pts
 
 
+def _sorted_shells(shells: Sequence[float]) -> list[float]:
+    shells = sorted(float(r) for r in shells)
+    if not shells or shells[0] <= 0 or shells[-1] >= 0.5:
+        raise ValueError("shell radii must lie in (0, 0.5)")
+    return shells
+
+
 def check_prop4_1d(
     k: int,
     shells: Sequence[float] = (0.2, 0.1, 0.05),
@@ -465,9 +472,7 @@ def check_prop4_1d(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    shells = sorted(float(r) for r in shells)
-    if not shells or shells[0] <= 0 or shells[-1] >= 0.5:
-        raise ValueError("shell radii must lie in (0, 0.5)")
+    shells = _sorted_shells(shells)
     if not 0 < inner_scale < math.inf:
         raise ValueError(f"inner_scale must be a finite number > 0, got {inner_scale}")
     h = inner_scale * shells[0]
@@ -716,7 +721,17 @@ def _read_config(kind: str, sections: dict[str, dict]) -> dict[str, dict]:
     return cfg
 
 
+def _keyed(path: str, fn: Callable, *args, **kwargs):
+    """``fn(*args, **kwargs)``, whose ValueError is about the config key
+    ``path``: the library's message, prefixed with the key."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"config {path}: {exc}") from None
+
+
 def _run_sample(spec: ExperimentSpec, cfg: dict) -> Report:
+    _keyed("generator.epsilon", _check_epsilon, cfg["generator"]["epsilon"])
     config = plan(**cfg["generator"])
     count = cfg["samples"]["count"]
     block = 4096
@@ -744,9 +759,10 @@ def _run_moments(spec: ExperimentSpec, cfg: dict) -> Report:
     M = cfg["generator"]["M"]
     if M > _MAX_QUAD_POINTS:
         raise ValueError(f"config generator.M must be <= {_MAX_QUAD_POINTS}, got {M}")
-    report = verify_moments(
-        build_sampler(**cfg["generator"]), **cfg["samples"], rng_seed=derive_key(spec.seed, "moments")
-    )
+    _keyed("samples.mode", _check_mode, cfg["samples"]["mode"])
+    # With M in range, every error of build_sampler is about the budget.
+    sampler = _keyed("generator.tv_budget", build_sampler, **cfg["generator"])
+    report = verify_moments(sampler, **cfg["samples"], rng_seed=derive_key(spec.seed, "moments"))
     cols = ("scope", "orders", "empirical", "target", "tolerance", "passed")
     return Report("moments", cols, tuple(report.rows()), report.passed)
 
@@ -756,6 +772,8 @@ def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
     count, num_vars, degree, epsilons = ens["count"], ens["num_vars"], ens["degree"], gen["epsilons"]
     baseline = smp["baseline"] if smp["baseline"] is not None else "analytic" if degree == 1 else "mc"
     max_stderr = smp["max_gap_stderr"]
+    for e in epsilons:
+        _keyed("generator.epsilons", _check_epsilon, e)
     configs = {e: plan(num_vars, degree, gen["k"], e, gen["ell_cap"]) for e in epsilons} if count else {}
 
     def unit(idx: int) -> dict:
@@ -806,10 +824,7 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
     ens, smp = cfg["ensemble"], cfg["samples"]
     if ens["poly"] is not None:
         # explicit polynomial in the shared JSON format
-        try:
-            polys = [poly_from_json(ens["poly"])]
-        except ValueError as exc:
-            raise ValueError(f"config ensemble.poly: {exc}") from None
+        polys = [_keyed("ensemble.poly", poly_from_json, ens["poly"])]
     else:
         polys = [
             _ensemble_ptf(ens["num_vars"], ens["degree"], spec.seed, i).poly for i in range(ens["count"])
@@ -833,6 +848,7 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
 
 
 def _run_prop4(spec: ExperimentSpec, cfg: dict) -> Report:
+    _keyed("samples.shells", _sorted_shells, cfg["samples"]["shells"])
     return check_prop4_1d(**cfg["samples"])
 
 

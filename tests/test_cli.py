@@ -432,6 +432,14 @@ class TestArgumentErrors:
             (["check", "prop4", "--samples", "5"], {"samples": {"k": 2}}, "--samples"),
             # a value above the quadrature table's 64 points
             (["moments"], {"generator": {"M": 65, "K": 4, "n": 2, "tv_budget": 0.06}}, "generator.M"),
+            # values out of the range that the library checks
+            (["fool"], {**FOOL_SMALL, "generator": {"k": 1, "epsilons": [0.4, 1.5], "ell_cap": 3},
+                        "samples": {"n_gen": 100}}, "generator.epsilons"),
+            (["sample"], {"generator": {**GEN, "epsilon": 1.5}, "samples": {"count": 5}}, "generator.epsilon"),
+            (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": 0}}, "generator.tv_budget"),
+            (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06},
+                           "samples": {"mode": "bogus"}}, "samples.mode"),
+            (["check", "prop4"], {"samples": {"k": 2, "shells": [0.7]}}, "samples.shells"),
         ],
     )
     def test_config_key_rejected(self, tmp_path, capsys, command, config, key):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gaussprg import designs
 from gaussprg.designs import (
     _MAX_QUAD_POINTS,
     KWiseFamily,
@@ -30,6 +31,7 @@ from gaussprg.designs import (
     thresholds_from_weights,
     verify_moments,
 )
+from gaussprg.generator import plan
 
 
 class TestPrimes:
@@ -377,6 +379,35 @@ class TestDesignSample:
         rows = design_sample_batch(s, seeds)
         digest = hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest()
         assert digest == "c0264dd51dbb2508b9fb2e7042630a8c61135e1f1d21f0a2ef55db3616cee582"
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            build_sampler(2, 2, 1, tv_budget=2 / 101),
+            build_sampler(3, 4, 5, tv_budget=0.01),  # q = 307
+            build_sampler(3, 4, 2, tv_budget=3 / 211),
+            plan(8, 1, 2, 0.25, 200).sampler,  # q = 123653, 46 atoms, 20 drawn
+            plan(4, 1, 3, 1e-4, 2).sampler,  # q ~ 4.9e14, split buckets
+            plan(4, 1, 3, 5e-6, 2).sampler,  # q ~ 3.9e18
+        ],
+        ids=lambda s: f"q{s.q}",
+    )
+    def test_design_sample_matches_batch(self, sampler, monkeypatch):
+        # design_sample is the reference for design_sample_batch, so with the
+        # batch stages broken it still gives the batch rows.
+        rng = np.random.default_rng(sampler.q % 1000)
+        seeds = rng.integers(0, sampler.q, size=(40, sampler.family.k), dtype=np.int64)
+        seeds[0], seeds[1] = 0, sampler.q - 1
+        rows = design_sample_batch(sampler, seeds)
+
+        def broken(*_args, **_kwargs):
+            raise AssertionError("batch stage called")
+
+        monkeypatch.setattr(designs._Contraction, "__call__", broken)
+        monkeypatch.setattr(designs._AtomLookup, "__call__", broken)
+        monkeypatch.setattr(np, "searchsorted", broken)
+        for seed, row in zip(seeds, rows):
+            assert design_sample(sampler, seed).tobytes() == row.tobytes()
 
     def test_exhaustive_second_moment_q101(self):
         # M=2, q=101, n=1, K=2: enumerate all 101^2 seeds

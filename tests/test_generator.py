@@ -183,6 +183,18 @@ class TestSampling:
         with pytest.raises(ValueError, match="must be an integer"):
             sample_batch(cfg, "00", count, start=start)
 
+    @pytest.mark.parametrize(
+        "count, start, message",
+        [(-1, 0, "count must be >= 0, got -1"), (2, -1, "start must be >= 0, got -1"),
+         (-3, -2, "count must be >= 0, got -3")],
+    )
+    def test_negative_count_or_start(self, count, start, message, monkeypatch):
+        # Rejected before the output array is allocated.
+        cfg = plan(4, 1, 2, 0.5, ell_cap=3)
+        monkeypatch.setattr(np, "empty", None)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sample_batch(cfg, "00", count, start=start)
+
     def test_bit_layout_contract(self):
         # flipping a bit inside design i's block range changes only that
         # design's symbols; bits past total_seed_bits are never read

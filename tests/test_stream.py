@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from gaussprg import designs
 from gaussprg._bits import derive_key, philox_at, stream_bytes, stream_words
-from gaussprg.designs import KWiseFamily, _limb_split, is_prime, next_prime
+from gaussprg.designs import KWiseFamily, _limb_split, build_sampler, design_sample_batch, is_prime, next_prime
 from gaussprg.generator import plan, sample, sample_batch, total_seed_bits
 
 # plan arguments -> (master seed, count, start, SHA-256 of the little-endian
@@ -112,27 +112,38 @@ def test_single_row_matches_sample(args):
         assert out[0].tobytes() == _reference_row(config, SEED, start).tobytes()
 
 
-@pytest.mark.parametrize("args", PLANS)
+# The checks-gauss moment samplers: q = 53 (exhaustive mode) and q = 211
+# (Monte-Carlo mode), as build_sampler arguments.
+MOMENT_SAMPLERS = [(3, 4, 2, 0.06), (3, 4, 2, 3 / 211)]
+
+
+@pytest.mark.parametrize("args", PLANS + MOMENT_SAMPLERS)
 def test_bucket_lookup_matches_searchsorted(args):
     # Every threshold t and the value below it, plus both ends of [0, q).
-    config = _config(args)
-    th, q = config.sampler.thresholds, config.q
+    sampler = _config(args).sampler if args in GOLDEN else build_sampler(*args)
+    assert args in GOLDEN or sampler.q in (53, 211)
+    th, q = sampler.thresholds, sampler.q
     values = {0, q - 1} | {int(t) + d for t in th for d in (-1, 0) if 0 <= int(t) + d < q}
     v = np.array(sorted(values), dtype=np.int64)
-    tables = config._tables
-    got = tables.atoms(v, np.empty_like(v), np.empty(v.shape, dtype=tables.buckets.dtype))
-    drawn = np.flatnonzero(np.diff(th, prepend=0))
-    assert np.array_equal(drawn[got], np.searchsorted(th, v, side="right"))
+    expected = np.searchsorted(th, v, side="right")
+    lookup = sampler._lookup
+    assert np.array_equal(lookup(v), expected)
+    # The tile pipeline passes its own scratch and out buffers.
+    out = np.empty(v.shape, dtype=lookup.buckets.dtype)
+    assert lookup(v, np.empty_like(v), out) is out
+    assert np.array_equal(out, expected)
 
 
 def test_tables_built_once_per_plan_and_read_only():
     config = plan(*PLANS[0])
-    assert "_tables" not in vars(config)
+    sampler = config.sampler
+    assert "_tables" not in vars(config) and "_lookup" not in vars(sampler)
     sample_batch(config, SEED, 3)
-    tables = vars(config)["_tables"]
+    tables, lookup = vars(config)["_tables"], vars(sampler)["_lookup"]
     sample_batch(config, SEED, 3, start=5)
-    assert config._tables is tables
-    for arr in (tables.contraction.table, tables.edges, tables.buckets, tables.weighted):
+    design_sample_batch(sampler, np.zeros((2, sampler.family.k), dtype=np.int64))
+    assert config._tables is tables and sampler._lookup is lookup and tables.lookup is lookup
+    for arr in (tables.contraction.table, tables.weighted, tables.offsets, lookup.thresholds, lookup.buckets):
         assert not arr.flags.writeable
 
 
@@ -217,8 +228,9 @@ def test_chain_ends_batch_matches_sample(args):
 @pytest.mark.parametrize("args", PLANS)
 def test_sample_runs_no_pipeline_stage(args, monkeypatch):
     # sample() is the reference for sample_batch, so it must not share the
-    # contraction or the searchsorted atom lookup with it: with both broken
-    # it still gives the rows sample_batch gave before.
+    # contraction or the atom lookup with it: with both broken (and
+    # searchsorted, the lookup's fallback) it still gives the rows
+    # sample_batch gave before.
     config = _config(args)
     rows = _reference_batch(args)
 
@@ -226,6 +238,7 @@ def test_sample_runs_no_pipeline_stage(args, monkeypatch):
         raise AssertionError("pipeline stage called")
 
     monkeypatch.setattr(designs._Contraction, "__call__", broken)
+    monkeypatch.setattr(designs._AtomLookup, "__call__", broken)
     monkeypatch.setattr(np, "searchsorted", broken)
     for i in (0, 1, REF_ROWS - 1):
         assert _reference_row(config, SEED, i).tobytes() == rows[i].tobytes()
