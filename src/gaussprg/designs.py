@@ -690,55 +690,7 @@ class MomentReport:
         ]
 
 
-_PAIR_TABLE_CAP = 10**7  # cells of exhaustive mode's q x q int64 count table (80 MB)
 _UNIT = 25_000  # fixed Monte-Carlo work-unit size (samples per unit)
-
-
-def _shear_sum(table: np.ndarray, c: int) -> None:
-    """Convolve a (q, q) count table, in place, with the line {s*(1, c)}.
-
-    The result at (u, v) is the sum of the table along the line through
-    (u, v) with slope c, so it depends only on w = v - c*u: out[u, v] =
-    line[(v - c*u) % q] with line[w] = sum_u table[u, (w + c*u) % q].
-    Rows are shifted as two slices each, so no q*q index array is built.
-    """
-    q = table.shape[0]
-    line = np.zeros(q, dtype=np.int64)
-    for u in range(q):
-        o = c * u % q
-        line[: q - o] += table[u, o:]
-        line[q - o :] += table[u, :o]
-    for u in range(q):
-        o = c * u % q
-        table[u, o:] = line[: q - o]
-        table[u, :o] = line[q - o :]
-
-
-def _seed_space_counts(steps: np.ndarray, q: int) -> np.ndarray:
-    """Exact count table of sum_t s_t * steps[t] mod q over all q^k seeds.
-
-    ``steps`` has shape (k, m) with m = 1 or 2; for the family it is the
-    power table at m evaluation points, so entry (v0[, v1]) of the result,
-    shape (q,) * m, counts the seeds whose values there are v0[, v1]. The
-    law of a sum of independent uniform symbols is a cyclic convolution:
-    starting from a point mass at 0, symbol t spreads the table over the
-    line {s * steps[t] : s in F_q}. A step costs O(q^m), so the table costs
-    O(k q^m) time and one q^m array, against q^k seed values enumerated.
-    """
-    m = np.shape(steps)[1]
-    table = np.zeros((q,) * m, dtype=np.int64)
-    table[(0,) * m] = 1
-    for step in np.asarray(steps).tolist():
-        step = [int(a) % q for a in step]
-        axes = [d for d in range(m) if step[d]]
-        if not axes:
-            table *= q  # all q symbols land on the same cell
-        elif len(axes) == 1:
-            # the line runs along one axis: each cell gets that axis's sum
-            table[...] = table.sum(axis=axes[0], keepdims=True)
-        else:
-            _shear_sum(table, step[1] * pow(step[0], -1, q) % q)
-    return table
 
 
 def _tv_tolerance(sampler: DesignSampler, orders: tuple[int, ...]) -> float:
@@ -774,10 +726,11 @@ def verify_moments(
     """Compare per-coordinate and pairwise moments with Gaussian targets.
 
     Exhaustive mode reads the exact law of the design over all q^k seeds
-    (requires q^2 <= 10^7 and q^k < 2^63) and checks against the
-    TV-propagated bound. The law comes from count tables of the field
-    values built by convolution over the k seed symbols, O(k q) for a
-    coordinate and O(k q^2) for the pair. Monte-Carlo mode draws
+    from the thresholds and checks against the TV-propagated bound: each
+    coordinate's atom law is gaps / q and, for k >= 2, the pair's is the
+    outer product of gaps over q^2, since any one value of the family is
+    uniform on F_q and any two are uniform on F_q^2. It costs O(M^2) for
+    every q and k. Monte-Carlo mode draws
     ``n_samples`` seeds (at least 2) in 25,000-seed units, evaluates only
     coordinates 0 and 1 (about 32 bytes per sample at peak) and checks
     against that bound plus 4 standard errors. Only orders 1..max_order
@@ -799,28 +752,17 @@ def verify_moments(
     specs += [("cross (0,1)", o, target) for o, target in cross]
     stats: list[tuple[float, float]] = []
     if mode == "exhaustive":
-        space = sampler.q**k
-        if sampler.q**2 > _PAIR_TABLE_CAP or space >= 2**63:
-            raise ValueError(f"exhaustive mode needs q^2 <= 10^7 and q^k < 2^63, got q={sampler.q}, k={k}")
+        # Every coordinate has the one atom law gaps / q. A pair of values
+        # is uniform on F_q^2 for k >= 2, as the 2 x k Vandermonde matrix
+        # has rank 2. The gaps are float64: an int64 outer product
+        # overflows at plan-scale q.
         sym = sampler.is_symmetric
-        powers = _power_table(sampler.family)
-        atom_of = sampler._lookup(np.arange(sampler.q, dtype=np.int64))
-        for i in range(m):
-            counts = _seed_space_counts(powers[:, i : i + 1], sampler.q)
-            probs = np.bincount(atom_of, weights=counts, minlength=sampler.M) / space
-            stats += [(_paired_moment(nodes, probs, j, sym), 0.0) for j in orders]
+        stats += m * [(_paired_moment(nodes, sampler.atom_probs, j, sym), 0.0) for j in orders]
         if cross:
-            pair = _seed_space_counts(powers[:, :2], sampler.q)
-            # reduceat over the atoms with a non-empty interval only: an
-            # empty one would read the next atom's first row (or index q)
-            starts = np.concatenate(([0], sampler.thresholds[:-1]))
-            live = np.flatnonzero(sampler.thresholds > starts)
-            atom_pair = np.zeros((sampler.M, sampler.M))
-            atom_pair[np.ix_(live, live)] = np.add.reduceat(
-                np.add.reduceat(pair, starts[live], axis=0), starts[live], axis=1
-            ) / space
+            gaps = np.diff(sampler.thresholds, prepend=0).astype(np.float64)
+            atom_pair = np.outer(gaps, gaps) / float(sampler.q**2)
             stats += [(float(nodes ** o[0] @ atom_pair @ nodes ** o[1]), 0.0) for o, _ in cross]
-        n_evaluated = space
+        n_evaluated = sampler.q**k
     else:  # "mc"
         if n_samples < 2:
             raise ValueError(f"n_samples must be >= 2 for Monte-Carlo moments, got {n_samples}")

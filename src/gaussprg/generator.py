@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._bits import as_index, derive_key, philox_at, stream_words
-from .designs import _design_atoms, _reduce, _shift_in, _shift_steps
+from .designs import _MAX_QUAD_POINTS, _design_atoms, _reduce, _shift_in, _shift_steps
 from .designs import (
     DesignSampler,
     build_sampler,
@@ -124,15 +124,30 @@ class GeneratorConfig:
         return _PlanTables(self)
 
 
+def _design_size(d: int, k: int) -> tuple[int, int]:
+    """Design order 10*d*(3k+3) for degree d and exponent k, and the fewest
+    Gauss-Hermite points M with 2M-1 >= that order; raises where M is above
+    the rule's limit of 64 points."""
+    design_order = 10 * d * (3 * k + 3)
+    quad_points = (design_order + 2) // 2
+    if quad_points > _MAX_QUAD_POINTS:
+        raise ValueError(
+            f"(d, k) = ({d}, {k}) needs a {quad_points}-point Gauss-Hermite rule; the limit is {_MAX_QUAD_POINTS}"
+        )
+    return design_order, quad_points
+
+
 def plan(n: int, d: int, k: int, epsilon: float, ell_cap: int | None = None) -> GeneratorConfig:
     """Derive all generator parameters for (n, d, k, epsilon).
 
-    Raises if the chain length overflows without a cap or if the
-    statistical budget needs a modulus beyond 2^62.
+    Raises if the design needs more Gauss-Hermite points than the rule
+    has, if the chain length overflows without a cap or if the statistical
+    budget needs a modulus beyond 2^62.
     """
     _check_epsilon(epsilon)
     if d < 1 or k < 1 or n < 1:
         raise ValueError("need n, d, k >= 1")
+    design_order, quad_points = _design_size(d, k)
     if ell_cap is not None:
         ell_cap = as_index(ell_cap, "ell_cap")
     delta = epsilon ** (1.0 / 3.0)
@@ -148,8 +163,6 @@ def plan(n: int, d: int, k: int, epsilon: float, ell_cap: int | None = None) -> 
     ell = min(ell_formula, ell_cap) if ell_cap is not None else ell_formula
     if ell < 1:
         raise ValueError("ell_cap must be >= 1")
-    design_order = 10 * d * (3 * k + 3)
-    quad_points = (design_order + 2) // 2  # minimal M with 2M-1 >= order
     tv_budget = epsilon**k / (n * ell)
     sampler = build_sampler(quad_points, design_order, n, tv_budget)
     return GeneratorConfig(

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._bits import derive_key, subseed
 from .designs import _MAX_QUAD_POINTS, _UNIT, _check_mode, build_sampler, verify_moments
-from .generator import GeneratorConfig, _check_epsilon, config_to_json, plan, sample_batch
+from .generator import GeneratorConfig, _check_epsilon, _design_size, config_to_json, plan, sample_batch
 from .hermite import SparsePolynomial, derivative_moment_rhs, poly_from_json
 from .ptf import (
     PTF,
@@ -455,6 +455,11 @@ def _sorted_shells(shells: Sequence[float]) -> list[float]:
     return shells
 
 
+def _check_inner_scale(inner_scale: float) -> None:
+    if not 0 < inner_scale < math.inf:
+        raise ValueError(f"inner_scale must be a finite number > 0, got {inner_scale}")
+
+
 def check_prop4_1d(
     k: int,
     shells: Sequence[float] = (0.2, 0.1, 0.05),
@@ -473,8 +478,7 @@ def check_prop4_1d(
     if k < 1:
         raise ValueError("k must be >= 1")
     shells = _sorted_shells(shells)
-    if not 0 < inner_scale < math.inf:
-        raise ValueError(f"inner_scale must be a finite number > 0, got {inner_scale}")
+    _check_inner_scale(inner_scale)
     h = inner_scale * shells[0]
     grid = np.linspace(-h, h, fit_grid)
     A, B = np.meshgrid(grid, grid)
@@ -732,6 +736,7 @@ def _keyed(path: str, fn: Callable, *args, **kwargs):
 
 def _run_sample(spec: ExperimentSpec, cfg: dict) -> Report:
     _keyed("generator.epsilon", _check_epsilon, cfg["generator"]["epsilon"])
+    _keyed("generator.d and generator.k", _design_size, cfg["generator"]["d"], cfg["generator"]["k"])
     config = plan(**cfg["generator"])
     count = cfg["samples"]["count"]
     block = 4096
@@ -762,7 +767,11 @@ def _run_moments(spec: ExperimentSpec, cfg: dict) -> Report:
     _keyed("samples.mode", _check_mode, cfg["samples"]["mode"])
     # With M in range, every error of build_sampler is about the budget.
     sampler = _keyed("generator.tv_budget", build_sampler, **cfg["generator"])
-    report = verify_moments(sampler, **cfg["samples"], rng_seed=derive_key(spec.seed, "moments"))
+    # With the mode and max_order checked, every error of verify_moments is
+    # about the Monte-Carlo sample count.
+    report = _keyed(
+        "samples.n_samples", verify_moments, sampler, **cfg["samples"], rng_seed=derive_key(spec.seed, "moments")
+    )
     cols = ("scope", "orders", "empirical", "target", "tolerance", "passed")
     return Report("moments", cols, tuple(report.rows()), report.passed)
 
@@ -774,6 +783,8 @@ def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
     max_stderr = smp["max_gap_stderr"]
     for e in epsilons:
         _keyed("generator.epsilons", _check_epsilon, e)
+    if count:
+        _keyed("ensemble.degree and generator.k", _design_size, degree, gen["k"])
     configs = {e: plan(num_vars, degree, gen["k"], e, gen["ell_cap"]) for e in epsilons} if count else {}
 
     def unit(idx: int) -> dict:
@@ -849,6 +860,7 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
 
 def _run_prop4(spec: ExperimentSpec, cfg: dict) -> Report:
     _keyed("samples.shells", _sorted_shells, cfg["samples"]["shells"])
+    _keyed("samples.inner_scale", _check_inner_scale, cfg["samples"]["inner_scale"])
     return check_prop4_1d(**cfg["samples"])
 
 

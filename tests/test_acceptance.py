@@ -71,12 +71,12 @@ def test_02_kwise_uniformity():
 def test_03_design_moments_enumeration():
     t0 = time.monotonic()
     ok = True
-    # exhaustive branch: q = 53, seed space 53^4 < 10^7
+    # exhaustive branch: the exact law over all 53^4 seeds, in closed form
     s_small = build_sampler(3, 4, 2, tv_budget=0.06)
     assert s_small.q == 53 and s_small.q**4 <= 10**7
     rep_ex = verify_moments(s_small, max_order=4, mode="exhaustive")
     ok &= rep_ex.passed
-    # infeasible exhaustive at q = 211: fall back to 10^6 Monte Carlo
+    # Monte-Carlo branch at q = 211: 10^6 drawn seeds
     s_big = build_sampler(3, 4, 2, tv_budget=3 / 211)
     assert s_big.q == 211 and s_big.q**4 > 10**7
     rep_mc = verify_moments(s_big, max_order=4, mode="mc", n_samples=10**6, rng_seed=3)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -440,6 +441,10 @@ class TestArgumentErrors:
             (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06},
                            "samples": {"mode": "bogus"}}, "samples.mode"),
             (["check", "prop4"], {"samples": {"k": 2, "shells": [0.7]}}, "samples.shells"),
+            (["check", "prop4"], {"samples": {"k": 2, "inner_scale": 0}}, "samples.inner_scale"),
+            (["check", "prop4"], {"samples": {"k": 2, "inner_scale": math.inf}}, "samples.inner_scale"),
+            (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06},
+                           "samples": {"mode": "mc", "n_samples": 1}}, "config samples.n_samples: n_samples"),
         ],
     )
     def test_config_key_rejected(self, tmp_path, capsys, command, config, key):
@@ -449,6 +454,26 @@ class TestArgumentErrors:
         line = self._rejects(command + ["--config", str(cfg)] + out, capsys, tmp_path)
         assert key in line
         assert not (tmp_path / "out.jsonl.spec.json").exists()
+
+    # A degree-2 design at k = 2 has order 180, which needs 91 Gauss-Hermite
+    # points; the rule has at most 64.
+    @pytest.mark.parametrize(
+        "command, config, keys",
+        [
+            (["fool"], {"ensemble": {"count": 1, "num_vars": 3, "degree": 2},
+                        "generator": {"k": 2, "epsilons": [0.4], "ell_cap": 20},
+                        "samples": {"n_gen": 20000, "n_baseline": 20000}}, "ensemble.degree and generator.k"),
+            (["sample"], {"generator": {**GEN, "d": 2, "k": 2}, "samples": {"count": 5}},
+             "generator.d and generator.k"),
+            (["plan"], {**GEN, "d": 2, "k": 2}, "(d, k) = (2, 2)"),
+        ],
+    )
+    def test_design_beyond_quadrature(self, tmp_path, capsys, command, config, keys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        out = [] if command == ["plan"] else ["--out", str(tmp_path / "out.jsonl")]
+        line = self._rejects(command + ["--config", str(cfg)] + out, capsys, tmp_path)
+        assert keys in line and "needs a 91-point Gauss-Hermite rule; the limit is 64" in line
 
     @pytest.mark.parametrize(
         "poly",

@@ -14,7 +14,6 @@ from gaussprg.designs import (
     KWiseFamily,
     _he_values,
     _power_table,
-    _seed_space_counts,
     _tv_tolerance,
     build_sampler,
     design_sample,
@@ -469,16 +468,6 @@ def _enumerated_tables(family: KWiseFamily):
     return np.bincount(v0, minlength=q), np.bincount(v1, minlength=q), pair
 
 
-def _line_sums(steps, q: int) -> np.ndarray:
-    """Count table of sum_t s_t * steps[t] by direct sums over each line."""
-    m = len(steps[0])
-    table = np.zeros((q,) * m, dtype=np.int64)
-    table[(0,) * m] = 1
-    for step in steps:
-        table = sum(np.roll(table, [s * a for a in step], axis=tuple(range(m))) for s in range(q))
-    return table
-
-
 def _small_families():
     """Every (q <= 13, k <= 4) family with q^k <= 3*10^5 at point pairs that
     include 0 and q - 1."""
@@ -491,36 +480,32 @@ def _small_families():
 
 
 class TestSeedSpaceCounts:
+    # Exhaustive moments read the design's law from the thresholds alone:
+    # every value of the family is uniform on F_q and, for k >= 2, every
+    # pair of values is uniform on F_q^2. Enumerating the q^k seeds checks
+    # that identity.
+    @staticmethod
+    def _assert_uniform(family):
+        q, k = family.q, family.k
+        counts0, counts1, pair = _enumerated_tables(family)
+        assert np.all(counts0 == q ** (k - 1)) and np.all(counts1 == q ** (k - 1))
+        if k >= 2:
+            assert np.all(pair == q ** (k - 2))
+        else:
+            # a constant polynomial: both points read the seed
+            assert np.array_equal(pair, np.eye(q, dtype=np.int64))
+
     @pytest.mark.parametrize(
         "family", list(_small_families()), ids=lambda f: f"q{f.q}-k{f.k}-{f.eval_points.tolist()}"
     )
     def test_matches_enumeration(self, family):
-        counts0, counts1, pair = _enumerated_tables(family)
-        powers = _power_table(family)
-        assert np.array_equal(_seed_space_counts(powers[:, :1], family.q), counts0)
-        assert np.array_equal(_seed_space_counts(powers[:, 1:], family.q), counts1)
-        assert np.array_equal(_seed_space_counts(powers, family.q), pair)
+        self._assert_uniform(family)
 
     def test_q53_k4_pair_table(self):
+        # the checks-gauss exhaustive sampler
         family = build_sampler(3, 4, 2, tv_budget=0.06).family
         assert family.q == 53 and family.k == 4
-        counts0, counts1, pair = _enumerated_tables(family)
-        got = _seed_space_counts(_power_table(family), 53)
-        assert got.dtype == np.int64 and got.sum() == 53**4
-        assert np.array_equal(got, pair)
-        assert np.array_equal(_seed_space_counts(_power_table(family)[:, :1], 53), counts0)
-
-    @pytest.mark.parametrize("q", [2, 3, 5, 7])
-    def test_random_steps_match_line_sums(self, q):
-        # steps with many zero entries hit every branch: both zero, one
-        # zero (either axis) and a shear
-        rng = np.random.default_rng(q)
-        for _ in range(50):
-            k = int(rng.integers(1, 5))
-            m = int(rng.integers(1, 3))
-            steps = rng.integers(0, q, size=(k, m)) * (rng.random((k, m)) < 0.6)
-            want = _line_sums(steps.tolist(), q)
-            assert np.array_equal(_seed_space_counts(steps, q), want), steps.tolist()
+        self._assert_uniform(family)
 
 
 class TestVerifyMoments:
@@ -560,19 +545,22 @@ class TestVerifyMoments:
         assert report.passed
 
     def test_exhaustive_cap(self):
-        # The cost is O(k q^2): q^2 <= 10^7 bounds the pair table, and
-        # q^k < 2^63 keeps the int64 counts exact. q^k itself is not capped.
+        # Exhaustive mode has no cap on q or k: its cost is O(M^2).
         s = build_sampler(3, 4, 2, tv_budget=0.01)
-        assert s.q == 307  # q^k = 8.9e9
+        assert s.q == 307
         report = verify_moments(s, 4, mode="exhaustive")
         assert report.n_evaluated == 307**4 and report.passed
-        assert verify_moments(build_sampler(3, 8, 2, 3 / 211), 4).n_evaluated == 211**8
-        with pytest.raises(ValueError, match="q\\^k < 2\\^63"):
-            verify_moments(build_sampler(3, 9, 2, 3 / 211), 4)  # 211^9 > 2^63
+        for k in (8, 9):  # 211^9 > 2^63
+            report = verify_moments(build_sampler(3, k, 2, 3 / 211), 4)
+            assert report.n_evaluated == 211**k and report.passed
         s = build_sampler(3, 2, 2, tv_budget=3 / 3200)
-        assert s.q**2 > 10**7
-        with pytest.raises(ValueError, match="q\\^2 <= 10\\^7"):
-            verify_moments(s, 4)
+        assert s.q == 3203
+        assert verify_moments(s, 4).passed
+        # the acceptance plans, up to q = 4.9e14 at K = 120
+        for args in [(8, 1, 2, 0.25, 200), (8, 1, 2, 0.2, 200), (4, 1, 3, 0.01, 2), (4, 1, 3, 1e-4, 2)]:
+            s = plan(*args).sampler
+            report = verify_moments(s, 8)
+            assert report.n_evaluated == s.q**s.family.k and report.passed
 
     def test_mc_mode(self):
         s = build_sampler(3, 4, 2, tv_budget=3 / 211)

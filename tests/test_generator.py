@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gaussprg import generator
 from gaussprg._bits import derive_key, stream_bytes
 from gaussprg.designs import seed_bits
 from gaussprg.generator import (
@@ -53,6 +54,14 @@ class TestPlan:
             plan(4, 1, 2, 1e-120)  # ell astronomically large, no cap
         with pytest.raises(ValueError):
             plan(4, 1, 2, 0.25, ell_cap="50")
+
+    @pytest.mark.parametrize("d, k, points", [(2, 2, 91), (1, 4, 76)])
+    def test_design_beyond_quadrature(self, monkeypatch, d, k, points):
+        # Rejected before any sampler is built.
+        monkeypatch.setattr(generator, "build_sampler", None)
+        message = rf"^\(d, k\) = \({d}, {k}\) needs a {points}-point Gauss-Hermite rule; the limit is 64$"
+        with pytest.raises(ValueError, match=message):
+            plan(4, d, k, 0.4, ell_cap=5)
 
 
 class TestBlendWeights:

@@ -288,8 +288,8 @@ class TestRunExperiment:
         assert header == "scope,orders,empirical,target,tolerance,passed"
 
     # SHA-256 of the moments CSV followed by its .spec.json sidecar. The
-    # exhaustive run reads the exact seed-space law at q = 53 (53^4 seeds);
-    # the Monte-Carlo run draws 200,000 seeds at q = 211.
+    # exhaustive run reads the exact law over all 53^4 seeds at q = 53 from
+    # the thresholds; the Monte-Carlo run draws 200,000 seeds at q = 211.
     MOMENTS_GOLDEN = {
         "exhaustive": (
             {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06},
