@@ -539,18 +539,22 @@ class DesignSampler:
         return self.M / self.q
 
     @property
+    def gaps(self) -> np.ndarray:
+        """Seed values per atom (int64): atom c takes [thresholds[c-1], thresholds[c])."""
+        return np.diff(self.thresholds, prepend=0)
+
+    @property
     def exact_tv(self) -> float:
         """Realized per-coordinate statistical distance to the atom law."""
-        gaps = np.diff(np.concatenate(([0], self.thresholds)))
-        return 0.5 * float(np.abs(gaps / self.q - self.quadrature.weights).sum())
+        return 0.5 * float(np.abs(self.gaps / self.q - self.quadrature.weights).sum())
 
     @property
     def atom_probs(self) -> np.ndarray:
-        return np.diff(np.concatenate(([0], self.thresholds))) / self.q
+        return self.gaps / self.q
 
     @property
     def is_symmetric(self) -> bool:
-        gaps = np.diff(np.concatenate(([0], self.thresholds)))
+        gaps = self.gaps
         return bool(np.array_equal(gaps, gaps[::-1]))
 
     @property
@@ -585,7 +589,7 @@ def build_sampler(M: int, K: int, n: int, tv_budget: float) -> DesignSampler:
     q is the smallest prime >= max(n+1, ceil(M/tv_budget)), so that
     tv_bound = M/q <= tv_budget while all n evaluation points stay distinct.
     """
-    if tv_budget <= 0:
+    if not tv_budget > 0:
         raise ValueError("tv_budget must be positive")
     lo = max(n + 1, math.ceil(M / tv_budget))
     q = next_prime(lo) if lo <= _MAX_PRIME else lo
@@ -759,7 +763,7 @@ def verify_moments(
         sym = sampler.is_symmetric
         stats += m * [(_paired_moment(nodes, sampler.atom_probs, j, sym), 0.0) for j in orders]
         if cross:
-            gaps = np.diff(sampler.thresholds, prepend=0).astype(np.float64)
+            gaps = sampler.gaps.astype(np.float64)
             atom_pair = np.outer(gaps, gaps) / float(sampler.q**2)
             stats += [(float(nodes ** o[0] @ atom_pair @ nodes ** o[1]), 0.0) for o, _ in cross]
         n_evaluated = sampler.q**k

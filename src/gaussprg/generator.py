@@ -18,7 +18,6 @@ design order 10*d*(3k+3), per-design statistical budget eps^k/(n*ell).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -118,11 +117,6 @@ class GeneratorConfig:
         per = seed_bits(self.sampler)
         return [i * per for i in range(self.ell)]
 
-    @functools.cached_property
-    def _tables(self) -> _PlanTables:
-        """Read-only tables of :func:`sample_batch`, built on its first call."""
-        return _PlanTables(self)
-
 
 def _design_size(d: int, k: int) -> tuple[int, int]:
     """Design order 10*d*(3k+3) for degree d and exponent k, and the fewest
@@ -140,11 +134,13 @@ def _design_size(d: int, k: int) -> tuple[int, int]:
 def plan(n: int, d: int, k: int, epsilon: float, ell_cap: int | None = None) -> GeneratorConfig:
     """Derive all generator parameters for (n, d, k, epsilon).
 
-    Raises if the design needs more Gauss-Hermite points than the rule
-    has, if the chain length overflows without a cap or if the statistical
-    budget needs a modulus beyond 2^62.
+    Raises ValueError if n, d or k is not an integer >= 1, if the design
+    needs more Gauss-Hermite points than the rule has, if the chain length
+    overflows without a cap or if the statistical budget needs a modulus
+    beyond 2^62.
     """
     _check_epsilon(epsilon)
+    n, d, k = as_index(n, "n"), as_index(d, "d"), as_index(k, "k")
     if d < 1 or k < 1 or n < 1:
         raise ValueError("need n, d, k >= 1")
     design_order, quad_points = _design_size(d, k)
@@ -241,71 +237,54 @@ _TILE_BYTES = 2**18
 _WINDOW_BITS = 57
 
 
-class _PlanTables:
-    """Immutable tables of :func:`sample_batch` for one plan.
+class _TilePipeline:
+    """Tables and tile buffers of one :func:`sample_batch` call.
 
-    Built on a plan's first ``sample_batch`` call and kept on its
-    :class:`GeneratorConfig`. Every array is read-only, so all calls and
-    threads share them.
+    Each tile runs Philox words -> B-bit blocks -> mod q -> k-wise
+    contraction -> mod q -> atom lookup -> weighted-node gather ->
+    chain-order blend. Blocks are read from unaligned big-endian 8-byte
+    windows of the tile's bytes. The contraction is the family's
+    ``designs._Contraction`` and the lookup the sampler's
+    ``DesignSampler._lookup``; both are cached on their owners. The rest
+    is built here:
 
     - ``fields``: where each block's bit fields sit in a row's bytes.
-    - ``contraction``: the family's k-wise contraction; ``table`` its limb table.
-    - ``lookup``: the sampler's atom lookup (``DesignSampler._lookup``).
     - ``weighted``: ``w[i] * node`` of atom c at ``i*M + c``, the term that
       the chain-order blend adds for design i; ``offsets`` holds ``i*M``.
+
+    The stages write into buffers allocated once per call. Only the Philox
+    words and the window gather are new arrays in each tile, and they are
+    the same size every time, so the allocator hands back the same memory
+    instead of mapping fresh pages.
     """
 
-    def __init__(self, config: GeneratorConfig):
+    def __init__(self, config: GeneratorConfig, nwords: int, rows: int):
         sampler = config.sampler
         fam = sampler.family
         q, K, n, ell = fam.q, fam.k, fam.n, config.ell
-        self.ell, self.K, self.n = ell, K, n
+        self.ell, self.K, self.nwords = ell, K, nwords
         B = sampler.block_bits
         starts = np.arange(ell * K, dtype=np.int64) * B
+
+        def field(pos: int, width: int):
+            bits = starts + pos
+            return bits >> 3, (bits & 7).astype(np.uint64), np.uint64(64 - width)
+
         # A block is its top min(B, 57) bits, reduced mod q, then for
         # B > 57 the remaining bits in chunks small enough that
         # (r << width) + chunk stays below 2^64 for any r < q, so each
         # chunk is shifted in with one reduction.
         head = min(B, _WINDOW_BITS)
         step = min(_WINDOW_BITS, 64 - (q - 1).bit_length())
-        self.fields = [self._field_spec(starts, 0, head)]
+        self.fields = [field(0, head)]
         for pos in range(head, B, step):
             width = min(step, B - pos)
-            spec = self._field_spec(starts, pos, width)
-            self.fields.append(spec + (_shift_steps(q, width, 2**width - 1),))
-
+            self.fields.append(field(pos, width) + (_shift_steps(q, width, 2**width - 1),))
         self.contraction = fam._contraction
         self.lookup = sampler._lookup
         w = blend_weights(config.delta, ell).w
         self.weighted = (w[:, None] * sampler.quadrature.nodes).ravel()
         self.offsets = np.arange(ell)[:, None, None] * sampler.M
-        field_arrays = [arr for spec in self.fields for arr in spec[:2]]
-        for arr in [self.weighted, self.offsets, *field_arrays]:
-            arr.setflags(write=False)
-
-    @staticmethod
-    def _field_spec(starts: np.ndarray, pos: int, width: int):
-        bits = starts + pos
-        return bits >> 3, (bits & 7).astype(np.uint64), np.uint64(64 - width)
-
-
-class _TilePipeline:
-    """Tile buffers of one :func:`sample_batch` call.
-
-    Each tile runs Philox words -> B-bit blocks -> mod q -> k-wise
-    contraction -> mod q -> atom lookup -> weighted-node gather ->
-    chain-order blend, reading the plan's :class:`_PlanTables`. Blocks are
-    read from unaligned big-endian 8-byte windows of the tile's bytes.
-    The contraction is the family's ``designs._Contraction``. The stages
-    write into buffers allocated once per call. Only the Philox words and
-    the window gather are new arrays in each tile, and they are the same
-    size every time, so the allocator hands back the same memory instead
-    of mapping fresh pages.
-    """
-
-    def __init__(self, tables: _PlanTables, nwords: int, rows: int):
-        t = self.t = tables
-        self.nwords = nwords
         # One zero word after each row backs windows that start in the
         # row's last 7 bytes.
         self.words = np.zeros((rows, nwords + 1), dtype=np.uint64)
@@ -314,17 +293,17 @@ class _TilePipeline:
         self.windows = np.ndarray(
             (rows, stride - 7), dtype=">u8", buffer=self.words, strides=(stride, 1)
         )
-        shape = (rows, t.ell * t.K)
+        shape = (rows, ell * K)
         self.blocks = np.empty(shape, dtype=np.uint64)
         self.quot = np.empty(shape, dtype=np.uint64)
-        if len(t.fields) > 1:
+        if len(self.fields) > 1:
             self.chunk = np.empty(shape, dtype=np.uint64)
-        m, n = rows * t.ell, t.n
-        self.contraction_buffers = t.contraction.buffers(m)
+        m = rows * ell
+        self.contraction_buffers = self.contraction.buffers(m)
         # Lookup and gather buffers, design-major (ell, rows, n). They are
         # flat so that every tile's prefix is contiguous.
         self.bucket = np.empty(m * n, dtype=np.int64)
-        self.atom = np.empty(m * n, dtype=t.lookup.buckets.dtype)
+        self.atom = np.empty(m * n, dtype=self.lookup.buckets.dtype)
         self.idx = np.empty(m * n, dtype=np.intp)
         self.terms = np.empty(m * n)
 
@@ -335,25 +314,24 @@ class _TilePipeline:
 
     def _symbols(self, rows: int) -> np.ndarray:
         """Blocks mod q, shape (rows * ell, K)."""
-        fields, q = self.t.fields, self.t.contraction.q
+        fields, q = self.fields, self.contraction.q
         quot = self.quot[:rows]
         blocks = self._field(rows, fields[0], self.blocks[:rows])
         _reduce(blocks, q, quot)
         for spec in fields[1:]:
             _shift_in(blocks, spec[3], self._field(rows, spec, self.chunk[:rows]), q, quot)
-        return blocks.view(np.int64).reshape(rows * self.t.ell, self.t.K)
+        return blocks.view(np.int64).reshape(rows * self.ell, self.K)
 
     def run(self, words: np.ndarray, out: np.ndarray) -> None:
-        t = self.t
         rows, n = out.shape
         self.words.view(">u8")[:rows, : self.nwords] = words
-        v = t.contraction(self._symbols(rows), self.contraction_buffers).view(np.int64)
+        v = self.contraction(self._symbols(rows), self.contraction_buffers).view(np.int64)
         # Design-major views, so the blend adds contiguous (rows, n) terms.
-        v = v.reshape(rows, t.ell, n).transpose(1, 0, 2)
+        v = v.reshape(rows, self.ell, n).transpose(1, 0, 2)
         shape, size = v.shape, v.size
-        atom = t.lookup(v, self.bucket[:size].reshape(shape), self.atom[:size].reshape(shape))
-        idx = np.add(atom, t.offsets, out=self.idx[:size].reshape(shape))
-        terms = np.take(t.weighted, idx, out=self.terms[:size].reshape(shape))
+        atom = self.lookup(v, self.bucket[:size].reshape(shape), self.atom[:size].reshape(shape))
+        idx = np.add(atom, self.offsets, out=self.idx[:size].reshape(shape))
+        terms = np.take(self.weighted, idx, out=self.terms[:size].reshape(shape))
         # Chain order from 0.0, as sample() adds them.
         np.add(terms[0], 0.0, out=out)
         for term in terms[1:]:
@@ -377,7 +355,7 @@ def sample_batch(
     out = np.empty((count, config.n))
     nwords = -(-total_seed_bits(config) // 64)
     rows = max(1, min(count, _TILE_BYTES // (8 * nwords)))
-    pipe = _TilePipeline(config._tables, nwords, rows)
+    pipe = _TilePipeline(config, nwords, rows)
     # Tiles read consecutive indices, so one bit generator serves them all.
     bitgen = philox_at(key, start, nwords)
     for lo in range(0, count, rows):

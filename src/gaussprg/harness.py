@@ -373,6 +373,8 @@ def check_derivative_identity(
     exact falling-factorial value from the Hermite decomposition."""
     if isinstance(ells, int):
         ells = [ells]
+    if any(ell < 0 for ell in ells):
+        raise ValueError(f"ells must be >= 0, got {list(ells)}")
     n = p.num_vars
     rows = []
     ok = True
@@ -449,9 +451,13 @@ def _square_shell(r: float, m: int) -> np.ndarray:
 
 
 def _sorted_shells(shells: Sequence[float]) -> list[float]:
+    """The radii in increasing order: each in (0, 0.5), at least two distinct
+    ones, as the log-log slope needs two points."""
     shells = sorted(float(r) for r in shells)
-    if not shells or shells[0] <= 0 or shells[-1] >= 0.5:
+    if not all(0 < r < 0.5 for r in shells):
         raise ValueError("shell radii must lie in (0, 0.5)")
+    if len(set(shells)) < 2:
+        raise ValueError(f"need at least two distinct shell radii, got {shells}")
     return shells
 
 
@@ -675,14 +681,20 @@ def _samples_key(kind: str) -> str | None:
 
 def _typed(path: str, value, typ, lowest):
     """``value`` of the config key ``path`` as a ``typ`` of at least ``lowest``. No number
-    is read from a bool or a string, and no integer from a non-integral number."""
+    is read from a bool or a string, no integer from a non-integral number, and no
+    float is NaN or infinite."""
     if isinstance(typ, list):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"config {path} must be a list, got {type(value).__name__}")
         return [_typed(path, v, typ[0], lowest) for v in value]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if typ is float and number:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"config {path} must be a finite number, got {value!r}")
     elif typ in (int, _COUNT) and number and (isinstance(value, int) or value.is_integer()):
         value = int(value)
     elif typ in (str, dict) and isinstance(value, typ):

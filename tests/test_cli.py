@@ -445,6 +445,26 @@ class TestArgumentErrors:
             (["check", "prop4"], {"samples": {"k": 2, "inner_scale": math.inf}}, "samples.inner_scale"),
             (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06},
                            "samples": {"mode": "mc", "n_samples": 1}}, "config samples.n_samples: n_samples"),
+            # numbers that are not finite: json reads NaN and Infinity
+            (["check", "tail"], {"ensemble": {"count": 1}, "samples": {"N_list": [math.nan], "n_samples": 100}},
+             "config samples.N_list must be a finite number"),
+            (["check", "cw"], {"ensemble": {"count": 1},
+                               "samples": {"epsilons": [0.1], "n_samples": 100, "const": math.inf}},
+             "config samples.const must be a finite number"),
+            (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": math.nan}},
+             "config generator.tv_budget must be a finite number"),
+            (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": math.inf}},
+             "config generator.tv_budget must be a finite number"),
+            (["check", "prop4"], {"samples": {"k": 2, "shells": [math.nan, 0.1]}},
+             "config samples.shells must be a finite number"),
+            (["check", "cw"], {"ensemble": {"count": 1},
+                               "samples": {"epsilons": [0.1], "n_samples": 100, "const": 10**400}},
+             "config samples.const must be a finite number"),
+            # a log-log slope needs two distinct radii
+            (["check", "prop4"], {"samples": {"k": 2, "shells": [0.1]}},
+             "config samples.shells: need at least two distinct shell radii"),
+            (["check", "prop4"], {"samples": {"k": 2, "shells": [0.1, 0.1]}},
+             "config samples.shells: need at least two distinct shell radii"),
         ],
     )
     def test_config_key_rejected(self, tmp_path, capsys, command, config, key):

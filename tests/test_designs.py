@@ -336,6 +336,18 @@ class TestBuildSampler:
         with pytest.raises(ValueError):
             build_sampler(4, 2, 2, tv_budget=1e-19)
 
+    def test_budget_nan(self):
+        # NaN failed "<= 0" and reached math.ceil, which named no argument.
+        with pytest.raises(ValueError, match="^tv_budget must be positive$"):
+            build_sampler(3, 4, 2, tv_budget=math.nan)
+
+    def test_gaps(self):
+        s = build_sampler(3, 4, 2, tv_budget=0.06)
+        assert s.gaps.dtype == np.int64
+        assert s.gaps.tolist() == [int(b - a) for a, b in zip([0, *s.thresholds.tolist()], s.thresholds.tolist())]
+        assert s.gaps.sum() == s.q
+        assert np.array_equal(s.atom_probs, s.gaps / s.q)
+
     def test_json_fields(self):
         s = build_sampler(3, 4, 2, tv_budget=0.06)
         obj = json.loads(sampler_to_json(s))

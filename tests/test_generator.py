@@ -55,6 +55,16 @@ class TestPlan:
         with pytest.raises(ValueError):
             plan(4, 1, 2, 0.25, ell_cap="50")
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [((2, 1.5, 1, 0.5, 3), "d"), ((2, 1, 1.5, 0.5, 3), "k"), (("2", 1, 1, 0.5, 3), "n"),
+         ((2.0, 1, 1, 0.5, 3), "n")],
+    )
+    def test_non_integer_n_d_k(self, args, name):
+        # 1.5 and "2" raised TypeError; 2.0 was accepted as a float n.
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            plan(*args)
+
     @pytest.mark.parametrize("d, k, points", [(2, 2, 91), (1, 4, 76)])
     def test_design_beyond_quadrature(self, monkeypatch, d, k, points):
         # Rejected before any sampler is built.

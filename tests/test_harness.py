@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,12 @@ class TestDerivativeIdentity:
         assert row["exact"] == pytest.approx(1.25, rel=1e-12)
         assert row["rel_error"] <= 0.05
 
+    def test_negative_ell(self):
+        # Was "repeat argument cannot be negative" from itertools.product.
+        p = SparsePolynomial(1, {(2,): 1.0})
+        with pytest.raises(ValueError, match=r"^ells must be >= 0, got \[-1\]$"):
+            check_derivative_identity(p, [-1], 100)
+
     def test_beyond_degree_both_zero(self):
         p = SparsePolynomial(1, {(1,): 1.0})
         rep = check_derivative_identity(p, [2], 10_000, master_seed="23")
@@ -185,8 +192,18 @@ class TestProp4:
     def test_shell_validation(self):
         with pytest.raises(ValueError):
             check_prop4_1d(3, shells=(0.6,))
+        with pytest.raises(ValueError, match=r"must lie in \(0, 0.5\)"):
+            check_prop4_1d(3, shells=(math.nan, 0.1))
         with pytest.raises(ValueError):
             check_prop4_1d(0)
+
+    @pytest.mark.parametrize("shells", [(0.1,), (0.1, 0.1), (0.05, 0.05, 0.05)])
+    def test_one_distinct_shell(self, shells):
+        # One radius gave a polyfit RankWarning and a meaningless slope.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="two distinct shell radii"):
+                check_prop4_1d(3, shells=shells)
 
     @pytest.mark.parametrize("inner_scale", [0, 0.0, -1, -1e-300, math.nan, math.inf])
     def test_inner_scale_not_positive(self, inner_scale):

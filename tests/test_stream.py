@@ -136,19 +136,19 @@ def test_bucket_lookup_matches_searchsorted(args):
 
 def test_tables_built_once_per_plan_and_read_only():
     config = plan(*PLANS[0])
-    sampler = config.sampler
-    assert "_tables" not in vars(config) and "_lookup" not in vars(sampler)
+    sampler, family = config.sampler, config.sampler.family
+    assert "_contraction" not in vars(family) and "_lookup" not in vars(sampler)
     sample_batch(config, SEED, 3)
-    tables, lookup = vars(config)["_tables"], vars(sampler)["_lookup"]
+    contraction, lookup = vars(family)["_contraction"], vars(sampler)["_lookup"]
     sample_batch(config, SEED, 3, start=5)
-    design_sample_batch(sampler, np.zeros((2, sampler.family.k), dtype=np.int64))
-    assert config._tables is tables and sampler._lookup is lookup and tables.lookup is lookup
-    for arr in (tables.contraction.table, tables.weighted, tables.offsets, lookup.thresholds, lookup.buckets):
+    design_sample_batch(sampler, np.zeros((2, family.k), dtype=np.int64))
+    assert family._contraction is contraction and sampler._lookup is lookup
+    for arr in (contraction.table, lookup.thresholds, lookup.buckets):
         assert not arr.flags.writeable
 
 
 def test_threads_build_tables_concurrently():
-    # Fresh plans, so several threads build the tables at once.
+    # Fresh plans, so several threads build the contraction and lookup at once.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -263,7 +263,7 @@ def _horner(q: int, points, row) -> list[int]:
 def _check_contraction(q: int, K: int, points, symbols) -> None:
     # Every batch also carries the all-(q-1) row, the largest dot products.
     rows = [[q - 1] * K] + [list(r) for r in symbols]
-    # The family's contraction is the one _PlanTables.contraction holds.
+    # The family's contraction is the one the tile pipeline runs.
     contract = KWiseFamily(q, K, len(points), np.array(points, dtype=np.int64))._contraction
     got = contract(np.array(rows, dtype=np.uint64).view(np.int64), contract.buffers(len(rows)))
     assert [[int(v) for v in row] for row in got] == [_horner(q, points, r) for r in rows]
