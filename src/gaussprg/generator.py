@@ -35,7 +35,6 @@ from .designs import (
 )
 
 __all__ = [
-    "BlendWeights",
     "GeneratorConfig",
     "blend_weights",
     "plan",
@@ -49,25 +48,14 @@ __all__ = [
 _MAX_ELL = 2**62
 
 
-@dataclass(frozen=True)
-class BlendWeights:
-    """Unit-norm geometric blend weights: w_i ∝ (1-eps^2)^((i-1)/2)."""
-
-    epsilon: float
-    ell: int
-    w: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=np.float64))
-
-
 def _check_epsilon(epsilon: float) -> None:
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
 
 
-def blend_weights(epsilon: float, ell: int) -> BlendWeights:
-    """Normalized averaging weights; sum of squares is exactly 1.
+def blend_weights(epsilon: float, ell: int) -> np.ndarray:
+    """Unit-norm geometric blend weights w_i ∝ (1-eps^2)^((i-1)/2), as a
+    float64 array of length ell; sum of squares is exactly 1.
 
     Built by cumulative products so consecutive ratios equal
     sqrt(1 - eps^2) to the last ulp.
@@ -78,7 +66,7 @@ def blend_weights(epsilon: float, ell: int) -> BlendWeights:
     beta = math.sqrt(1.0 - epsilon * epsilon)
     raw = np.cumprod(np.concatenate(([1.0], np.full(ell - 1, beta))))
     z = math.sqrt(float(np.sum(raw * raw)))
-    return BlendWeights(epsilon, ell, raw / z)
+    return raw / z
 
 
 @dataclass(frozen=True)
@@ -110,12 +98,6 @@ class GeneratorConfig:
     @property
     def block_bits(self) -> int:
         return self.sampler.block_bits
-
-    @property
-    def design_offsets(self) -> list[int]:
-        """Bit offset of each design's seed range in the master stream."""
-        per = seed_bits(self.sampler)
-        return [i * per for i in range(self.ell)]
 
 
 def _design_size(d: int, k: int) -> tuple[int, int]:
@@ -218,7 +200,7 @@ def sample(config: GeneratorConfig, seed_bits_data: bytes) -> np.ndarray:
     points = sampler.family.eval_points.tolist()
     thresholds = sampler.thresholds.tolist()
     nodes = sampler.quadrature.nodes.tolist()
-    w = blend_weights(config.delta, config.ell).w.tolist()
+    w = blend_weights(config.delta, config.ell).tolist()
     out = [0.0] * config.n
     for i in range(config.ell):
         for j, atom in enumerate(_design_atoms(symbols[i * K : (i + 1) * K], points, thresholds, q)):
@@ -232,6 +214,15 @@ def sample(config: GeneratorConfig, seed_bits_data: bytes) -> np.ndarray:
 # plan(8,1,2,0.25,200)). Tiles cut the rows anywhere: a row's bytes depend
 # only on its own stream index.
 _TILE_BYTES = 2**18
+# Output terms (rows * ell * n) per tile, or one row where a row has more.
+# The lookup, gather and blend buffers hold this many values, and the
+# contraction's output this many per limb. At large n the byte rule alone
+# gives tiles of millions of terms: at plan(20000,1,2,0.25,200) a 60-row
+# call peaked at 713 MiB with 24 rows per tile and at 269 MiB with one.
+# In a sweep at plan(n,1,2,0.25,200), 2^16 kept the byte rule's speed at
+# n = 200 (15 rows against 29), where 2^14 lost a quarter of it. It does
+# not bind at n <= 8.
+_TILE_TERMS = 2**16
 # Widest field that one unaligned 8-byte window holds at any bit phase:
 # a field starting at bit 7 of its first byte must end by bit 64.
 _WINDOW_BITS = 57
@@ -282,7 +273,7 @@ class _TilePipeline:
             self.fields.append(field(pos, width) + (_shift_steps(q, width, 2**width - 1),))
         self.contraction = fam._contraction
         self.lookup = sampler._lookup
-        w = blend_weights(config.delta, ell).w
+        w = blend_weights(config.delta, ell)
         self.weighted = (w[:, None] * sampler.quadrature.nodes).ravel()
         self.offsets = np.arange(ell)[:, None, None] * sampler.M
         # One zero word after each row backs windows that start in the
@@ -354,7 +345,7 @@ def sample_batch(
     key = derive_key(master_seed, "generator", config.n, config.d, config.k, config.epsilon, config.ell)
     out = np.empty((count, config.n))
     nwords = -(-total_seed_bits(config) // 64)
-    rows = max(1, min(count, _TILE_BYTES // (8 * nwords)))
+    rows = max(1, min(count, _TILE_BYTES // (8 * nwords), _TILE_TERMS // (config.ell * config.n)))
     pipe = _TilePipeline(config, nwords, rows)
     # Tiles read consecutive indices, so one bit generator serves them all.
     bitgen = philox_at(key, start, nwords)

@@ -10,6 +10,7 @@ per-unit partial sums, so results are independent of the worker count.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import csv
 import hashlib
@@ -20,7 +21,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,27 +73,30 @@ def _run_units(
     order: Sequence[int] | None = None,
     *,
     processes: bool = False,
-) -> list:
-    """``[fn(u) for u in range(count)]``.
+) -> Iterator:
+    """``fn(u)`` for ``u`` in ``range(count)``, each yielded once it and
+    every earlier unit are done. Raises ValueError if ``jobs < 1``.
 
     With ``jobs > 1``, at most ``min(jobs, count, os.cpu_count())`` workers
     start the units in ``order`` (default index order), so the longest
-    units can go first. The workers are threads, or, with ``processes``
-    where the ``fork`` start method exists, forked processes, which
-    inherit ``fn`` (often a closure) without pickling it; only unit
-    indices and results cross the pipes. Set ``processes`` for units that
-    run ``sample_batch``, whose tile loop holds the GIL. Other units are
-    large numpy calls that release it, and a fork pool costs about 7 ms
-    to start and stop, more than processes would gain on them.
+    units can go first. At most two units per worker are submitted and not
+    yet collected, so a finished unit waits in memory only for the units
+    before it. The workers are threads, or, with ``processes`` where the
+    ``fork`` start method exists, forked processes, which inherit ``fn``
+    (often a closure) without pickling it; only unit indices and results
+    cross the pipes. Set ``processes`` for units that run ``sample_batch``,
+    whose tile loop holds the GIL. Other units are large numpy calls that
+    release it, and a fork pool costs about 7 ms to start and stop, more
+    than processes would gain on them.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     workers = min(jobs, count, os.cpu_count() or 1)
     if workers < 2:
-        return [fn(u) for u in range(count)]
+        yield from map(fn, range(count))
+        return
     import multiprocessing
 
-    order = range(count) if order is None else order
     if processes and "fork" in multiprocessing.get_all_start_methods():
         from concurrent.futures.process import ProcessPoolExecutor
 
@@ -105,9 +109,16 @@ def _run_units(
         call = _call
     else:
         pool, call = ThreadPoolExecutor(max_workers=workers), fn
+    todo = iter(range(count) if order is None else order)
+    ahead, done = collections.deque(), {}
     with pool:
-        done = dict(zip(order, pool.map(call, order)))
-    return [done[u] for u in range(count)]
+        for u in range(count):
+            while u not in done:
+                for v in itertools.islice(todo, 2 * workers - len(ahead)):
+                    ahead.append((v, pool.submit(call, v)))
+                v, future = ahead.popleft()
+                done[v] = future.result()
+            yield done.pop(u)
 
 
 def _sum_units(
@@ -461,32 +472,26 @@ def _sorted_shells(shells: Sequence[float]) -> list[float]:
     return shells
 
 
-def _check_inner_scale(inner_scale: float) -> None:
-    if not 0 < inner_scale < math.inf:
-        raise ValueError(f"inner_scale must be a finite number > 0, got {inner_scale}")
+# check prop4's fit: _FIT_GRID points a side over +-_INNER_SCALE times the
+# smallest shell radius, and _SHELL_POINTS points on each shell.
+_FIT_GRID = 15
+_INNER_SCALE = 0.5
+_SHELL_POINTS = 64
 
 
-def check_prop4_1d(
-    k: int,
-    shells: Sequence[float] = (0.2, 0.1, 0.05),
-    *,
-    fit_grid: int = 15,
-    shell_points: int = 64,
-    inner_scale: float = 0.5,
-) -> Report:
+def check_prop4_1d(k: int, shells: Sequence[float] = (0.2, 0.1, 0.05)) -> Report:
     """Residual-scaling test for the degree-(k-1) polynomial surrogate of the
     smooth map (a, b) -> E[sgn((1+a)X + b)].
 
-    A least-squares fit on an inner grid (half the smallest shell radius by
-    default) should leave residuals shrinking like radius^k across nested
-    shells, i.e. a log-log slope of at least k - 0.5.
+    A least-squares fit on an inner grid (half the smallest shell radius)
+    should leave residuals shrinking like radius^k across nested shells,
+    i.e. a log-log slope of at least k - 0.5.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     shells = _sorted_shells(shells)
-    _check_inner_scale(inner_scale)
-    h = inner_scale * shells[0]
-    grid = np.linspace(-h, h, fit_grid)
+    h = _INNER_SCALE * shells[0]
+    grid = np.linspace(-h, h, _FIT_GRID)
     A, B = np.meshgrid(grid, grid)
     a = A.ravel()
     b = B.ravel()
@@ -504,7 +509,7 @@ def check_prop4_1d(
     rows = []
     max_res = []
     for r in shells:
-        pts = _square_shell(r, shell_points)
+        pts = _square_shell(r, _SHELL_POINTS)
         res = np.abs(_smooth_expectation(pts[:, 0], pts[:, 1]) - fitted(pts))
         max_res.append(float(res.max()))
         rows.append({"radius": r, "max_residual": max_res[-1]})
@@ -658,10 +663,7 @@ _SCHEMA = {
         },
         "samples": {"ells": ([int], 0, _REQ), "n_samples": _N_SAMPLES, "tol": (float, 0, 0.05)},
     },
-    "prop4": {"samples": {
-        "k": (int, 1, _REQ), "shells": ([float], None, (0.2, 0.1, 0.05)), "fit_grid": (int, 1, 15),
-        "shell_points": (int, 1, 64), "inner_scale": (float, None, 0.5),
-    }},
+    "prop4": {"samples": {"k": (int, 1, _REQ), "shells": ([float], None, (0.2, 0.1, 0.05))}},
 }
 # Pairs of dotted keys that one config may not both give.
 _CONFLICTS = {
@@ -759,16 +761,17 @@ def _run_sample(spec: ExperimentSpec, cfg: dict) -> Report:
         return sample_batch(config, spec.seed, min(block, count - lo), start=lo)
 
     chunks = _run_units(units, unit, spec.jobs, processes=True)
-    with _atomic_open(spec.out) as fh:
+    with _atomic_open(spec.out) as fh, contextlib.closing(chunks):
         fh.write(json.dumps({"spec": json.loads(spec.echo_json())}, sort_keys=True))
         fh.write("\n")
-        # The bytes json.dumps(..., sort_keys=True) would write: float repr
-        # and ", " separators.
-        idx = 0
-        for chunk in chunks:
-            rows = chunk.tolist()
-            fh.writelines('{"seed_index": %d, "y": %r}\n' % row for row in enumerate(rows, idx))
-            idx += len(rows)
+        # Each unit is written, in unit order, as soon as it and every
+        # earlier unit are done, so no more than a few units are held at
+        # once. The bytes json.dumps(..., sort_keys=True) would write:
+        # float repr and ", " separators.
+        for u, chunk in enumerate(chunks):
+            rows = enumerate(chunk.tolist(), u * block)
+            fh.writelines('{"seed_index": %d, "y": %r}\n' % row for row in rows)
+            fh.flush()
     return Report("sample", (), (), True)
 
 
@@ -872,7 +875,6 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
 
 def _run_prop4(spec: ExperimentSpec, cfg: dict) -> Report:
     _keyed("samples.shells", _sorted_shells, cfg["samples"]["shells"])
-    _keyed("samples.inner_scale", _check_inner_scale, cfg["samples"]["inner_scale"])
     return check_prop4_1d(**cfg["samples"])
 
 

