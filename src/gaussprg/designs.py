@@ -240,18 +240,6 @@ def _horner(seed: list[int], x: int, q: int) -> int:
     return acc
 
 
-def _power_table(family: KWiseFamily) -> np.ndarray:
-    """eval_points[j]^t mod q for t < k, shape (k, n).
-
-    Entries come from Python integers, so they are exact for any q <= 2^62;
-    an int64 recurrence entry * x would overflow once (q-1)*x >= 2^63.
-    """
-    q = family.q
-    points = family.eval_points.tolist()
-    tab = [[pow(x, t, q) for x in points] for t in range(family.k)]
-    return np.array(tab, dtype=np.int64).reshape(family.k, family.n)
-
-
 # Integers below 2^53 are exact in float64, so a matmul whose dot products
 # stay below it is exact.
 _FLOAT_EXACT = 2**53
@@ -332,11 +320,18 @@ class _Contraction:
         q, K, n = family.q, family.k, family.n
         nS, a, nP, b = _limb_split(K, q)
         self.K, self.n, self.q, self.nS, self.a, self.nP = K, n, np.uint64(q), nS, a, nP
-        powers = _power_table(family).tolist()
-        rows = [[(p << (a * i)) % q for p in row] for i in range(nS) for row in powers]
-        shifted = np.array(rows, dtype=np.uint64).reshape(nS * K, n)
-        limbs = [(shifted >> np.uint64(b * j)) & np.uint64(2**b - 1) for j in range(nP)]
-        self.table = np.concatenate(limbs, axis=1).astype(np.float64)
+        # Row i*K + t holds the limbs of (x^t << a*i) mod q at every point
+        # x. The powers come from Python integers, exact for any q <= 2^62
+        # (an int64 product (q-1)*x would overflow), one power t at a time,
+        # so only its nS rows are ever held as objects.
+        points = family.eval_points.tolist()
+        shifts = np.uint64(b) * np.arange(nP, dtype=np.uint64)[:, None]
+        mask = np.uint64(2**b - 1)
+        self.table = np.empty((nS * K, nP * n))
+        for t in range(K):
+            powers = [pow(x, t, q) for x in points]
+            rows = np.array([[(p << (a * i)) % q for p in powers] for i in range(nS)], dtype=np.uint64)
+            self.table[t::K] = ((rows[:, None] >> shifts) & mask).reshape(nS, nP * n)
         self.table.setflags(write=False)
         self.combine_steps = _shift_steps(q, b, _FLOAT_EXACT - 1)
 

@@ -611,21 +611,18 @@ def _write_spec_sidecar(spec: ExperimentSpec) -> None:
 
 
 _REQ = "required"
-_IF_COUNT = "required if ensemble.count > 0"
 _COUNT = "sample count"  # an int whose range error says "sample count"
 _PLAN_KEYS = {
     "n": (int, 1, _REQ), "d": (int, 1, _REQ), "k": (int, 1, _REQ), "epsilon": (float, None, _REQ),
     "ell_cap": (int, 1, None),
 }
 _N_SAMPLES = (_COUNT, 1, _REQ)
-_THRESHOLDS = {
-    "count": (int, 0, 0), "num_vars": (int, 1, 3), "degree": (int, 1, 2), "degrees": ([int], 1, None),
-}
+_THRESHOLDS = {"count": (int, 1, 1), "num_vars": (int, 1, 3), "degrees": ([int], 1, (2,))}
 # _SCHEMA[kind][section][key] = (type, lowest value, default): every config
-# key each command reads. [t] is a list of t, each item at least the lowest
-# value. A default of None makes a key optional, and null counts as absent.
-# ensemble comes first where a default is _IF_COUNT. --samples sets the
-# first sample count of samples. plan reads top-level keys (section "").
+# key each command reads. [t] is a non-empty list of t, each item at least
+# the lowest value. A default of None makes a key optional, and null counts
+# as absent. --samples sets the first sample count of samples. plan reads
+# top-level keys (section "").
 _SCHEMA = {
     "plan": {"": _PLAN_KEYS},
     "sample": {"generator": _PLAN_KEYS, "samples": {"count": (_COUNT, 1, _REQ)}},
@@ -641,25 +638,20 @@ _SCHEMA = {
         },
     },
     "fool": {
-        "ensemble": {"count": (int, 0, 0), "num_vars": (int, 1, _IF_COUNT), "degree": (int, 1, 1)},
+        "ensemble": {"count": (int, 1, 1), "num_vars": (int, 1, _REQ), "degree": (int, 1, 1)},
         "generator": {
-            "k": (int, 1, _IF_COUNT), "epsilons": ([float], None, _REQ), "ell_cap": (int, 1, None),
+            "k": (int, 1, _REQ), "epsilons": ([float], None, _REQ), "ell_cap": (int, 1, None),
         },
         "samples": {
             "n_gen": (_COUNT, 1, _REQ), "n_baseline": (_COUNT, 1, None), "baseline": (str, None, None),
             "max_gap_stderr": (float, 0, None), "max_gap_slack": (float, 0, 0.0),
         },
     },
-    "cw": {"ensemble": _THRESHOLDS, "samples": {
-        "epsilons": ([float], 0, _REQ), "n_samples": _N_SAMPLES, "const": (float, None, 3.0),
-    }},
-    "tail": {"ensemble": _THRESHOLDS, "samples": {
-        "N_list": ([float], None, _REQ), "n_samples": _N_SAMPLES, "const": (float, None, 10.0),
-    }},
+    "cw": {"ensemble": _THRESHOLDS, "samples": {"epsilons": ([float], 0, _REQ), "n_samples": _N_SAMPLES}},
+    "tail": {"ensemble": _THRESHOLDS, "samples": {"N_list": ([float], None, _REQ), "n_samples": _N_SAMPLES}},
     "deriv": {
         "ensemble": {
-            "count": (int, 0, 0), "num_vars": (int, 1, _IF_COUNT), "degree": (int, 1, _IF_COUNT),
-            "poly": (dict, None, None),
+            "count": (int, 1, 1), "num_vars": (int, 1, 3), "degree": (int, 1, 2), "poly": (dict, None, None),
         },
         "samples": {"ells": ([int], 0, _REQ), "n_samples": _N_SAMPLES, "tol": (float, 0, 0.05)},
     },
@@ -667,8 +659,6 @@ _SCHEMA = {
 }
 # Pairs of dotted keys that one config may not both give.
 _CONFLICTS = {
-    "cw": [("ensemble.degree", "ensemble.degrees")],
-    "tail": [("ensemble.degree", "ensemble.degrees")],
     "deriv": [("ensemble.poly", f"ensemble.{key}") for key in ("count", "num_vars", "degree")],
 }
 _TYPE_NAMES = {
@@ -684,10 +674,12 @@ def _samples_key(kind: str) -> str | None:
 def _typed(path: str, value, typ, lowest):
     """``value`` of the config key ``path`` as a ``typ`` of at least ``lowest``. No number
     is read from a bool or a string, no integer from a non-integral number, and no
-    float is NaN or infinite."""
+    float is NaN or infinite. A list may not be empty."""
     if isinstance(typ, list):
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"config {path} must be a list, got {type(value).__name__}")
+        if not value:
+            raise ValueError(f"config {path} must not be empty")
         return [_typed(path, v, typ[0], lowest) for v in value]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if typ is float and number:
@@ -712,8 +704,9 @@ def _typed(path: str, value, typ, lowest):
 def _read_config(kind: str, sections: dict[str, dict]) -> dict[str, dict]:
     """``{section: {key: value}}`` for every key in ``_SCHEMA[kind]``, read
     from the config ``sections`` (typed, defaults for absent keys). An
-    unknown, conflicting or missing key, or a value of the wrong type or
-    below its lowest value, raises ValueError naming the dotted key."""
+    unknown, conflicting or missing key, a value of the wrong type or below
+    its lowest value, or an empty list raises ValueError naming the dotted
+    key."""
     for s, obj in sections.items():
         if not isinstance(obj, dict):
             raise ValueError(f"config section {s} must be a dict, got {type(obj).__name__}")
@@ -732,10 +725,10 @@ def _read_config(kind: str, sections: dict[str, dict]) -> dict[str, dict]:
             path = f"{s}.{key}".lstrip(".")
             if key in obj and not (obj[key] is None and default is None):
                 cfg[s][key] = _typed(path, obj[key], typ, lowest)
-            elif default is _REQ or (default is _IF_COUNT and cfg["ensemble"]["count"]):
+            elif default is _REQ:
                 raise ValueError(f"config is missing {path}")
             else:
-                cfg[s][key] = None if default is _IF_COUNT else default
+                cfg[s][key] = default
     return cfg
 
 
@@ -798,9 +791,8 @@ def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
     max_stderr = smp["max_gap_stderr"]
     for e in epsilons:
         _keyed("generator.epsilons", _check_epsilon, e)
-    if count:
-        _keyed("ensemble.degree and generator.k", _design_size, degree, gen["k"])
-    configs = {e: plan(num_vars, degree, gen["k"], e, gen["ell_cap"]) for e in epsilons} if count else {}
+    _keyed("ensemble.degree and generator.k", _design_size, degree, gen["k"])
+    configs = {e: plan(num_vars, degree, gen["k"], e, gen["ell_cap"]) for e in epsilons}
 
     def unit(idx: int) -> dict:
         pi, ei = divmod(idx, len(epsilons))
@@ -817,7 +809,7 @@ def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
             row["passed"] = int(abs(est.gap) <= max_stderr * est.stderr + smp["max_gap_slack"])
         return row
 
-    units = count * len(epsilons) if count else 0
+    units = count * len(epsilons)
     # Sampling time grows with ell: start the longest chains first.
     heavy_first = sorted(range(units), key=lambda idx: -configs[epsilons[idx % len(epsilons)]].ell)
     rows = tuple(_run_units(units, unit, spec.jobs, heavy_first, processes=True))
@@ -837,12 +829,12 @@ def _run_threshold_check(spec: ExperimentSpec, cfg: dict) -> Report:
     reports = [
         check(
             d, smp[key], ens["count"], smp["n_samples"],
-            num_vars=ens["num_vars"], const=smp["const"], master_seed=spec.seed, jobs=spec.jobs,
+            num_vars=ens["num_vars"], master_seed=spec.seed, jobs=spec.jobs,
         )
-        for d in (ens["degrees"] if ens["degrees"] is not None else [ens["degree"]])
+        for d in ens["degrees"]
     ]
     rows = tuple(row for rep in reports for row in rep.rows)
-    cols = reports[-1].columns if reports else ()
+    cols = reports[-1].columns
     return Report(spec.kind, cols, rows, all(rep.passed for rep in reports))
 
 

@@ -171,20 +171,6 @@ class SparsePolynomial:
             new[key] = new.get(key, 0.0) + coef * e
         return SparsePolynomial(self.num_vars, new)
 
-    def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        if self.num_vars != other.num_vars:
-            raise ValueError("mismatched num_vars")
-        new = dict(self.terms)
-        for exps, coef in other.terms.items():
-            new[exps] = new.get(exps, 0.0) + coef
-        return SparsePolynomial(self.num_vars, new)
-
-    def __neg__(self) -> "SparsePolynomial":
-        return SparsePolynomial(self.num_vars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, SparsePolynomial):
             if self.num_vars != other.num_vars:

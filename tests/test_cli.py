@@ -82,6 +82,29 @@ class TestCheckCommands:
         out = tmp_path / "dv.csv"
         assert run_cli(["check", "deriv", "--config", str(cfg), "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize(
+        "command, samples, explicit",
+        [
+            ("cw", {"epsilons": [0.1, 0.01], "n_samples": 1000}, {"count": 1, "num_vars": 3, "degrees": [2]}),
+            ("tail", {"N_list": [2.0], "n_samples": 1000}, {"count": 1, "num_vars": 3, "degrees": [2]}),
+            ("deriv", {"ells": [1], "n_samples": 20_000, "tol": 0.5}, {"count": 1, "num_vars": 3, "degree": 2}),
+        ],
+    )
+    def test_no_ensemble_section_runs_one_polynomial(self, tmp_path, command, samples, explicit):
+        # With no ensemble section the defaults give one polynomial, the
+        # one the same keys given explicitly give.
+        csvs = []
+        configs = {"default": {"samples": samples}, "explicit": {"ensemble": explicit, "samples": samples}}
+        for name, config in configs.items():
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(json.dumps(config))
+            out = tmp_path / f"{name}.csv"
+            assert run_cli(["check", command, "--config", str(cfg), "--out", str(out)]) == 0
+            csvs.append(out.read_text())
+        header, *rows = csvs[0].splitlines()
+        assert header.startswith("poly,") and rows and {row.split(",")[0] for row in rows} == {"0"}
+        assert csvs[0] == csvs[1]
+
     def test_deriv_explicit_poly(self, tmp_path):
         cfg = tmp_path / "dv.json"
         cfg.write_text(json.dumps({
@@ -371,20 +394,20 @@ class TestArgumentErrors:
             (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 100, "baseline": "mc", "n_baseline": 0}},
              "sample count must be >= 1"),
             (["check", "cw"], {"ensemble": {"count": -1}, "samples": {"epsilons": [0.1], "n_samples": 100}},
-             "ensemble.count must be >= 0"),
+             "ensemble.count must be >= 1"),
             (["check", "tail"], {"ensemble": {"count": -2}, "samples": {"N_list": [4.0], "n_samples": 100}},
-             "ensemble.count must be >= 0"),
+             "ensemble.count must be >= 1"),
             (["check", "deriv"], {"ensemble": {"count": -1, "num_vars": 2, "degree": 2},
-                                  "samples": {"ells": [1], "n_samples": 100}}, "ensemble.count must be >= 0"),
+                                  "samples": {"ells": [1], "n_samples": 100}}, "ensemble.count must be >= 1"),
             (["fool"], {**FOOL_SMALL, "ensemble": {"count": -1, "num_vars": 2}, "samples": {"n_gen": 100}},
-             "ensemble.count must be >= 0"),
+             "ensemble.count must be >= 1"),
             (["check", "cw"], {"ensemble": {"count": 1},
                                "samples": {"epsilons": [0.1, -0.01], "n_samples": 100}}, "epsilons must be >= 0"),
-            # An empty ensemble runs no kernel; its counts are still checked.
+            # An empty ensemble is rejected, ahead of the sample counts.
             (["fool"], {**FOOL_SMALL, "ensemble": {"count": 0}, "samples": {"n_gen": -3}},
-             "config samples.n_gen: sample count must be >= 1"),
+             "config ensemble.count must be >= 1, got 0"),
             (["check", "cw"], {"ensemble": {"count": 0}, "samples": {"epsilons": [0.1], "n_samples": 0}},
-             "config samples.n_samples: sample count must be >= 1"),
+             "config ensemble.count must be >= 1, got 0"),
         ],
     )
     def test_count_or_epsilon_out_of_range(self, tmp_path, capsys, command, config, message):
@@ -418,11 +441,12 @@ class TestArgumentErrors:
             (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 100, "max_gap_stderr": -1}}, "samples.max_gap_stderr"),
             (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 100, "max_gap_stderr": 3, "max_gap_slack": -0.1}},
              "samples.max_gap_slack"),
-            # keys that exclude each other
+            # keys cw and tail do not read: ensemble.degrees: [d] sets one degree
             (["check", "cw"], {"ensemble": {"count": 1, "degree": 2, "degrees": [3]},
-                               "samples": {"epsilons": [0.1], "n_samples": 100}}, "ensemble.degrees"),
-            (["check", "tail"], {"ensemble": {"count": 1, "degree": 2, "degrees": [3]},
-                                 "samples": {"N_list": [4.0], "n_samples": 100}}, "ensemble.degrees"),
+                               "samples": {"epsilons": [0.1], "n_samples": 100}}, "unknown key ensemble.degree"),
+            (["check", "tail"], {"ensemble": {"count": 1, "degree": 2},
+                                 "samples": {"N_list": [4.0], "n_samples": 100}}, "unknown key ensemble.degree"),
+            # keys that exclude each other
             (["check", "deriv"], {"ensemble": {"poly": POLY, "count": 1},
                                   "samples": {"ells": [1], "n_samples": 100}}, "ensemble.count"),
             (["check", "deriv"], {"ensemble": {"poly": POLY, "num_vars": 2},
@@ -441,30 +465,35 @@ class TestArgumentErrors:
             (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06},
                            "samples": {"mode": "bogus"}}, "samples.mode"),
             (["check", "prop4"], {"samples": {"k": 2, "shells": [0.7]}}, "samples.shells"),
+            # keys the command does not read: prop4's fit grid is fixed
             (["check", "prop4"], {"samples": {"k": 2, "inner_scale": 0}}, "samples.inner_scale"),
             (["check", "prop4"], {"samples": {"k": 2, "inner_scale": math.inf}}, "samples.inner_scale"),
+            # values out of the range that the library checks
             (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06},
                            "samples": {"mode": "mc", "n_samples": 1}}, "config samples.n_samples: n_samples"),
             # numbers that are not finite: json reads NaN and Infinity
             (["check", "tail"], {"ensemble": {"count": 1}, "samples": {"N_list": [math.nan], "n_samples": 100}},
              "config samples.N_list must be a finite number"),
-            (["check", "cw"], {"ensemble": {"count": 1},
-                               "samples": {"epsilons": [0.1], "n_samples": 100, "const": math.inf}},
-             "config samples.const must be a finite number"),
+            (["check", "cw"], {"ensemble": {"count": 1}, "samples": {"epsilons": [math.inf], "n_samples": 100}},
+             "config samples.epsilons must be a finite number"),
             (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": math.nan}},
              "config generator.tv_budget must be a finite number"),
             (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": math.inf}},
              "config generator.tv_budget must be a finite number"),
             (["check", "prop4"], {"samples": {"k": 2, "shells": [math.nan, 0.1]}},
              "config samples.shells must be a finite number"),
-            (["check", "cw"], {"ensemble": {"count": 1},
-                               "samples": {"epsilons": [0.1], "n_samples": 100, "const": 10**400}},
-             "config samples.const must be a finite number"),
+            (["check", "cw"], {"ensemble": {"count": 1}, "samples": {"epsilons": [10**400], "n_samples": 100}},
+             "config samples.epsilons must be a finite number"),
             # a log-log slope needs two distinct radii
             (["check", "prop4"], {"samples": {"k": 2, "shells": [0.1]}},
              "config samples.shells: need at least two distinct shell radii"),
             (["check", "prop4"], {"samples": {"k": 2, "shells": [0.1, 0.1]}},
              "config samples.shells: need at least two distinct shell radii"),
+            # the envelope constants are library keywords, not config keys
+            (["check", "cw"], {"samples": {"epsilons": [0.1], "n_samples": 100, "const": 3.0}},
+             "unknown key samples.const"),
+            (["check", "tail"], {"samples": {"N_list": [4.0], "n_samples": 100, "const": 10.0}},
+             "unknown key samples.const"),
         ],
     )
     def test_config_key_rejected(self, tmp_path, capsys, command, config, key):
@@ -474,6 +503,37 @@ class TestArgumentErrors:
         line = self._rejects(command + ["--config", str(cfg)] + out, capsys, tmp_path)
         assert key in line
         assert not (tmp_path / "out.jsonl.spec.json").exists()
+
+    # Configs that would run no unit exit 2 naming their key and write no
+    # file. An empty list is rejected; fool with no ensemble section runs
+    # one PTF, so it needs ensemble.num_vars and generator.k.
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            (["check", "cw"], {"ensemble": {"degrees": []}, "samples": {"epsilons": [0.1], "n_samples": 100}},
+             "config ensemble.degrees must not be empty"),
+            (["check", "cw"], {"samples": {"epsilons": [], "n_samples": 100}},
+             "config samples.epsilons must not be empty"),
+            (["check", "tail"], {"samples": {"N_list": [], "n_samples": 100}},
+             "config samples.N_list must not be empty"),
+            (["check", "deriv"], {"samples": {"ells": [], "n_samples": 100}},
+             "config samples.ells must not be empty"),
+            (["fool"], {"ensemble": {"num_vars": 2}, "generator": {"k": 1, "epsilons": []},
+                        "samples": {"n_gen": 100}}, "config generator.epsilons must not be empty"),
+            (["fool"], {"generator": {"k": 1, "epsilons": [0.4], "ell_cap": 3}, "samples": {"n_gen": 100}},
+             "config is missing ensemble.num_vars"),
+            (["fool"], {"ensemble": {"num_vars": 2}, "generator": {"epsilons": [0.4], "ell_cap": 3},
+                        "samples": {"n_gen": 100}}, "config is missing generator.k"),
+            (["check", "prop4"], {"samples": {"k": 2, "shells": []}}, "config samples.shells must not be empty"),
+        ],
+    )
+    def test_empty_run_rejected(self, tmp_path, capsys, command, config, message):
+        cfg = tmp_path / "empty.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.jsonl"
+        line = self._rejects(command + ["--config", str(cfg), "--out", str(out)], capsys, tmp_path)
+        assert message in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.json"]
 
     # A degree-2 design at k = 2 has order 180, which needs 91 Gauss-Hermite
     # points; the rule has at most 64.
@@ -521,9 +581,11 @@ class TestArgumentErrors:
         assert "ensemble.poly" in line
 
     @pytest.mark.parametrize("inner_scale", [0, -1])
-    def test_prop4_inner_scale_not_positive(self, tmp_path, capfd, inner_scale):
-        # Captured at the file descriptors: a fit radius of 0 made LAPACK
-        # print DLASCL lines to the process's stdout, past sys.stdout.
+    def test_prop4_removed_key_one_error_line(self, tmp_path, capfd, inner_scale):
+        # samples.inner_scale is a key check prop4 does not read (its fit
+        # grid is fixed): the run exits 2 with one error line, and nothing
+        # reaches stdout, captured at the file descriptor, where a numerical
+        # library's own prints would show.
         cfg = tmp_path / "prop4.json"
         cfg.write_text(json.dumps({"samples": {"k": 2, "inner_scale": inner_scale}}))
         out = tmp_path / "out.csv"

@@ -13,7 +13,7 @@ from gaussprg.designs import (
     _MAX_QUAD_POINTS,
     KWiseFamily,
     _he_values,
-    _power_table,
+    _limb_split,
     _tv_tolerance,
     build_sampler,
     design_sample,
@@ -240,10 +240,16 @@ class TestKWiseFamily:
 
     @pytest.mark.parametrize("q", [101, 488000017, 3903999999999999013])
     def test_power_table_is_exact(self, q):
-        # q of plan(4,1,3,5e-6,2): x*(q-1) overflows int64 from x = 3 on
-        fam = KWiseFamily(q, 120, 4, np.array([0, 1, 3, 97]))
-        want = [[pow(x, t, q) for x in (0, 1, 3, 97)] for t in range(120)]
-        assert _power_table(fam).tolist() == want
+        # q of plan(4,1,3,5e-6,2): x*(q-1) overflows int64 from x = 3 on.
+        # Row i*K + t of the limb table, its nP column blocks of b-bit limbs
+        # recombined, is (x^t << a*i) mod q at each point x.
+        points = (0, 1, 3, 97)
+        table = KWiseFamily(q, 120, 4, np.array(points))._contraction.table
+        nS, a, nP, b = _limb_split(120, q)
+        for i, t in itertools.product(range(nS), range(120)):
+            limbs = table[i * 120 + t].reshape(nP, 4).astype(np.uint64).tolist()
+            got = [sum(limbs[j][c] << (b * j) for j in range(nP)) for c in range(4)]
+            assert got == [(pow(x, t, q) << (a * i)) % q for x in points]
 
     def test_errors(self):
         fam = KWiseFamily.standard(5, 2, 4)

@@ -223,16 +223,21 @@ class TestRunExperiment:
             run_experiment(spec)
         assert not (tmp_path / "cw.csv").exists()
 
-    def test_empty_ensemble_header_only(self, tmp_path):
-        out = str(tmp_path / "fool.csv")
-        spec = ExperimentSpec(
-            "fool", {"count": 0}, {"k": 1, "epsilons": [0.4], "ell_cap": 4},
-            {"n_gen": 100}, "00", out,
-        )
-        result = run_experiment(spec)
-        assert result.passed
-        lines = Path(out).read_text().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("ptf_index,")
+    @pytest.mark.parametrize(
+        "kind, generator, samples",
+        [
+            ("fool", {"k": 1, "epsilons": [0.4], "ell_cap": 4}, {"n_gen": 100}),
+            ("cw", {}, {"epsilons": [0.1], "n_samples": 100}),
+            ("tail", {}, {"N_list": [4.0], "n_samples": 100}),
+            ("deriv", {}, {"ells": [1], "n_samples": 100}),
+        ],
+    )
+    def test_empty_ensemble_rejected(self, tmp_path, kind, generator, samples):
+        out = tmp_path / "out.csv"
+        spec = ExperimentSpec(kind, {"count": 0, "num_vars": 2}, generator, samples, "00", str(out))
+        with pytest.raises(ValueError, match=r"^config ensemble.count must be >= 1, got 0$"):
+            run_experiment(spec)
+        assert not out.exists()
 
     def test_fool_rows_and_determinism(self, tmp_path):
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
