@@ -27,7 +27,7 @@ import numpy as np
 
 from ._bits import derive_key, subseed
 from .designs import _MAX_QUAD_POINTS, _UNIT, _check_mode, build_sampler, verify_moments
-from .generator import GeneratorConfig, _check_epsilon, _design_size, config_to_json, plan, sample_batch
+from .generator import GeneratorConfig, _design_size, config_to_json, plan, sample_batch
 from .hermite import SparsePolynomial, derivative_moment_rhs, poly_from_json
 from .ptf import (
     PTF,
@@ -254,35 +254,40 @@ class Report:
     passed: bool
 
 
-def _ensemble_ptf(num_vars: int, degree: int, seed_hex: str, index: int) -> PTF:
-    rng_seed = derive_key(seed_hex, "poly", degree, index) % 2**63
-    return random_ptf(RandomPolyConfig(num_vars, degree, rng_seed))
+def _ensemble_ptfs(ens: dict, degree: int, seed_hex: str) -> list[PTF]:
+    """An ensemble section's ``count`` random PTFs of ``degree`` in ``num_vars``
+    variables, PTF ``i`` drawn from the key ``(seed_hex, "poly", degree, i)``."""
+    return [
+        random_ptf(RandomPolyConfig(ens["num_vars"], degree, derive_key(seed_hex, "poly", degree, i) % 2**63))
+        for i in range(ens["count"])
+    ]
 
 
 def _threshold_check(
     kind: str,
     columns: tuple[str, ...],
     hit: Callable[[np.ndarray, np.float64], np.ndarray],
-    judge: Callable[[np.float64, float], dict],
-    d: int,
+    judge: Callable[[int, np.float64, float], dict],
+    polys: Sequence[PTF],
     thresholds: Sequence[float],
-    n_polys: int,
     n_samples: int,
     *,
-    num_vars: int,
     master_seed: str,
-    polys: Sequence[PTF] | None,
     jobs: int,
 ) -> Report:
-    """Count, for each polynomial and each sorted threshold t, the Gaussian
-    draws (stream ``kind``) with ``hit(|p(X)|, t)``; ``judge(t, empirical)``
-    gives the rest of that row: the threshold column, the bound and
-    ``passed``."""
+    """Count, for the ``pi``-th polynomial p, of degree d, and each sorted
+    threshold t, the Gaussian draws (stream ``(kind, d, pi)``) with
+    ``hit(|p(X)|, t)``; ``judge(d, t, empirical)`` gives the rest of that
+    row: the threshold column, the bound and ``passed``. Raises ValueError
+    for no polynomials, no thresholds or a polynomial of degree 0."""
     t_arr = np.asarray(sorted(thresholds), dtype=np.float64)
-    if polys is None:
-        polys = [_ensemble_ptf(num_vars, d, master_seed, pi) for pi in range(n_polys)]
+    if not polys or not t_arr.size:
+        raise ValueError(f"{kind} check needs at least one polynomial and one threshold")
+    if any(f.poly.degree < 1 for f in polys):
+        raise ValueError(f"{kind} check needs polynomials of degree >= 1")
     rows = []
     for pi, f in enumerate(polys):
+        d = f.poly.degree
         draw = _gaussian_rows(master_seed, f.poly.num_vars, kind, d, pi)
 
         def unit(u: int, cnt: int) -> np.ndarray:
@@ -292,64 +297,56 @@ def _threshold_check(
         for t, c in zip(t_arr, _sum_units(n_samples, unit, jobs)):
             empirical = c / n_samples
             row = {"poly": pi, "degree": d, "n_samples": n_samples, "empirical": empirical}
-            rows.append({**row, **judge(t, empirical)})
+            rows.append({**row, **judge(d, t, empirical)})
     passed = all(row["passed"] for row in rows)
     return Report(kind, columns, tuple(rows), passed)
 
 
 def check_carbery_wright(
-    d: int,
+    polys: Sequence[PTF],
     eps_list: Sequence[float],
-    n_polys: int,
     n_samples: int,
     *,
-    num_vars: int = 3,
     const: float = 3.0,
     master_seed: str = "00",
-    polys: Sequence[PTF] | None = None,
     jobs: int = 1,
 ) -> Report:
-    """Empirical small-ball probabilities Pr(|p(X)| <= eps) for unit-norm
-    polynomials, compared with the anticoncentration envelope
-    const * d * eps^(1/d). Instances come from the random Hermite-coefficient
-    ensemble unless explicit polys are supplied."""
+    """Empirical small-ball probabilities Pr(|p(X)| <= eps) for the unit-norm
+    polynomials of ``polys``, compared with the anticoncentration envelope
+    const * d * eps^(1/d), d being each polynomial's degree."""
     if not all(e >= 0 for e in eps_list):
         raise ValueError(f"epsilons must be >= 0, got {list(eps_list)}")
 
-    def judge(e: np.float64, empirical: float) -> dict:
+    def judge(d: int, e: np.float64, empirical: float) -> dict:
         envelope = d * e ** (1.0 / d)
         ratio = empirical / envelope if envelope > 0 else 0.0
         return {"epsilon": float(e), "envelope": envelope, "ratio": ratio, "passed": int(ratio <= const)}
 
     cols = ("poly", "degree", "epsilon", "n_samples", "empirical", "envelope", "ratio", "passed")
     return _threshold_check(
-        "cw", cols, operator.le, judge, d, eps_list, n_polys, n_samples,
-        num_vars=num_vars, master_seed=master_seed, polys=polys, jobs=jobs,
+        "cw", cols, operator.le, judge, polys, eps_list, n_samples, master_seed=master_seed, jobs=jobs
     )
 
 
 def check_tail_bound(
-    d: int,
+    polys: Sequence[PTF],
     N_list: Sequence[float],
-    n_polys: int,
     n_samples: int,
     *,
-    num_vars: int = 3,
     const: float = 10.0,
     master_seed: str = "00",
-    polys: Sequence[PTF] | None = None,
     jobs: int = 1,
 ) -> Report:
-    """Empirical tails Pr(|p(X)| > N) vs const * 2^(-(N/2)^(2/d))."""
+    """Empirical tails Pr(|p(X)| > N) for the polynomials of ``polys`` vs
+    const * 2^(-(N/2)^(2/d)), d being each polynomial's degree."""
 
-    def judge(N: np.float64, empirical: float) -> dict:
+    def judge(d: int, N: np.float64, empirical: float) -> dict:
         bound = const * 2.0 ** (-((N / 2.0) ** (2.0 / d))) if N > 0 else const
         return {"N": float(N), "bound": bound, "passed": int(empirical <= bound)}
 
     cols = ("poly", "degree", "N", "n_samples", "empirical", "bound", "passed")
     return _threshold_check(
-        "tail", cols, operator.gt, judge, d, N_list, n_polys, n_samples,
-        num_vars=num_vars, master_seed=master_seed, polys=polys, jobs=jobs,
+        "tail", cols, operator.gt, judge, polys, N_list, n_samples, master_seed=master_seed, jobs=jobs
     )
 
 
@@ -384,6 +381,8 @@ def check_derivative_identity(
     exact falling-factorial value from the Hermite decomposition."""
     if isinstance(ells, int):
         ells = [ells]
+    if len(ells) == 0:
+        raise ValueError("ells must not be empty")
     if any(ell < 0 for ell in ells):
         raise ValueError(f"ells must be >= 0, got {list(ells)}")
     n = p.num_vars
@@ -742,9 +741,10 @@ def _keyed(path: str, fn: Callable, *args, **kwargs):
 
 
 def _run_sample(spec: ExperimentSpec, cfg: dict) -> Report:
-    _keyed("generator.epsilon", _check_epsilon, cfg["generator"]["epsilon"])
     _keyed("generator.d and generator.k", _design_size, cfg["generator"]["d"], cfg["generator"]["k"])
-    config = plan(**cfg["generator"])
+    # With the schema and (d, k) checked, every error of plan is about epsilon: its
+    # range, a chain that overflows without ell_cap, or a budget that needs a prime beyond 2^62.
+    config = _keyed("generator.epsilon", plan, **cfg["generator"])
     count = cfg["samples"]["count"]
     block = 4096
     units = -(-count // block)
@@ -786,20 +786,21 @@ def _run_moments(spec: ExperimentSpec, cfg: dict) -> Report:
 
 def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
     ens, gen, smp = cfg["ensemble"], cfg["generator"], cfg["samples"]
-    count, num_vars, degree, epsilons = ens["count"], ens["num_vars"], ens["degree"], gen["epsilons"]
+    num_vars, degree, epsilons = ens["num_vars"], ens["degree"], gen["epsilons"]
     baseline = smp["baseline"] if smp["baseline"] is not None else "analytic" if degree == 1 else "mc"
     max_stderr = smp["max_gap_stderr"]
-    for e in epsilons:
-        _keyed("generator.epsilons", _check_epsilon, e)
     _keyed("ensemble.degree and generator.k", _design_size, degree, gen["k"])
-    configs = {e: plan(num_vars, degree, gen["k"], e, gen["ell_cap"]) for e in epsilons}
+    # As in _run_sample, every error of plan here is about the epsilon.
+    configs = {e: _keyed("generator.epsilons", plan, num_vars, degree, gen["k"], e, gen["ell_cap"]) for e in epsilons}
+    ptfs = _ensemble_ptfs(ens, degree, spec.seed)
 
     def unit(idx: int) -> dict:
         pi, ei = divmod(idx, len(epsilons))
         eps = epsilons[ei]
         config = configs[eps]
-        est = estimate_gap(
-            _ensemble_ptf(num_vars, degree, spec.seed, pi), config, smp["n_gen"], baseline,
+        # With the schema and the plans checked, every error of estimate_gap is about the baseline.
+        est = _keyed(
+            "samples.baseline", estimate_gap, ptfs[pi], config, smp["n_gen"], baseline,
             n_baseline=smp["n_baseline"], master_seed=subseed(spec.seed, "fool", pi, eps), jobs=1,
         )
         row = {"ptf_index": pi, "epsilon": eps, "ell": config.ell, "truncated": int(config.truncated)}
@@ -809,7 +810,7 @@ def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
             row["passed"] = int(abs(est.gap) <= max_stderr * est.stderr + smp["max_gap_slack"])
         return row
 
-    units = count * len(epsilons)
+    units = len(ptfs) * len(epsilons)
     # Sampling time grows with ell: start the longest chains first.
     heavy_first = sorted(range(units), key=lambda idx: -configs[epsilons[idx % len(epsilons)]].ell)
     rows = tuple(_run_units(units, unit, spec.jobs, heavy_first, processes=True))
@@ -827,10 +828,7 @@ def _run_threshold_check(spec: ExperimentSpec, cfg: dict) -> Report:
     check, key = (check_carbery_wright, "epsilons") if spec.kind == "cw" else (check_tail_bound, "N_list")
     ens, smp = cfg["ensemble"], cfg["samples"]
     reports = [
-        check(
-            d, smp[key], ens["count"], smp["n_samples"],
-            num_vars=ens["num_vars"], master_seed=spec.seed, jobs=spec.jobs,
-        )
+        check(_ensemble_ptfs(ens, d, spec.seed), smp[key], smp["n_samples"], master_seed=spec.seed, jobs=spec.jobs)
         for d in ens["degrees"]
     ]
     rows = tuple(row for rep in reports for row in rep.rows)
@@ -844,9 +842,7 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
         # explicit polynomial in the shared JSON format
         polys = [_keyed("ensemble.poly", poly_from_json, ens["poly"])]
     else:
-        polys = [
-            _ensemble_ptf(ens["num_vars"], ens["degree"], spec.seed, i).poly for i in range(ens["count"])
-        ]
+        polys = [f.poly for f in _ensemble_ptfs(ens, ens["degree"], spec.seed)]
     rows: list[dict] = []
     ok = True
     for pi, poly in enumerate(polys):
@@ -867,7 +863,9 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
 
 def _run_prop4(spec: ExperimentSpec, cfg: dict) -> Report:
     _keyed("samples.shells", _sorted_shells, cfg["samples"]["shells"])
-    return check_prop4_1d(**cfg["samples"])
+    # With k >= 1 and the shells checked, the only error left is a singular
+    # fit, which a large k gives.
+    return _keyed("samples.k", check_prop4_1d, **cfg["samples"])
 
 
 _RUNNERS = {

@@ -284,6 +284,7 @@ class TestArgumentErrors:
             ["fool", "--config", str(cfg), "--out", str(out), "--jobs", "2"], capsys, tmp_path
         )
         assert "unknown baseline 'bogus'" in line
+        assert "config samples.baseline" in line
 
     @pytest.mark.parametrize(
         "samples, message",
@@ -534,6 +535,37 @@ class TestArgumentErrors:
         line = self._rejects(command + ["--config", str(cfg), "--out", str(out)], capsys, tmp_path)
         assert message in line
         assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.json"]
+
+    # Errors that only the library raises, once the schema is checked: each
+    # names the key it is about, and no file is written.
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            # the chain length overflows without ell_cap
+            (["sample"], {"generator": {"n": 2, "d": 1, "k": 1, "epsilon": 1e-300}, "samples": {"count": 5}},
+             "config generator.epsilon: chain length overflows"),
+            # the budget epsilon^k / (n ell) needs a prime beyond 2^62
+            (["sample"], {"generator": {**GEN, "k": 3, "epsilon": 1e-7}, "samples": {"count": 5}},
+             "config generator.epsilon: tv_budget"),
+            (["fool"], {**FOOL_SMALL, "generator": {"k": 1, "epsilons": [0.4, 1e-300]}, "samples": {"n_gen": 100}},
+             "config generator.epsilons: chain length overflows"),
+            # a 136-term fit on the 15 x 15 grid is singular
+            (["check", "prop4"], {"samples": {"k": 16}}, "config samples.k: singular fit matrix"),
+            (["fool"], {**FOOL_SMALL, "samples": {"n_gen": 100, "baseline": "bogus"}},
+             "config samples.baseline: unknown baseline 'bogus'"),
+            (["fool"], {**FOOL_SMALL, "ensemble": {"count": 1, "num_vars": 2, "degree": 2},
+                        "samples": {"n_gen": 100, "baseline": "analytic"}},
+             "config samples.baseline: analytic baseline exists only for degree-1 PTFs"),
+        ],
+        ids=["sample-chain", "sample-budget", "fool-chain", "prop4-k", "fool-baseline", "fool-analytic"],
+    )
+    def test_library_error_names_key(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.jsonl"
+        line = self._rejects(command + ["--config", str(cfg), "--out", str(out)], capsys, tmp_path)
+        assert key in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     # A degree-2 design at k = 2 has order 180, which needs 91 Gauss-Hermite
     # points; the rule has at most 64.

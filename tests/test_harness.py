@@ -28,6 +28,12 @@ from gaussprg.ptf import PTF, RandomPolyConfig, random_ptf
 X_POLY = PTF(SparsePolynomial(1, {(1,): 1.0}))
 
 
+def ensemble(count, degree, seed_hex):
+    """``count`` random PTFs of ``degree`` in 3 variables, as a config's
+    ensemble section with that seed gives them."""
+    return harness._ensemble_ptfs({"count": count, "num_vars": 3}, degree, seed_hex)
+
+
 class TestEstimateGap:
     def test_analytic_baseline_value(self):
         f = PTF(SparsePolynomial(1, {(1,): 1.0, (0,): -1.0}))  # sgn(x - 1)
@@ -73,7 +79,7 @@ class TestEstimateGap:
     def test_gaussian_stream_values(self):
         # Both Gaussian streams, each ending in a partial unit (30,001 and
         # 55,555 samples): 2 * positives / samples - 1, exactly.
-        f = harness._ensemble_ptf(3, 2, "5eed", 0)
+        f = ensemble(1, 2, "5eed")[0]
         est = estimate_gap(f, "gaussian", 30_001, "mc", n_baseline=55_555, master_seed="5eed")
         assert est.e_gen == -0.6966101129962334
         assert est.e_baseline == -0.6919449194491945
@@ -101,45 +107,72 @@ class TestEstimateGap:
 class TestCarberyWright:
     def test_pure_linear_example(self):
         # p = x, eps = 0.01: empirical ~ 2*phi(0)*eps ~ 0.00798, ratio ~ 0.8
-        rep = check_carbery_wright(1, [0.01], 1, 2_000_000, polys=[X_POLY], master_seed="05")
+        rep = check_carbery_wright([X_POLY], [0.01], 2_000_000, master_seed="05")
         row = rep.rows[0]
         assert row["empirical"] == pytest.approx(0.00798, rel=0.08)
         assert 0.6 <= row["ratio"] <= 1.0
         assert rep.passed
 
     def test_zero_epsilon(self):
-        rep = check_carbery_wright(1, [0.0], 1, 50_000, polys=[X_POLY])
+        rep = check_carbery_wright([X_POLY], [0.0], 50_000)
         assert rep.rows[0]["empirical"] == 0.0
 
     def test_random_quadratics(self):
-        rep = check_carbery_wright(2, [1e-2, 1e-3], 3, 200_000, master_seed="cc")
+        rep = check_carbery_wright(ensemble(3, 2, "cc"), [1e-2, 1e-3], 200_000, master_seed="cc")
         assert rep.passed
         assert len(rep.rows) == 6
 
     def test_jobs_invariance(self):
-        a = check_carbery_wright(2, [1e-2], 2, 100_000, master_seed="dd", jobs=1)
-        b = check_carbery_wright(2, [1e-2], 2, 100_000, master_seed="dd", jobs=3)
+        a = check_carbery_wright(ensemble(2, 2, "dd"), [1e-2], 100_000, master_seed="dd", jobs=1)
+        b = check_carbery_wright(ensemble(2, 2, "dd"), [1e-2], 100_000, master_seed="dd", jobs=3)
         assert a.rows == b.rows
 
 
 class TestTailBound:
     def test_pure_linear_n3(self):
         # p = x, N = 3: true tail 0.0027, bound 2^(-2.25) with const 1
-        rep = check_tail_bound(1, [3.0], 1, 2_000_000, polys=[X_POLY], const=1.0, master_seed="09")
+        rep = check_tail_bound([X_POLY], [3.0], 2_000_000, const=1.0, master_seed="09")
         row = rep.rows[0]
         assert row["empirical"] == pytest.approx(0.0027, rel=0.15)
         assert row["empirical"] <= row["bound"]
         assert rep.passed
 
     def test_monotone_tails(self):
-        rep = check_tail_bound(2, [2.0, 4.0, 6.0], 1, 300_000, master_seed="10")
+        rep = check_tail_bound(ensemble(1, 2, "10"), [2.0, 4.0, 6.0], 300_000, master_seed="10")
         emp = [r["empirical"] for r in rep.rows]
         assert emp[0] >= emp[1] >= emp[2]
 
     def test_zero_threshold_trivial(self):
-        rep = check_tail_bound(1, [0.0], 1, 10_000, polys=[X_POLY], const=1.0)
+        rep = check_tail_bound([X_POLY], [0.0], 10_000, const=1.0)
         assert rep.rows[0]["empirical"] <= 1.0
         assert rep.rows[0]["bound"] == 1.0
+
+
+CONSTANT = PTF(SparsePolynomial(1, {(0,): 1.0}))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_carbery_wright([X_POLY], [], 100), "at least one polynomial and one threshold"),
+        (lambda: check_carbery_wright([], [0.1], 100), "at least one polynomial and one threshold"),
+        (lambda: check_tail_bound([X_POLY], [], 100), "at least one polynomial and one threshold"),
+        (lambda: check_tail_bound([], [2.0], 100), "at least one polynomial and one threshold"),
+        (lambda: check_carbery_wright([X_POLY, CONSTANT], [0.1], 100), "degree >= 1"),
+        (lambda: check_tail_bound([CONSTANT], [2.0], 100), "degree >= 1"),
+        (lambda: check_derivative_identity(X_POLY.poly, [], 100), "ells must not be empty"),
+    ],
+    ids=["cw-no-eps", "cw-no-poly", "tail-no-N", "tail-no-poly", "cw-degree-0", "tail-degree-0", "deriv-no-ell"],
+)
+def test_check_rejects_empty_or_constant_input(monkeypatch, call, message):
+    # A report of 0 rows would pass vacuously, and a degree-0 polynomial
+    # would divide by its degree in the envelope or bound.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a Gaussian row was drawn")
+
+    monkeypatch.setattr(harness, "_unit_rng", no_draws)
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestDerivativeIdentity:
@@ -447,7 +480,7 @@ class TestRunUnits:
         with pytest.raises(ValueError, match="jobs must be >= 1"):
             estimate_gap(X_POLY, "gaussian", 100, "analytic", jobs=jobs)
         with pytest.raises(ValueError, match="jobs must be >= 1"):
-            check_carbery_wright(1, [0.1], 1, 100, polys=[X_POLY], jobs=jobs)
+            check_carbery_wright([X_POLY], [0.1], 100, jobs=jobs)
         out = tmp_path / "m.csv"
         spec = ExperimentSpec(
             "moments", {}, {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06}, {}, "00", str(out), jobs
