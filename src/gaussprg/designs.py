@@ -56,6 +56,10 @@ __all__ = [
 
 _MAX_QUAD_POINTS = 64
 _MAX_PRIME = 2**62
+# The largest n a sampler is built for. At plan(n, 1, 2, 0.25, 200) the
+# first sample_batch row peaked at 218 MiB at n = 2^16 and 1,013 MiB at
+# n = 2^18, and ran out of a 3 GB address space at n = 2^20.
+_MAX_N = 2**16
 # From this q on, gap targets are exact rationals. Below it they stay float
 # products, which keeps every smaller plan's thresholds as they were (exact
 # floors would differ for some q in [2^46, 2^53)).
@@ -578,12 +582,20 @@ def seed_bits(sampler: DesignSampler) -> int:
     return sampler.family.k * sampler.block_bits
 
 
+def _check_n(n: int) -> None:
+    if n > _MAX_N:
+        raise ValueError(f"n must be <= {_MAX_N}, got {n}")
+
+
 def build_sampler(M: int, K: int, n: int, tv_budget: float) -> DesignSampler:
     """Smallest-prime sampler meeting a per-coordinate statistical budget.
 
     q is the smallest prime >= max(n+1, ceil(M/tv_budget)), so that
     tv_bound = M/q <= tv_budget while all n evaluation points stay distinct.
+    Raises ValueError for an n above ``_MAX_N``, before anything of size n
+    is made.
     """
+    _check_n(n)
     if not tv_budget > 0:
         raise ValueError("tv_budget must be positive")
     lo = max(n + 1, math.ceil(M / tv_budget))

@@ -116,10 +116,10 @@ def _design_size(d: int, k: int) -> tuple[int, int]:
 def plan(n: int, d: int, k: int, epsilon: float, ell_cap: int | None = None) -> GeneratorConfig:
     """Derive all generator parameters for (n, d, k, epsilon).
 
-    Raises ValueError if n, d or k is not an integer >= 1, if the design
-    needs more Gauss-Hermite points than the rule has, if the chain length
-    overflows without a cap or if the statistical budget needs a modulus
-    beyond 2^62.
+    Raises ValueError if n, d or k is not an integer >= 1, if n is above
+    2^16, if the design needs more Gauss-Hermite points than the rule has,
+    if the chain length overflows without a cap or if the statistical
+    budget needs a modulus beyond 2^62.
     """
     _check_epsilon(epsilon)
     n, d, k = as_index(n, "n"), as_index(d, "d"), as_index(k, "k")

@@ -6,6 +6,11 @@ Every experiment is split into fixed-size work units indexed
 deterministically from the master seed; workers may run units in parallel
 but aggregation always happens in unit order with integer tallies or
 per-unit partial sums, so results are independent of the worker count.
+
+The fooling gap and the small-ball and tail checks all count the rows on
+which a score crosses a threshold, through one kernel (``_count_hits``).
+A ``Report`` passes iff each of its rows does. ``run_experiment`` opens
+its output file before any work and writes the result through it.
 """
 
 from __future__ import annotations
@@ -26,13 +31,12 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from ._bits import derive_key, subseed
-from .designs import _MAX_QUAD_POINTS, _UNIT, _check_mode, build_sampler, verify_moments
+from .designs import _MAX_QUAD_POINTS, _UNIT, _check_mode, _check_n, build_sampler, verify_moments
 from .generator import GeneratorConfig, _design_size, config_to_json, plan, sample_batch
 from .hermite import SparsePolynomial, derivative_moment_rhs, poly_from_json
 from .ptf import (
     PTF,
     RandomPolyConfig,
-    eval_ptf_batch,
     halfspace_expectation,
     linear_threshold_params,
     normal_cdf,
@@ -85,9 +89,13 @@ def _run_units(
     ``fork`` start method exists, forked processes, which inherit ``fn``
     (often a closure) without pickling it; only unit indices and results
     cross the pipes. Set ``processes`` for units that run ``sample_batch``,
-    whose tile loop holds the GIL. Other units are large numpy calls that
-    release it, and a fork pool costs about 7 ms to start and stop, more
-    than processes would gain on them.
+    whose tile loop holds the GIL: in 8 alternating pairs of the
+    ``fool-halfspace`` benchmark, threads ran 13% slower than forked
+    workers (median 88.6k against 101.8k samples/s) and raised peak RSS
+    from 41.0 to 50.6 MiB, as threads' memory counts in the parent's
+    ``ru_maxrss``. Other units are large numpy calls that release the GIL,
+    and a fork pool costs about 7 ms to start and stop, more than
+    processes would gain on them.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -166,22 +174,25 @@ class GapEstimate:
     ci95: tuple[float, float]
 
 
-def _sign_mean_stderr(pos: int, total: int) -> tuple[float, float]:
-    e = 2.0 * pos / total - 1.0
-    return e, math.sqrt(max(1.0 - e * e, 0.0) / total)
+def _count_hits(
+    n_samples: int,
+    rows: Callable[[int, int], np.ndarray],
+    score: Callable[[np.ndarray], np.ndarray],
+    hit: Callable[[np.ndarray, float], np.ndarray],
+    thresholds: Sequence[float],
+    jobs: int,
+    processes: bool = False,
+) -> np.ndarray:
+    """For each of ``thresholds``, how many of the ``n_samples`` rows that
+    ``rows(u, cnt)`` yields unit by unit have ``hit(score(row), t)``. Each
+    unit's scores are computed once, for all thresholds. ``jobs`` and
+    ``processes`` are as in ``_run_units``."""
 
+    def unit(u: int, cnt: int) -> np.ndarray:
+        s = score(rows(u, cnt))
+        return np.array([np.count_nonzero(hit(s, t)) for t in thresholds], dtype=np.int64)
 
-def _count_positive(
-    f: PTF, n_samples: int, rows: Callable[[int, int], np.ndarray], jobs: int, processes: bool = False
-) -> int:
-    """How many of the ``n_samples`` rows that ``rows(u, cnt)`` yields unit
-    by unit have f > 0."""
-    return _sum_units(
-        n_samples,
-        lambda u, cnt: int(np.count_nonzero(eval_ptf_batch(f, rows(u, cnt)) > 0)),
-        jobs,
-        processes=processes,
-    )
+    return _sum_units(n_samples, unit, jobs, processes=processes)
 
 
 def estimate_gap(
@@ -219,16 +230,22 @@ def estimate_gap(
             return sample_batch(gen, seed_hex, cnt, start=u * _UNIT)
 
         processes = True
+
+    def sign_mean_stderr(total: int, rows: Callable[[int, int], np.ndarray], processes: bool = False):
+        # f = +1 where p >= 0: sgn(0) = +1.
+        pos = int(_count_hits(total, rows, f.poly.evaluate_batch, operator.ge, (0.0,), jobs, processes)[0])
+        e = 2.0 * pos / total - 1.0
+        return e, math.sqrt(max(1.0 - e * e, 0.0) / total)
+
     if baseline == "analytic":
         w, theta = linear_threshold_params(f)
         e_base, se_base, n_base = halfspace_expectation(w, theta), 0.0, 0
     elif baseline == "mc":
         n_base = n_baseline if n_baseline is not None else 10 * n_gen
-        bpos = _count_positive(f, n_base, _gaussian_rows(master_seed, n, "baseline"), jobs)
-        e_base, se_base = _sign_mean_stderr(bpos, n_base)
+        e_base, se_base = sign_mean_stderr(n_base, _gaussian_rows(master_seed, n, "baseline"))
     else:
         raise ValueError(f"unknown baseline {baseline!r}")
-    e_gen, se_gen = _sign_mean_stderr(_count_positive(f, n_gen, gen_rows, jobs, processes), n_gen)
+    e_gen, se_gen = sign_mean_stderr(n_gen, gen_rows, processes)
     gap = e_gen - e_base
     stderr = math.hypot(se_gen, se_base)
     return GapEstimate(
@@ -251,7 +268,12 @@ class Report:
     kind: str
     columns: tuple[str, ...]
     rows: tuple[dict, ...]
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """True iff every row's ``passed`` is 1; a row without that column
+        passes, and so does a report without rows."""
+        return all(row.get("passed", 1) == 1 for row in self.rows)
 
 
 def _ensemble_ptfs(ens: dict, degree: int, seed_hex: str) -> list[PTF]:
@@ -289,17 +311,12 @@ def _threshold_check(
     for pi, f in enumerate(polys):
         d = f.poly.degree
         draw = _gaussian_rows(master_seed, f.poly.num_vars, kind, d, pi)
-
-        def unit(u: int, cnt: int) -> np.ndarray:
-            a = np.abs(f.poly.evaluate_batch(draw(u, cnt)))
-            return np.array([np.count_nonzero(hit(a, t)) for t in t_arr], dtype=np.int64)
-
-        for t, c in zip(t_arr, _sum_units(n_samples, unit, jobs)):
+        counts = _count_hits(n_samples, draw, lambda X: np.abs(f.poly.evaluate_batch(X)), hit, t_arr, jobs)
+        for t, c in zip(t_arr, counts):
             empirical = c / n_samples
             row = {"poly": pi, "degree": d, "n_samples": n_samples, "empirical": empirical}
             rows.append({**row, **judge(d, t, empirical)})
-    passed = all(row["passed"] for row in rows)
-    return Report(kind, columns, tuple(rows), passed)
+    return Report(kind, columns, tuple(rows))
 
 
 def check_carbery_wright(
@@ -387,7 +404,6 @@ def check_derivative_identity(
         raise ValueError(f"ells must be >= 0, got {list(ells)}")
     n = p.num_vars
     rows = []
-    ok = True
     for ell in ells:
         partials = _mixed_partials(p, ell)
         ordered = [tuple(sorted(t)) for t in _var_tuples(n, ell)]
@@ -418,8 +434,6 @@ def check_derivative_identity(
             rel = 0.0 if mean == 0.0 else math.inf
         else:
             rel = abs(mean - exact) / exact
-        passed = rel <= tol
-        ok &= passed
         rows.append(
             {
                 "ell": ell,
@@ -428,11 +442,11 @@ def check_derivative_identity(
                 "exact": exact,
                 "rel_error": rel,
                 "stderr": stderr,
-                "passed": int(passed),
+                "passed": int(rel <= tol),
             }
         )
     cols = ("ell", "n_samples", "estimate", "exact", "rel_error", "stderr", "passed")
-    return Report("deriv", cols, tuple(rows), ok)
+    return Report("deriv", cols, tuple(rows))
 
 
 def _var_tuples(n: int, ell: int):
@@ -514,11 +528,10 @@ def check_prop4_1d(k: int, shells: Sequence[float] = (0.2, 0.1, 0.05)) -> Report
         rows.append({"radius": r, "max_residual": max_res[-1]})
     slope = float(np.polyfit(np.log(shells), np.log(max_res), 1)[0])
     origin = float(_smooth_expectation(np.array([0.0]), np.array([0.0]))[0])
-    passed = slope >= k - 0.5
     for row in rows:
-        row.update({"slope": slope, "origin_value": origin, "passed": int(passed)})
+        row.update({"slope": slope, "origin_value": origin, "passed": int(slope >= k - 0.5)})
     cols = ("radius", "max_residual", "slope", "origin_value", "passed")
-    return Report("prop4", cols, tuple(rows), passed)
+    return Report("prop4", cols, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -550,38 +563,22 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _open_tmp(path: str, newline: str | None = None):
-    """``(tmp, fh)``: the temporary file that ``_atomic_open`` writes,
-    opened after making ``path``'s directory. Raises ValueError if
-    either cannot be made."""
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        return tmp, open(tmp, "w", newline=newline)
-    except OSError as exc:
-        raise ValueError(f"cannot write {path}: {exc}") from exc
-
-
-def _check_out(path: str) -> None:
-    """Raise, before any computation, the ValueError that writing ``path``
-    through ``_atomic_open`` would raise at the end: make its directory,
-    create and remove the temporary file, and reject a directory."""
-    if os.path.isdir(path):
-        raise ValueError(f"cannot write {path}: it is a directory")
-    tmp, fh = _open_tmp(path)
-    fh.close()
-    os.unlink(tmp)
-
-
 @contextlib.contextmanager
 def _atomic_open(path: str, newline: str | None = None):
     """A text file that appears at ``path`` only once it is complete: it is
     written to a temporary file in the same directory, then renamed onto
     ``path``. A write that fails leaves ``path`` as it was. A ``path``
-    that cannot be written at all (its directory cannot be made, the
-    temporary file cannot be opened or it cannot replace ``path``)
-    raises ValueError."""
-    tmp, fh = _open_tmp(path, newline)
+    that cannot be written at all raises ValueError: on entry if it is a
+    directory or its directory or the temporary file cannot be made, at
+    the end if the temporary file cannot replace it."""
+    if os.path.isdir(path):
+        raise ValueError(f"cannot write {path}: it is a directory")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+        fh = open(tmp, "w", newline=newline)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
     try:
         with fh:
             yield fh
@@ -595,18 +592,12 @@ def _atomic_open(path: str, newline: str | None = None):
         raise
 
 
-def _write_csv(path: str, columns: Sequence[str], rows: Sequence[dict]) -> None:
-    with _atomic_open(path, newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(columns)
-        for row in rows:
-            w.writerow([_fmt_cell(row[c]) for c in columns])
-
-
-def _write_spec_sidecar(spec: ExperimentSpec) -> None:
-    with _atomic_open(spec.out + ".spec.json") as fh:
-        fh.write(spec.echo_json())
-        fh.write("\n")
+def _write_csv(fh, columns: Sequence[str], rows: Sequence[dict]) -> None:
+    """The header and ``rows`` to ``fh``, a file opened with ``newline=""``."""
+    w = csv.writer(fh, lineterminator="\n")
+    w.writerow(columns)
+    for row in rows:
+        w.writerow([_fmt_cell(row[c]) for c in columns])
 
 
 _REQ = "required"
@@ -740,9 +731,12 @@ def _keyed(path: str, fn: Callable, *args, **kwargs):
         raise ValueError(f"config {path}: {exc}") from None
 
 
-def _run_sample(spec: ExperimentSpec, cfg: dict) -> Report:
+def _run_sample(spec: ExperimentSpec, cfg: dict, fh) -> Report:
+    """Write ``count`` generator rows to ``fh`` as JSONL, after a header
+    line with the spec echo."""
+    _keyed("generator.n", _check_n, cfg["generator"]["n"])
     _keyed("generator.d and generator.k", _design_size, cfg["generator"]["d"], cfg["generator"]["k"])
-    # With the schema and (d, k) checked, every error of plan is about epsilon: its
+    # With the schema, n and (d, k) checked, every error of plan is about epsilon: its
     # range, a chain that overflows without ell_cap, or a budget that needs a prime beyond 2^62.
     config = _keyed("generator.epsilon", plan, **cfg["generator"])
     count = cfg["samples"]["count"]
@@ -754,7 +748,7 @@ def _run_sample(spec: ExperimentSpec, cfg: dict) -> Report:
         return sample_batch(config, spec.seed, min(block, count - lo), start=lo)
 
     chunks = _run_units(units, unit, spec.jobs, processes=True)
-    with _atomic_open(spec.out) as fh, contextlib.closing(chunks):
+    with contextlib.closing(chunks):
         fh.write(json.dumps({"spec": json.loads(spec.echo_json())}, sort_keys=True))
         fh.write("\n")
         # Each unit is written, in unit order, as soon as it and every
@@ -765,15 +759,16 @@ def _run_sample(spec: ExperimentSpec, cfg: dict) -> Report:
             rows = enumerate(chunk.tolist(), u * block)
             fh.writelines('{"seed_index": %d, "y": %r}\n' % row for row in rows)
             fh.flush()
-    return Report("sample", (), (), True)
+    return Report("sample", (), ())
 
 
 def _run_moments(spec: ExperimentSpec, cfg: dict) -> Report:
     M = cfg["generator"]["M"]
     if M > _MAX_QUAD_POINTS:
         raise ValueError(f"config generator.M must be <= {_MAX_QUAD_POINTS}, got {M}")
+    _keyed("generator.n", _check_n, cfg["generator"]["n"])
     _keyed("samples.mode", _check_mode, cfg["samples"]["mode"])
-    # With M in range, every error of build_sampler is about the budget.
+    # With M and n in range, every error of build_sampler is about the budget.
     sampler = _keyed("generator.tv_budget", build_sampler, **cfg["generator"])
     # With the mode and max_order checked, every error of verify_moments is
     # about the Monte-Carlo sample count.
@@ -781,7 +776,7 @@ def _run_moments(spec: ExperimentSpec, cfg: dict) -> Report:
         "samples.n_samples", verify_moments, sampler, **cfg["samples"], rng_seed=derive_key(spec.seed, "moments")
     )
     cols = ("scope", "orders", "empirical", "target", "tolerance", "passed")
-    return Report("moments", cols, tuple(report.rows()), report.passed)
+    return Report("moments", cols, tuple(report.rows()))
 
 
 def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
@@ -789,6 +784,7 @@ def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
     num_vars, degree, epsilons = ens["num_vars"], ens["degree"], gen["epsilons"]
     baseline = smp["baseline"] if smp["baseline"] is not None else "analytic" if degree == 1 else "mc"
     max_stderr = smp["max_gap_stderr"]
+    _keyed("ensemble.num_vars", _check_n, num_vars)
     _keyed("ensemble.degree and generator.k", _design_size, degree, gen["k"])
     # As in _run_sample, every error of plan here is about the epsilon.
     configs = {e: _keyed("generator.epsilons", plan, num_vars, degree, gen["k"], e, gen["ell_cap"]) for e in epsilons}
@@ -819,8 +815,7 @@ def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
         "n_samples_gen", "n_samples_baseline", "e_gen", "e_baseline",
         "gap", "stderr", "ci_lo", "ci_hi",
     ) + (("passed",) if max_stderr is not None else ())
-    passed = all(r.get("passed", 1) for r in rows)
-    return Report("fool", cols, rows, passed)
+    return Report("fool", cols, rows)
 
 
 def _run_threshold_check(spec: ExperimentSpec, cfg: dict) -> Report:
@@ -833,7 +828,7 @@ def _run_threshold_check(spec: ExperimentSpec, cfg: dict) -> Report:
     ]
     rows = tuple(row for rep in reports for row in rep.rows)
     cols = reports[-1].columns
-    return Report(spec.kind, cols, rows, all(rep.passed for rep in reports))
+    return Report(spec.kind, cols, rows)
 
 
 def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
@@ -844,7 +839,6 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
     else:
         polys = [f.poly for f in _ensemble_ptfs(ens, ens["degree"], spec.seed)]
     rows: list[dict] = []
-    ok = True
     for pi, poly in enumerate(polys):
         rep = check_derivative_identity(
             poly,
@@ -856,9 +850,8 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
         )
         for r in rep.rows:
             rows.append({"poly": pi, **r})
-        ok &= rep.passed
     cols = ("poly", "ell", "n_samples", "estimate", "exact", "rel_error", "stderr", "passed")
-    return Report("deriv", cols, tuple(rows), ok)
+    return Report("deriv", cols, tuple(rows))
 
 
 def _run_prop4(spec: ExperimentSpec, cfg: dict) -> Report:
@@ -868,8 +861,8 @@ def _run_prop4(spec: ExperimentSpec, cfg: dict) -> Report:
     return _keyed("samples.k", check_prop4_1d, **cfg["samples"])
 
 
+# The CSV kinds; ``sample`` writes its JSONL as it runs.
 _RUNNERS = {
-    "sample": _run_sample,
     "moments": _run_moments,
     "fool": _run_fool,
     "cw": _run_threshold_check,
@@ -884,18 +877,21 @@ def run_experiment(spec: ExperimentSpec) -> Report:
     ``sample``, or for every other kind the report's CSV at ``spec.out``
     and the spec echo at ``spec.out + ".spec.json"``.
 
-    The config sections are checked against ``_SCHEMA`` before any work.
-    Re-running an identical spec reproduces the output files byte for byte,
-    whatever the jobs value.
+    The config sections are checked against ``_SCHEMA``, and ``spec.out``
+    is opened through ``_atomic_open``, before any work; a run that raises
+    leaves ``spec.out`` as it was. Re-running an identical spec reproduces
+    the output files byte for byte, whatever the jobs value.
     """
-    if spec.kind not in _RUNNERS:
+    if spec.kind != "sample" and spec.kind not in _RUNNERS:
         raise ValueError(f"unknown experiment kind {spec.kind!r}")
     if spec.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {spec.jobs}")
     cfg = _read_config(spec.kind, {s: getattr(spec, s) for s in ("ensemble", "generator", "samples")})
-    _check_out(spec.out)
-    report = _RUNNERS[spec.kind](spec, cfg)
-    if spec.kind != "sample":
-        _write_csv(spec.out, report.columns, report.rows)
-        _write_spec_sidecar(spec)
+    with _atomic_open(spec.out, newline=None if spec.kind == "sample" else "") as fh:
+        if spec.kind == "sample":
+            return _run_sample(spec, cfg, fh)
+        report = _RUNNERS[spec.kind](spec, cfg)
+        _write_csv(fh, report.columns, report.rows)
+    with _atomic_open(spec.out + ".spec.json") as fh:
+        fh.write(spec.echo_json() + "\n")
     return report

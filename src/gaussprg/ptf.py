@@ -67,12 +67,20 @@ class RandomPolyConfig:
 
 
 def hermite_indices(num_vars: int, max_degree: int) -> list[tuple[int, ...]]:
-    """All multi-indices with |a|_1 <= max_degree, graded lexicographic."""
+    """All multi-indices with |a|_1 <= max_degree, graded lexicographic:
+    by total degree, then lexicographically within each degree."""
     out = []
     for total in range(max_degree + 1):
-        for a in itertools.product(range(total + 1), repeat=num_vars):
-            if sum(a) == total:
-                out.append(a)
+        # The variable multisets of size total, as sorted index tuples in
+        # lexicographic order, map to the degree-total exponent vectors in
+        # reverse lexicographic order.
+        block = []
+        for combo in itertools.combinations_with_replacement(range(num_vars), total):
+            a = [0] * num_vars
+            for i in combo:
+                a[i] += 1
+            block.append(tuple(a))
+        out.extend(reversed(block))
     return out
 
 

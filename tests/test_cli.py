@@ -329,26 +329,30 @@ class TestArgumentErrors:
             assert "bad.json" in line and "top level must be a JSON object" in line
 
     def test_unusable_out(self, tmp_path, capsys, monkeypatch):
-        # The path is checked before any sample is drawn.
+        # The path is checked before any sample or Gaussian is drawn.
         def no_sampling(*args, **kwargs):
-            raise AssertionError("sample_batch called")
+            raise AssertionError("a sample or a Gaussian was drawn")
 
         monkeypatch.setattr(harness, "sample_batch", no_sampling)
+        monkeypatch.setattr(harness, "_unit_rng", no_sampling)
         afile = tmp_path / "afile"
         afile.write_text("keep\n")
         plan_cfg = tmp_path / "plan.json"
         plan_cfg.write_text(json.dumps({"n": 2, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 2}))
         sample_cfg = tmp_path / "gen.json"
         sample_cfg.write_text(json.dumps({"generator": json.loads(plan_cfg.read_text())}))
+        cw_cfg = tmp_path / "cw.json"
+        cw_cfg.write_text(json.dumps({"ensemble": {"count": 1}, "samples": {"epsilons": [0.1], "n_samples": 100}}))
         for out in (afile / "x.json", tmp_path):
             for argv in (
                 ["plan", "--config", str(plan_cfg), "--out", str(out)],
                 ["sample", "--config", str(sample_cfg), "--samples", "5", "--out", str(out)],
+                ["check", "cw", "--config", str(cw_cfg), "--out", str(out)],
             ):
                 line = self._rejects(argv, capsys, tmp_path)
                 assert f"cannot write {out}" in line
         assert afile.read_text() == "keep\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "gen.json", "plan.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "cw.json", "gen.json", "plan.json"]
 
     @pytest.mark.parametrize(
         "command, config, key",
@@ -586,6 +590,30 @@ class TestArgumentErrors:
         out = [] if command == ["plan"] else ["--out", str(tmp_path / "out.jsonl")]
         line = self._rejects(command + ["--config", str(cfg)] + out, capsys, tmp_path)
         assert keys in line and "needs a 91-point Gauss-Hermite rule; the limit is 64" in line
+
+    # n above 2^16, the cap on n: 10^16 made numpy try to allocate 71 PiB,
+    # and 2^61 or 2^62 leaves no prime q > n below 2^62.
+    @pytest.mark.parametrize(
+        "command, config, key",
+        [
+            (["plan"], {**GEN, "n": 10**16}, "n must be <= 65536"),
+            (["sample"], {"generator": {**GEN, "n": 10**16}, "samples": {"count": 5}}, "config generator.n"),
+            (["sample"], {"generator": {**GEN, "n": 2**62}, "samples": {"count": 5}}, "config generator.n"),
+            (["sample"], {"generator": {**GEN, "n": 2**61}, "samples": {"count": 5}}, "config generator.n"),
+            (["sample"], {"generator": {**GEN, "n": 2**16 + 1}, "samples": {"count": 5}}, "config generator.n"),
+            (["moments"], {"generator": {"M": 3, "K": 4, "n": 10**16, "tv_budget": 0.06}}, "config generator.n"),
+            (["fool"], {**FOOL_SMALL, "ensemble": {"count": 1, "num_vars": 10**16}, "samples": {"n_gen": 100}},
+             "config ensemble.num_vars"),
+        ],
+        ids=["plan", "sample", "sample-2^62", "sample-2^61", "sample-cap+1", "moments", "fool"],
+    )
+    def test_n_beyond_cap(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        out = [] if command == ["plan"] else ["--out", str(tmp_path / "out.jsonl")]
+        line = self._rejects(command + ["--config", str(cfg)] + out, capsys, tmp_path)
+        assert key in line and "must be <= 65536" in line
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     @pytest.mark.parametrize(
         "poly",

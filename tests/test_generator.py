@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gaussprg import generator
+from gaussprg import designs, generator
 from gaussprg._bits import derive_key, stream_bytes
 from gaussprg.designs import seed_bits
 from gaussprg.generator import (
@@ -64,6 +64,16 @@ class TestPlan:
         # 1.5 and "2" raised TypeError; 2.0 was accepted as a float n.
         with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
             plan(*args)
+
+    def test_n_cap(self, monkeypatch):
+        cfg = plan(2**16, 1, 2, 0.25, 200)
+        assert cfg.n == cfg.sampler.n == 2**16
+        # Beyond the cap, rejected before q is chosen or anything of size n is made.
+        monkeypatch.setattr(designs, "next_prime", None)
+        monkeypatch.setattr(designs, "KWiseFamily", None)
+        for n in (2**16 + 1, 2**61, 10**16):
+            with pytest.raises(ValueError, match=rf"^n must be <= 65536, got {n}$"):
+                plan(n, 1, 2, 0.25, 200)
 
     @pytest.mark.parametrize("d, k, points", [(2, 2, 91), (1, 4, 76)])
     def test_design_beyond_quadrature(self, monkeypatch, d, k, points):

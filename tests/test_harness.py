@@ -84,6 +84,13 @@ class TestEstimateGap:
         assert est.e_gen == -0.6966101129962334
         assert est.e_baseline == -0.6919449194491945
 
+    @pytest.mark.parametrize("gen", ["gaussian", plan(2, 1, 1, 0.4, ell_cap=2)], ids=["gaussian", "plan"])
+    def test_zero_counts_as_positive(self, gen):
+        # sgn(0) = +1 on the generator rows and on the Monte-Carlo
+        # baseline's rows, each ending in a partial unit.
+        est = estimate_gap(PTF(SparsePolynomial(2, {})), gen, 5000, "mc", n_baseline=70_000)
+        assert (est.e_gen, est.e_baseline, est.gap, est.stderr) == (1.0, 1.0, 0.0, 0.0)
+
     @pytest.mark.parametrize(
         "gen, baseline, message",
         [
@@ -238,6 +245,20 @@ class TestProp4:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="two distinct shell radii"):
                 check_prop4_1d(3, shells=shells)
+
+
+@pytest.mark.parametrize(
+    "rows, passed",
+    [
+        ((), True),
+        (({"a": 1}, {"a": 2}), True),
+        (({"passed": 1}, {"passed": 1}), True),
+        (({"passed": 1}, {"passed": 0}, {"passed": 1}), False),
+    ],
+    ids=["no-rows", "no-column", "all-pass", "one-fails"],
+)
+def test_report_passed_is_derived_from_rows(rows, passed):
+    assert harness.Report("x", ("a",), rows).passed is passed
 
 
 class TestRunExperiment:
@@ -543,11 +564,13 @@ class TestAtomicWrites:
 
         monkeypatch.setattr(harness, "_fmt_cell", fmt)
         with pytest.raises(RuntimeError):
-            harness._write_csv(str(out), ["a"], rows)
+            with harness._atomic_open(str(out), newline="") as fh:
+                harness._write_csv(fh, ["a"], rows)
         assert list(tmp_path.iterdir()) == []
         out.write_text("old\n")
         with pytest.raises(RuntimeError):
-            harness._write_csv(str(out), ["a"], rows)
+            with harness._atomic_open(str(out), newline="") as fh:
+                harness._write_csv(fh, ["a"], rows)
         assert out.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [out]
 

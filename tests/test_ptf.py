@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -72,6 +74,25 @@ class TestRandomPtf:
     def test_index_count(self):
         # n=2, d=2: multi-indices with |a|_1 <= 2 number C(2+2, 2) = 6
         assert len(hermite_indices(2, 2)) == 6
+
+    def test_indices_match_brute_force(self):
+        # Every tuple of entries <= t with sum t, degree by degree, in
+        # lexicographic order: the (d+1)^n walk hermite_indices replaced.
+        for n in range(1, 7):
+            for d in range(5):
+                brute = [
+                    a for t in range(d + 1) for a in itertools.product(range(t + 1), repeat=n) if sum(a) == t
+                ]
+                assert hermite_indices(n, d) == brute, (n, d)
+
+    def test_many_variables(self):
+        # C(202, 2) = 20,301 indices; the brute-force walk would take 3^200 steps.
+        start = time.perf_counter()
+        idx = hermite_indices(200, 2)
+        assert time.perf_counter() - start < 10.0
+        assert len(idx) == math.comb(202, 2)
+        assert idx[:3] == [(0,) * 200, (0,) * 199 + (1,), (0,) * 198 + (1, 0)]
+        assert idx[-1] == (2,) + (0,) * 199
 
     def test_hermite_isotropy(self):
         # 10^4 draws, n=2, d=2: normalized coefficient vectors are uniform on
