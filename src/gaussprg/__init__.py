@@ -1,109 +1,6 @@
 """Moment-design pseudorandom generator for polynomial threshold functions
 of Gaussians, with Hermite-analysis utilities and an empirical
-verification harness."""
-
-from .designs import (
-    DesignSampler,
-    KWiseFamily,
-    MomentReport,
-    Quadrature1D,
-    build_sampler,
-    design_sample,
-    gauss_hermite,
-    kwise_eval,
-    sampler_to_json,
-    seed_bits,
-    verify_moments,
-)
-from .generator import (
-    GeneratorConfig,
-    blend_weights,
-    config_to_json,
-    plan,
-    sample,
-    sample_batch,
-    total_seed_bits,
-)
-from .harness import (
-    ExperimentSpec,
-    GapEstimate,
-    Report,
-    check_carbery_wright,
-    check_derivative_identity,
-    check_prop4_1d,
-    check_tail_bound,
-    estimate_gap,
-    run_experiment,
-)
-from .hermite import (
-    HermiteExpansion,
-    SparsePolynomial,
-    degree_part,
-    derivative_moment_rhs,
-    from_hermite,
-    hermite_1d,
-    l2_norm,
-    poly_from_json,
-    poly_to_json,
-    to_hermite,
-)
-from .ptf import (
-    PTF,
-    RandomPolyConfig,
-    eval_ptf,
-    eval_ptf_batch,
-    halfspace_expectation,
-    ptf_from_json,
-    ptf_to_json,
-    random_ptf,
-)
+verification harness. Names are imported from their modules; each
+module's ``__all__`` lists its public names."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DesignSampler",
-    "ExperimentSpec",
-    "GapEstimate",
-    "GeneratorConfig",
-    "HermiteExpansion",
-    "KWiseFamily",
-    "MomentReport",
-    "PTF",
-    "Quadrature1D",
-    "RandomPolyConfig",
-    "Report",
-    "SparsePolynomial",
-    "blend_weights",
-    "build_sampler",
-    "check_carbery_wright",
-    "check_derivative_identity",
-    "check_prop4_1d",
-    "check_tail_bound",
-    "config_to_json",
-    "degree_part",
-    "derivative_moment_rhs",
-    "design_sample",
-    "estimate_gap",
-    "eval_ptf",
-    "eval_ptf_batch",
-    "from_hermite",
-    "gauss_hermite",
-    "halfspace_expectation",
-    "hermite_1d",
-    "kwise_eval",
-    "l2_norm",
-    "plan",
-    "poly_from_json",
-    "poly_to_json",
-    "ptf_from_json",
-    "ptf_to_json",
-    "random_ptf",
-    "run_experiment",
-    "sample",
-    "sample_batch",
-    "sampler_to_json",
-    "seed_bits",
-    "to_hermite",
-    "total_seed_bits",
-    "verify_moments",
-]

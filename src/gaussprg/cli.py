@@ -50,12 +50,12 @@ def _build_spec(
     return ExperimentSpec(kind=kind, **sections, seed=args.seed, out=args.out, jobs=args.jobs)
 
 
-def _add_common(p: argparse.ArgumentParser, need_out: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--seed", default="00", help="master seed (hex)")
     p.add_argument("--samples", type=int, default=None, help="sample-count override")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker count")
-    p.add_argument("--out", required=need_out, help="output path")
+    p.add_argument("--out", required=True, help="output path")
 
 
 def main(argv: list[str] | None = None) -> int:

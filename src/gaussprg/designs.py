@@ -702,6 +702,9 @@ class MomentReport:
 
 
 _UNIT = 25_000  # fixed Monte-Carlo work-unit size (samples per unit)
+# The most seeds Monte-Carlo moments draw: at about 32 bytes per sample at
+# peak, 2^25 samples hold about 1 GiB.
+_MAX_MC_SAMPLES = 2**25
 
 
 def _tv_tolerance(sampler: DesignSampler, orders: tuple[int, ...]) -> float:
@@ -742,7 +745,7 @@ def verify_moments(
     outer product of gaps over q^2, since any one value of the family is
     uniform on F_q and any two are uniform on F_q^2. It costs O(M^2) for
     every q and k. Monte-Carlo mode draws
-    ``n_samples`` seeds (at least 2) in 25,000-seed units, evaluates only
+    ``n_samples`` seeds (2 to ``_MAX_MC_SAMPLES``) in 25,000-seed units, evaluates only
     coordinates 0 and 1 (about 32 bytes per sample at peak) and checks
     against that bound plus 4 standard errors. Only orders 1..max_order
     (max_order >= 1) that the quadrature matches (<= 2M-1) are compared.
@@ -777,6 +780,8 @@ def verify_moments(
     else:  # "mc"
         if n_samples < 2:
             raise ValueError(f"n_samples must be >= 2 for Monte-Carlo moments, got {n_samples}")
+        if n_samples > _MAX_MC_SAMPLES:
+            raise ValueError(f"n_samples must be <= {_MAX_MC_SAMPLES} for Monte-Carlo moments, got {n_samples}")
         rng = np.random.Generator(np.random.Philox(key=rng_seed))
         # Only coordinates 0 and 1 are checked, so only their two evaluation
         # points are contracted and kept, one contiguous row each. Seeds are

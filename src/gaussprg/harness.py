@@ -265,7 +265,6 @@ def estimate_gap(
 class Report:
     """Generic check result: fixed columns, one dict per row."""
 
-    kind: str
     columns: tuple[str, ...]
     rows: tuple[dict, ...]
 
@@ -278,11 +277,11 @@ class Report:
 
 def _ensemble_ptfs(ens: dict, degree: int, seed_hex: str) -> list[PTF]:
     """An ensemble section's ``count`` random PTFs of ``degree`` in ``num_vars``
-    variables, PTF ``i`` drawn from the key ``(seed_hex, "poly", degree, i)``."""
-    return [
-        random_ptf(RandomPolyConfig(ens["num_vars"], degree, derive_key(seed_hex, "poly", degree, i) % 2**63))
-        for i in range(ens["count"])
-    ]
+    variables, PTF ``i`` drawn from the key ``(seed_hex, "poly", degree, i)``.
+    With the schema checked, every error of RandomPolyConfig is about the
+    ensemble's size."""
+    seeds = [derive_key(seed_hex, "poly", degree, i) % 2**63 for i in range(ens["count"])]
+    return [random_ptf(_keyed("ensemble.num_vars", RandomPolyConfig, ens["num_vars"], degree, s)) for s in seeds]
 
 
 def _threshold_check(
@@ -316,7 +315,7 @@ def _threshold_check(
             empirical = c / n_samples
             row = {"poly": pi, "degree": d, "n_samples": n_samples, "empirical": empirical}
             rows.append({**row, **judge(d, t, empirical)})
-    return Report(kind, columns, tuple(rows))
+    return Report(columns, tuple(rows))
 
 
 def check_carbery_wright(
@@ -368,9 +367,8 @@ def check_tail_bound(
 
 
 def _mixed_partials(p: SparsePolynomial, ell: int) -> dict[tuple[int, ...], SparsePolynomial]:
-    """Iterated partial derivatives keyed by sorted variable tuple (partials
-    commute, so one representative per multiset suffices)."""
-    out: dict[tuple[int, ...], SparsePolynomial] = {(): p}
+    """The ell-th order partial derivatives keyed by sorted variable tuple
+    (partials commute, so one representative per multiset suffices)."""
     frontier = {(): p}
     for _ in range(ell):
         nxt: dict[tuple[int, ...], SparsePolynomial] = {}
@@ -379,9 +377,14 @@ def _mixed_partials(p: SparsePolynomial, ell: int) -> dict[tuple[int, ...], Spar
                 nk = tuple(sorted(key + (i,)))
                 if nk not in nxt:
                     nxt[nk] = poly.partial_derivative(i)
-        out.update(nxt)
         frontier = nxt
-    return out
+    return frontier
+
+
+# The most ordered variable tuples, num_vars**ell, that one order of
+# check_derivative_identity sums over: each sample of a unit walks them all,
+# and each distinct sorted tuple keeps one evaluation of the unit's rows.
+_MAX_VAR_TUPLES = 2**10
 
 
 def check_derivative_identity(
@@ -395,7 +398,8 @@ def check_derivative_identity(
 ) -> Report:
     """Monte-Carlo E[|D_{V_1}..D_{V_ell} p(X)|^2] (fresh Gaussian argument
     and directions each sample, derivatives taken exactly) against the
-    exact falling-factorial value from the Hermite decomposition."""
+    exact falling-factorial value from the Hermite decomposition. Raises
+    ValueError for an ell with ``num_vars**ell`` above ``_MAX_VAR_TUPLES``."""
     if isinstance(ells, int):
         ells = [ells]
     if len(ells) == 0:
@@ -403,6 +407,10 @@ def check_derivative_identity(
     if any(ell < 0 for ell in ells):
         raise ValueError(f"ells must be >= 0, got {list(ells)}")
     n = p.num_vars
+    for ell in ells:
+        # As 2**11 > _MAX_VAR_TUPLES, n**ell exceeds it iff n**min(ell, 11) does.
+        if n ** min(ell, _MAX_VAR_TUPLES.bit_length()) > _MAX_VAR_TUPLES:
+            raise ValueError(f"num_vars**ell must be <= {_MAX_VAR_TUPLES}, got {n}**{ell}")
     rows = []
     for ell in ells:
         partials = _mixed_partials(p, ell)
@@ -446,7 +454,7 @@ def check_derivative_identity(
             }
         )
     cols = ("ell", "n_samples", "estimate", "exact", "rel_error", "stderr", "passed")
-    return Report("deriv", cols, tuple(rows))
+    return Report(cols, tuple(rows))
 
 
 def _var_tuples(n: int, ell: int):
@@ -531,7 +539,7 @@ def check_prop4_1d(k: int, shells: Sequence[float] = (0.2, 0.1, 0.05)) -> Report
     for row in rows:
         row.update({"slope": slope, "origin_value": origin, "passed": int(slope >= k - 0.5)})
     cols = ("radius", "max_residual", "slope", "origin_value", "passed")
-    return Report("prop4", cols, tuple(rows))
+    return Report(cols, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -759,7 +767,7 @@ def _run_sample(spec: ExperimentSpec, cfg: dict, fh) -> Report:
             rows = enumerate(chunk.tolist(), u * block)
             fh.writelines('{"seed_index": %d, "y": %r}\n' % row for row in rows)
             fh.flush()
-    return Report("sample", (), ())
+    return Report((), ())
 
 
 def _run_moments(spec: ExperimentSpec, cfg: dict) -> Report:
@@ -776,7 +784,7 @@ def _run_moments(spec: ExperimentSpec, cfg: dict) -> Report:
         "samples.n_samples", verify_moments, sampler, **cfg["samples"], rng_seed=derive_key(spec.seed, "moments")
     )
     cols = ("scope", "orders", "empirical", "target", "tolerance", "passed")
-    return Report("moments", cols, tuple(report.rows()))
+    return Report(cols, tuple(report.rows()))
 
 
 def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
@@ -815,7 +823,7 @@ def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
         "n_samples_gen", "n_samples_baseline", "e_gen", "e_baseline",
         "gap", "stderr", "ci_lo", "ci_hi",
     ) + (("passed",) if max_stderr is not None else ())
-    return Report("fool", cols, rows)
+    return Report(cols, rows)
 
 
 def _run_threshold_check(spec: ExperimentSpec, cfg: dict) -> Report:
@@ -828,7 +836,7 @@ def _run_threshold_check(spec: ExperimentSpec, cfg: dict) -> Report:
     ]
     rows = tuple(row for rep in reports for row in rep.rows)
     cols = reports[-1].columns
-    return Report(spec.kind, cols, rows)
+    return Report(cols, rows)
 
 
 def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
@@ -840,7 +848,10 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
         polys = [f.poly for f in _ensemble_ptfs(ens, ens["degree"], spec.seed)]
     rows: list[dict] = []
     for pi, poly in enumerate(polys):
-        rep = check_derivative_identity(
+        # With the schema checked, every error of check_derivative_identity is about the orders.
+        rep = _keyed(
+            "samples.ells",
+            check_derivative_identity,
             poly,
             smp["ells"],
             smp["n_samples"],
@@ -851,7 +862,7 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
         for r in rep.rows:
             rows.append({"poly": pi, **r})
     cols = ("poly", "ell", "n_samples", "estimate", "exact", "rel_error", "stderr", "passed")
-    return Report("deriv", cols, tuple(rows))
+    return Report(cols, tuple(rows))
 
 
 def _run_prop4(spec: ExperimentSpec, cfg: dict) -> Report:

@@ -197,10 +197,6 @@ class HermiteExpansion:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", _clean_terms(self.num_vars, self.coeffs))
 
-    @property
-    def degree(self) -> int:
-        return max((sum(a) for a in self.coeffs), default=0)
-
 
 @lru_cache(maxsize=None)
 def _he_monomial_table(j: int) -> tuple[int, ...]:

@@ -51,11 +51,33 @@ def eval_ptf_batch(f: PTF, X: np.ndarray) -> np.ndarray:
     return np.where(vals >= 0.0, 1, -1).astype(np.int64)
 
 
+# The most exponent entries, num_vars * C(num_vars + degree, degree), that
+# random_ptf builds. (200, 2) has 4.1M and builds in about 5 s at 166 MiB;
+# (500, 2) has 31M and takes 77 s and 2 GiB.
+_MAX_ENSEMBLE_ENTRIES = 2**22
+
+
+def _ensemble_entries(num_vars: int, degree: int) -> int:
+    """num_vars * C(num_vars + degree, degree), or a larger number once that
+    exceeds ``_MAX_ENSEMBLE_ENTRIES``. C(a + b, b) is the product over
+    j = 1..min(a, b) of (max(a, b) + j) / j, each factor at least 2, so the
+    loop stops within about 22 steps whatever the sizes."""
+    small, large = sorted((num_vars, degree))
+    count = num_vars
+    for j in range(1, small + 1):
+        count = count * (large + j) // j
+        if count > _MAX_ENSEMBLE_ENTRIES:
+            break
+    return count
+
+
 @dataclass(frozen=True)
 class RandomPolyConfig:
     """Test-instance ensemble: i.i.d. standard normal coefficients over the
     orthonormal Hermite products of total degree <= degree, rescaled so the
-    resulting polynomial has Gaussian L2 norm 1."""
+    resulting polynomial has Gaussian L2 norm 1. Raises ValueError for sizes
+    whose num_vars * C(num_vars + degree, degree) exponent entries exceed
+    ``_MAX_ENSEMBLE_ENTRIES``."""
 
     num_vars: int
     degree: int
@@ -64,6 +86,11 @@ class RandomPolyConfig:
     def __post_init__(self) -> None:
         if self.num_vars < 1 or self.degree < 1:
             raise ValueError("need num_vars >= 1 and degree >= 1")
+        if _ensemble_entries(self.num_vars, self.degree) > _MAX_ENSEMBLE_ENTRIES:
+            raise ValueError(
+                f"num_vars * C(num_vars + degree, degree) must be <= {_MAX_ENSEMBLE_ENTRIES}, "
+                f"got num_vars={self.num_vars}, degree={self.degree}"
+            )
 
 
 def hermite_indices(num_vars: int, max_degree: int) -> list[tuple[int, ...]]:

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -615,6 +616,44 @@ class TestArgumentErrors:
         assert key in line and "must be <= 65536" in line
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
+    # Sizes above the bounds on a random ensemble (2^22 exponent entries),
+    # Monte-Carlo moments (2^25 samples) and derivative orders (num_vars**ell
+    # of 2^10). Each died with a MemoryError traceback and exit 1, so each
+    # runs as its own process, limited to a 2 GB address space.
+    @pytest.mark.parametrize(
+        "command, config, key, bound",
+        [
+            (["fool"], {**FOOL_SMALL, "ensemble": {"count": 1, "num_vars": 65536}, "samples": {"n_gen": 100}},
+             "config ensemble.num_vars", "must be <= 4194304"),
+            (["check", "cw"], {"ensemble": {"num_vars": 10**16}, "samples": {"epsilons": [0.1], "n_samples": 100}},
+             "config ensemble.num_vars", "must be <= 4194304"),
+            (["check", "deriv"], {"ensemble": {"num_vars": 65536, "degree": 1}, "samples": {"ells": [1], "n_samples": 100}},
+             "config ensemble.num_vars", "must be <= 4194304"),
+            (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06},
+                           "samples": {"mode": "mc", "n_samples": 10**12}},
+             "config samples.n_samples", "must be <= 33554432"),
+            (["check", "deriv"], {"samples": {"ells": [25], "n_samples": 100}},
+             "config samples.ells", "must be <= 1024, got 3**25"),
+        ],
+        ids=["fool", "cw", "deriv-ensemble", "moments-mc", "deriv-ells"],
+    )
+    def test_size_beyond_bound(self, tmp_path, command, config, key, bound):
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(config))
+        argv = [sys.executable, "-m", "gaussprg.cli", *command, "--config", str(cfg), "--out", str(tmp_path / "out.csv")]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            argv, capture_output=True, text=True, env=env, preexec_fn=limit_memory, timeout=60
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("gaussprg: error: ")]
+        assert len(errors) == 1 and key in errors[0] and bound in errors[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
     @pytest.mark.parametrize(
         "poly",
         [
@@ -756,3 +795,22 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands)
+
+
+def test_every_public_name_resolves():
+    # Each module's __all__ is the index of its public names; the package
+    # itself re-exports none.
+    import importlib
+    import pkgutil
+
+    import gaussprg
+
+    assert not hasattr(gaussprg, "__all__")
+    modules = [m.name for m in pkgutil.iter_modules(gaussprg.__path__) if not m.name.startswith("_")]
+    assert {"designs", "generator", "harness", "hermite", "ptf"} <= set(modules)
+    for name in modules:
+        module = importlib.import_module(f"gaussprg.{name}")
+        public = getattr(module, "__all__", [])
+        assert len(set(public)) == len(public), name
+        missing = [attr for attr in public if not hasattr(module, attr)]
+        assert missing == [], name

@@ -661,6 +661,19 @@ class TestVerifyMoments:
         with pytest.raises(ValueError, match="n_samples must be >= 2"):
             verify_moments(s, 4, mode="mc", n_samples=n_samples)
 
+    def test_mc_samples_cap(self, monkeypatch):
+        # 2^25 samples is the most Monte-Carlo mode draws: about 1 GiB at
+        # 32 bytes per sample.
+        s = build_sampler(3, 4, 2, tv_budget=0.06)
+        report = verify_moments(s, 4, mode="mc", n_samples=2**25, rng_seed=3)
+        assert report.n_evaluated == 2**25 and report.passed
+        # Beyond the cap, rejected before anything of size n_samples is made.
+        monkeypatch.setattr(designs, "KWiseFamily", None)
+        for n_samples in (2**25 + 1, 10**12):
+            message = rf"^n_samples must be <= 33554432 for Monte-Carlo moments, got {n_samples}$"
+            with pytest.raises(ValueError, match=message):
+                verify_moments(s, 4, mode="mc", n_samples=n_samples)
+
     def test_unknown_mode(self):
         s = build_sampler(2, 2, 2, tv_budget=0.05)
         with pytest.raises(ValueError):

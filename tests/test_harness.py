@@ -204,6 +204,20 @@ class TestDerivativeIdentity:
         with pytest.raises(ValueError, match=r"^ells must be >= 0, got \[-1\]$"):
             check_derivative_identity(p, [-1], 100)
 
+    @pytest.mark.parametrize("n, last", [(2, 10), (4, 5), (32, 2), (1024, 1)])
+    def test_tuple_cap(self, monkeypatch, n, last):
+        # num_vars**ell ordered variable tuples, at most 2^10, for each order.
+        p = SparsePolynomial(n, {(1,) * 2 + (0,) * (n - 2): 1.0})
+        rep = check_derivative_identity(p, [0, last], 3, master_seed="24")
+        assert [row["ell"] for row in rep.rows] == [0, last]
+        # Beyond the cap, rejected before any derivative is taken or row drawn,
+        # whichever listed order it is.
+        monkeypatch.setattr(harness, "_mixed_partials", None)
+        monkeypatch.setattr(harness, "_unit_rng", None)
+        for ell in (last + 1, 10**18):
+            with pytest.raises(ValueError, match=rf"^num_vars\*\*ell must be <= 1024, got {n}\*\*{ell}$"):
+                check_derivative_identity(p, [1, ell], 3)
+
     def test_beyond_degree_both_zero(self):
         p = SparsePolynomial(1, {(1,): 1.0})
         rep = check_derivative_identity(p, [2], 10_000, master_seed="23")
@@ -258,7 +272,7 @@ class TestProp4:
     ids=["no-rows", "no-column", "all-pass", "one-fails"],
 )
 def test_report_passed_is_derived_from_rows(rows, passed):
-    assert harness.Report("x", ("a",), rows).passed is passed
+    assert harness.Report(("a",), rows).passed is passed
 
 
 class TestRunExperiment:

@@ -9,6 +9,7 @@ from gaussprg.hermite import SparsePolynomial, l2_norm, to_hermite
 from gaussprg.ptf import (
     PTF,
     RandomPolyConfig,
+    _ensemble_entries,
     eval_ptf,
     eval_ptf_batch,
     halfspace_expectation,
@@ -114,6 +115,31 @@ class TestRandomPtf:
             RandomPolyConfig(0, 1, 0)
         with pytest.raises(ValueError):
             RandomPolyConfig(1, 0, 0)
+
+    def test_entries_count_exponents(self):
+        for n, d in itertools.product(range(1, 6), range(1, 5)):
+            assert _ensemble_entries(n, d) == n * len(hermite_indices(n, d)) == n * math.comb(n + d, d)
+
+    @pytest.mark.parametrize(
+        "last, first",
+        [((202, 2), (203, 2)), ((2047, 1), (2048, 1)), ((1, 2**22 - 1), (1, 2**22)), ((19, 6), (20, 6))],
+    )
+    def test_ensemble_size_cap(self, last, first):
+        # 2^22 exponent entries, num_vars * C(num_vars + degree, degree), is the
+        # most random_ptf builds: (200, 2) has 4.1M and builds in about 5 s.
+        assert _ensemble_entries(*last) <= 2**22 < _ensemble_entries(*first)
+        assert RandomPolyConfig(*last, 0).num_vars == last[0]
+        message = rf"^num_vars \* C\(num_vars \+ degree, degree\) must be <= 4194304, got num_vars={first[0]}, degree={first[1]}$"
+        with pytest.raises(ValueError, match=message):
+            RandomPolyConfig(*first, 0)
+
+    def test_ensemble_size_cap_at_huge_sizes(self):
+        # Rejected in a few steps, without C(num_vars + degree, degree) in full.
+        start = time.perf_counter()
+        for n, d in [(10**16, 1), (10**16, 2), (1, 10**16), (10**16, 10**16), (65536, 1)]:
+            with pytest.raises(ValueError, match="must be <= 4194304"):
+                RandomPolyConfig(n, d, 0)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestHalfspaceExpectation:
