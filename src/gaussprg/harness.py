@@ -279,9 +279,10 @@ def _ensemble_ptfs(ens: dict, degree: int, seed_hex: str) -> list[PTF]:
     """An ensemble section's ``count`` random PTFs of ``degree`` in ``num_vars``
     variables, PTF ``i`` drawn from the key ``(seed_hex, "poly", degree, i)``.
     With the schema checked, every error of RandomPolyConfig is about the
-    ensemble's size."""
+    ensemble's size, which its ``num_vars`` and its degree key set together."""
+    key = "ensemble.num_vars and ensemble." + ("degrees" if "degrees" in ens else "degree")
     seeds = [derive_key(seed_hex, "poly", degree, i) % 2**63 for i in range(ens["count"])]
-    return [random_ptf(_keyed("ensemble.num_vars", RandomPolyConfig, ens["num_vars"], degree, s)) for s in seeds]
+    return [random_ptf(_keyed(key, RandomPolyConfig, ens["num_vars"], degree, s)) for s in seeds]
 
 
 def _threshold_check(
@@ -383,8 +384,12 @@ def _mixed_partials(p: SparsePolynomial, ell: int) -> dict[tuple[int, ...], Spar
 
 # The most ordered variable tuples, num_vars**ell, that one order of
 # check_derivative_identity sums over: each sample of a unit walks them all,
-# and each distinct sorted tuple keeps one evaluation of the unit's rows.
-_MAX_VAR_TUPLES = 2**10
+# and each distinct sorted tuple keeps one evaluation of the unit's rows, so
+# a full 25,000-sample unit holds 200 KB per tuple. On a 2-vCPU VM a
+# monomial in 90 variables at ell 2 (8,100 tuples) peaks at 888 MiB and
+# takes 26-38 s per unit; in 128 variables (16,384) the unit would hold
+# 1.6 GB of evaluations.
+_MAX_VAR_TUPLES = 2**13
 
 
 def check_derivative_identity(
@@ -408,7 +413,7 @@ def check_derivative_identity(
         raise ValueError(f"ells must be >= 0, got {list(ells)}")
     n = p.num_vars
     for ell in ells:
-        # As 2**11 > _MAX_VAR_TUPLES, n**ell exceeds it iff n**min(ell, 11) does.
+        # 2**bit_length exceeds the bound, so n**ell does iff n**min(ell, bit_length) does.
         if n ** min(ell, _MAX_VAR_TUPLES.bit_length()) > _MAX_VAR_TUPLES:
             raise ValueError(f"num_vars**ell must be <= {_MAX_VAR_TUPLES}, got {n}**{ell}")
     rows = []

@@ -57,20 +57,6 @@ def eval_ptf_batch(f: PTF, X: np.ndarray) -> np.ndarray:
 _MAX_ENSEMBLE_ENTRIES = 2**22
 
 
-def _ensemble_entries(num_vars: int, degree: int) -> int:
-    """num_vars * C(num_vars + degree, degree), or a larger number once that
-    exceeds ``_MAX_ENSEMBLE_ENTRIES``. C(a + b, b) is the product over
-    j = 1..min(a, b) of (max(a, b) + j) / j, each factor at least 2, so the
-    loop stops within about 22 steps whatever the sizes."""
-    small, large = sorted((num_vars, degree))
-    count = num_vars
-    for j in range(1, small + 1):
-        count = count * (large + j) // j
-        if count > _MAX_ENSEMBLE_ENTRIES:
-            break
-    return count
-
-
 @dataclass(frozen=True)
 class RandomPolyConfig:
     """Test-instance ensemble: i.i.d. standard normal coefficients over the
@@ -86,7 +72,10 @@ class RandomPolyConfig:
     def __post_init__(self) -> None:
         if self.num_vars < 1 or self.degree < 1:
             raise ValueError("need num_vars >= 1 and degree >= 1")
-        if _ensemble_entries(self.num_vars, self.degree) > _MAX_ENSEMBLE_ENTRIES:
+        # C(a + b, b) >= 2^min(a, b), so from min(num_vars, degree) >= 23 on
+        # the count is over the bound without computing it.
+        n, d = self.num_vars, self.degree
+        if min(n, d) >= _MAX_ENSEMBLE_ENTRIES.bit_length() or n * math.comb(n + d, d) > _MAX_ENSEMBLE_ENTRIES:
             raise ValueError(
                 f"num_vars * C(num_vars + degree, degree) must be <= {_MAX_ENSEMBLE_ENTRIES}, "
                 f"got num_vars={self.num_vars}, degree={self.degree}"

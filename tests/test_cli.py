@@ -618,24 +618,31 @@ class TestArgumentErrors:
 
     # Sizes above the bounds on a random ensemble (2^22 exponent entries),
     # Monte-Carlo moments (2^25 samples) and derivative orders (num_vars**ell
-    # of 2^10). Each died with a MemoryError traceback and exit 1, so each
-    # runs as its own process, limited to a 2 GB address space.
+    # of 2^13). Each died with a MemoryError traceback and exit 1, so each
+    # runs as its own process, limited to a 2 GB address space. An
+    # ensemble's size is set by num_vars and its degree together, and the
+    # error names both keys, whichever of them is large.
     @pytest.mark.parametrize(
         "command, config, key, bound",
         [
             (["fool"], {**FOOL_SMALL, "ensemble": {"count": 1, "num_vars": 65536}, "samples": {"n_gen": 100}},
-             "config ensemble.num_vars", "must be <= 4194304"),
+             "config ensemble.num_vars and ensemble.degree:", "must be <= 4194304"),
             (["check", "cw"], {"ensemble": {"num_vars": 10**16}, "samples": {"epsilons": [0.1], "n_samples": 100}},
-             "config ensemble.num_vars", "must be <= 4194304"),
+             "config ensemble.num_vars and ensemble.degrees:", "must be <= 4194304"),
+            (["check", "cw"], {"ensemble": {"num_vars": 1, "degrees": [2**22]},
+                               "samples": {"epsilons": [0.1], "n_samples": 100}},
+             "config ensemble.num_vars and ensemble.degrees:", "must be <= 4194304"),
             (["check", "deriv"], {"ensemble": {"num_vars": 65536, "degree": 1}, "samples": {"ells": [1], "n_samples": 100}},
-             "config ensemble.num_vars", "must be <= 4194304"),
+             "config ensemble.num_vars and ensemble.degree:", "must be <= 4194304"),
+            (["check", "deriv"], {"ensemble": {"num_vars": 1, "degree": 2**22}, "samples": {"ells": [1], "n_samples": 100}},
+             "config ensemble.num_vars and ensemble.degree:", "must be <= 4194304"),
             (["moments"], {"generator": {"M": 3, "K": 4, "n": 2, "tv_budget": 0.06},
                            "samples": {"mode": "mc", "n_samples": 10**12}},
              "config samples.n_samples", "must be <= 33554432"),
             (["check", "deriv"], {"samples": {"ells": [25], "n_samples": 100}},
-             "config samples.ells", "must be <= 1024, got 3**25"),
+             "config samples.ells", "must be <= 8192, got 3**25"),
         ],
-        ids=["fool", "cw", "deriv-ensemble", "moments-mc", "deriv-ells"],
+        ids=["fool", "cw", "cw-degree", "deriv-ensemble", "deriv-degree", "moments-mc", "deriv-ells"],
     )
     def test_size_beyond_bound(self, tmp_path, command, config, key, bound):
         def limit_memory():

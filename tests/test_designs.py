@@ -663,12 +663,19 @@ class TestVerifyMoments:
 
     def test_mc_samples_cap(self, monkeypatch):
         # 2^25 samples is the most Monte-Carlo mode draws: about 1 GiB at
-        # 32 bytes per sample.
+        # 32 bytes per sample. The draw itself is stubbed out: the cap passes
+        # 2^25 on to it and rejects more before anything of size n_samples
+        # is made.
+        class Drawn(Exception):
+            pass
+
+        def drawn(*args):
+            raise Drawn
+
         s = build_sampler(3, 4, 2, tv_budget=0.06)
-        report = verify_moments(s, 4, mode="mc", n_samples=2**25, rng_seed=3)
-        assert report.n_evaluated == 2**25 and report.passed
-        # Beyond the cap, rejected before anything of size n_samples is made.
-        monkeypatch.setattr(designs, "KWiseFamily", None)
+        monkeypatch.setattr(designs, "KWiseFamily", drawn)
+        with pytest.raises(Drawn):
+            verify_moments(s, 4, mode="mc", n_samples=2**25)
         for n_samples in (2**25 + 1, 10**12):
             message = rf"^n_samples must be <= 33554432 for Monte-Carlo moments, got {n_samples}$"
             with pytest.raises(ValueError, match=message):

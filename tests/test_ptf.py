@@ -9,7 +9,6 @@ from gaussprg.hermite import SparsePolynomial, l2_norm, to_hermite
 from gaussprg.ptf import (
     PTF,
     RandomPolyConfig,
-    _ensemble_entries,
     eval_ptf,
     eval_ptf_batch,
     halfspace_expectation,
@@ -116,10 +115,6 @@ class TestRandomPtf:
         with pytest.raises(ValueError):
             RandomPolyConfig(1, 0, 0)
 
-    def test_entries_count_exponents(self):
-        for n, d in itertools.product(range(1, 6), range(1, 5)):
-            assert _ensemble_entries(n, d) == n * len(hermite_indices(n, d)) == n * math.comb(n + d, d)
-
     @pytest.mark.parametrize(
         "last, first",
         [((202, 2), (203, 2)), ((2047, 1), (2048, 1)), ((1, 2**22 - 1), (1, 2**22)), ((19, 6), (20, 6))],
@@ -127,7 +122,7 @@ class TestRandomPtf:
     def test_ensemble_size_cap(self, last, first):
         # 2^22 exponent entries, num_vars * C(num_vars + degree, degree), is the
         # most random_ptf builds: (200, 2) has 4.1M and builds in about 5 s.
-        assert _ensemble_entries(*last) <= 2**22 < _ensemble_entries(*first)
+        assert last[0] * math.comb(sum(last), last[1]) <= 2**22 < first[0] * math.comb(sum(first), first[1])
         assert RandomPolyConfig(*last, 0).num_vars == last[0]
         message = rf"^num_vars \* C\(num_vars \+ degree, degree\) must be <= 4194304, got num_vars={first[0]}, degree={first[1]}$"
         with pytest.raises(ValueError, match=message):
