@@ -384,12 +384,12 @@ def _mixed_partials(p: SparsePolynomial, ell: int) -> dict[tuple[int, ...], Spar
 
 # The most ordered variable tuples, num_vars**ell, that one order of
 # check_derivative_identity sums over: each sample of a unit walks them all,
-# and each distinct sorted tuple keeps one evaluation of the unit's rows, so
-# a full 25,000-sample unit holds 200 KB per tuple. On a 2-vCPU VM a
-# monomial in 90 variables at ell 2 (8,100 tuples) peaks at 888 MiB and
-# takes 26-38 s per unit; in 128 variables (16,384) the unit would hold
-# 1.6 GB of evaluations.
-_MAX_VAR_TUPLES = 2**13
+# and each distinct sorted tuple keeps one evaluation of the unit's rows
+# (200 KB in a full 25,000-sample unit) beside the unit's Gaussian and
+# direction draws (200 KB per variable each). Ell 1 costs the most memory
+# per tuple: on a 2-vCPU VM a full unit peaks at 818 MiB in 1,024
+# variables, so about 1.6 GiB at the bound; ell 2 peaks at 268 MiB in 45.
+_MAX_VAR_TUPLES = 2**11
 
 
 def check_derivative_identity(

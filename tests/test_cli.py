@@ -618,7 +618,7 @@ class TestArgumentErrors:
 
     # Sizes above the bounds on a random ensemble (2^22 exponent entries),
     # Monte-Carlo moments (2^25 samples) and derivative orders (num_vars**ell
-    # of 2^13). Each died with a MemoryError traceback and exit 1, so each
+    # of 2^11). Each died with a MemoryError traceback and exit 1, so each
     # runs as its own process, limited to a 2 GB address space. An
     # ensemble's size is set by num_vars and its degree together, and the
     # error names both keys, whichever of them is large.
@@ -640,7 +640,7 @@ class TestArgumentErrors:
                            "samples": {"mode": "mc", "n_samples": 10**12}},
              "config samples.n_samples", "must be <= 33554432"),
             (["check", "deriv"], {"samples": {"ells": [25], "n_samples": 100}},
-             "config samples.ells", "must be <= 8192, got 3**25"),
+             "config samples.ells", "must be <= 2048, got 3**25"),
         ],
         ids=["fool", "cw", "cw-degree", "deriv-ensemble", "deriv-degree", "moments-mc", "deriv-ells"],
     )
