@@ -33,7 +33,7 @@ import numpy as np
 from ._bits import derive_key, subseed
 from .designs import _MAX_QUAD_POINTS, _UNIT, _check_mode, _check_n, build_sampler, verify_moments
 from .generator import GeneratorConfig, _design_size, config_to_json, plan, sample_batch
-from .hermite import SparsePolynomial, derivative_moment_rhs, poly_from_json
+from .hermite import _MAX_DEGREE, SparsePolynomial, derivative_moment_rhs, poly_from_json
 from .ptf import (
     PTF,
     RandomPolyConfig,
@@ -171,7 +171,8 @@ class GapEstimate:
     e_baseline: float
     gap: float
     stderr: float
-    ci95: tuple[float, float]
+    ci_lo: float  # the 95% interval gap -+ 1.96 * stderr
+    ci_hi: float
 
 
 def _count_hits(
@@ -257,7 +258,8 @@ def estimate_gap(
         e_baseline=e_base,
         gap=gap,
         stderr=stderr,
-        ci95=(gap - 1.96 * stderr, gap + 1.96 * stderr),
+        ci_lo=gap - 1.96 * stderr,
+        ci_hi=gap + 1.96 * stderr,
     )
 
 
@@ -387,14 +389,27 @@ def _mixed_partials(p: SparsePolynomial, ell: int) -> dict[tuple[int, ...], Spar
 # and each distinct sorted tuple keeps one evaluation of the unit's rows
 # (200 KB in a full 25,000-sample unit) beside the unit's Gaussian and
 # direction draws (200 KB per variable each). Ell 1 costs the most memory
-# per tuple: on a 2-vCPU VM a full unit peaks at 818 MiB in 1,024
-# variables, so about 1.6 GiB at the bound; ell 2 peaks at 268 MiB in 45.
+# per tuple: on a 2-vCPU VM a full unit peaks at 623 MiB in 1,024
+# variables and at 1,209 MiB in 2,048, the bound (3.3 s and 9.8 s); ell 2
+# peaks at 260 MiB in 45.
+# Every order draws num_vars normals a sample, ell 0 too, so num_vars is
+# held to the bound as num_vars**max(ell, 1).
 _MAX_VAR_TUPLES = 2**11
+
+
+def _check_deriv_poly(p: SparsePolynomial) -> None:
+    """ValueError for a polynomial that check_derivative_identity does not
+    take: more than ``_MAX_VAR_TUPLES`` variables or a degree above
+    ``_MAX_DEGREE``."""
+    if p.num_vars > _MAX_VAR_TUPLES:
+        raise ValueError(f"num_vars must be <= {_MAX_VAR_TUPLES}, got {p.num_vars}")
+    if p.degree > _MAX_DEGREE:
+        raise ValueError(f"degree must be <= {_MAX_DEGREE}, got {p.degree}")
 
 
 def check_derivative_identity(
     p: SparsePolynomial,
-    ells: Sequence[int] | int,
+    ells: Sequence[int],
     n_samples: int,
     *,
     tol: float = 0.05,
@@ -404,30 +419,34 @@ def check_derivative_identity(
     """Monte-Carlo E[|D_{V_1}..D_{V_ell} p(X)|^2] (fresh Gaussian argument
     and directions each sample, derivatives taken exactly) against the
     exact falling-factorial value from the Hermite decomposition. Raises
-    ValueError for an ell with ``num_vars**ell`` above ``_MAX_VAR_TUPLES``."""
-    if isinstance(ells, int):
-        ells = [ells]
+    ValueError for a polynomial that ``_check_deriv_poly`` rejects, and for
+    an ell above ``_MAX_DEGREE`` or with ``num_vars**ell`` above
+    ``_MAX_VAR_TUPLES``, before any row is drawn."""
     if len(ells) == 0:
         raise ValueError("ells must not be empty")
     if any(ell < 0 for ell in ells):
         raise ValueError(f"ells must be >= 0, got {list(ells)}")
+    _check_deriv_poly(p)
     n = p.num_vars
     for ell in ells:
         # 2**bit_length exceeds the bound, so n**ell does iff n**min(ell, bit_length) does.
         if n ** min(ell, _MAX_VAR_TUPLES.bit_length()) > _MAX_VAR_TUPLES:
             raise ValueError(f"num_vars**ell must be <= {_MAX_VAR_TUPLES}, got {n}**{ell}")
+        if ell > _MAX_DEGREE:
+            raise ValueError(f"ells must be <= {_MAX_DEGREE}, got {ell}")
     rows = []
     for ell in ells:
         partials = _mixed_partials(p, ell)
         ordered = [tuple(sorted(t)) for t in _var_tuples(n, ell)]
-        uniq = sorted(set(ordered))
 
         def unit(u: int, cnt: int) -> np.ndarray:
             rng = _unit_rng(master_seed, "deriv", ell, u)
-            X = rng.standard_normal((cnt, n))
+            # Fortran order: evaluate_batch reads X.T, which is then
+            # contiguous, so no partial copies the draw.
+            X = np.asfortranarray(rng.standard_normal((cnt, n)))
             # (ell, n, cnt): the direction columns V[j, :, var] made contiguous
             V = np.ascontiguousarray(rng.standard_normal((ell, cnt, n)).transpose(0, 2, 1))
-            evals = {t: partials[t].evaluate_batch(X) for t in uniq}
+            evals = {t: q.evaluate_batch(X) for t, q in partials.items()}
             D = np.zeros(cnt)
             buf = np.empty(cnt)
             for t_ord, t_sorted in zip(_var_tuples(n, ell), ordered):
@@ -785,11 +804,10 @@ def _run_moments(spec: ExperimentSpec, cfg: dict) -> Report:
     sampler = _keyed("generator.tv_budget", build_sampler, **cfg["generator"])
     # With the mode and max_order checked, every error of verify_moments is
     # about the Monte-Carlo sample count.
-    report = _keyed(
+    rows = _keyed(
         "samples.n_samples", verify_moments, sampler, **cfg["samples"], rng_seed=derive_key(spec.seed, "moments")
     )
-    cols = ("scope", "orders", "empirical", "target", "tolerance", "passed")
-    return Report(cols, tuple(report.rows()))
+    return Report(("scope", "orders", "empirical", "target", "tolerance", "passed"), rows)
 
 
 def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
@@ -814,7 +832,6 @@ def _run_fool(spec: ExperimentSpec, cfg: dict) -> Report:
         )
         row = {"ptf_index": pi, "epsilon": eps, "ell": config.ell, "truncated": int(config.truncated)}
         row.update(asdict(est))
-        row["ci_lo"], row["ci_hi"] = row.pop("ci95")
         if max_stderr is not None:
             row["passed"] = int(abs(est.gap) <= max_stderr * est.stderr + smp["max_gap_slack"])
         return row
@@ -849,11 +866,14 @@ def _run_deriv(spec: ExperimentSpec, cfg: dict) -> Report:
     if ens["poly"] is not None:
         # explicit polynomial in the shared JSON format
         polys = [_keyed("ensemble.poly", poly_from_json, ens["poly"])]
+        _keyed("ensemble.poly", _check_deriv_poly, polys[0])
     else:
         polys = [f.poly for f in _ensemble_ptfs(ens, ens["degree"], spec.seed)]
     rows: list[dict] = []
     for pi, poly in enumerate(polys):
-        # With the schema checked, every error of check_derivative_identity is about the orders.
+        # With the schema and the polynomial checked (a random ensemble is
+        # within both of _check_deriv_poly's bounds), every error of
+        # check_derivative_identity is about the orders.
         rep = _keyed(
             "samples.ells",
             check_derivative_identity,

@@ -235,6 +235,13 @@ def hermite_1d(j: int) -> np.ndarray:
     return np.array(_he_monomial_table(j), dtype=np.float64)
 
 
+# The highest polynomial degree and derivative order that RandomPolyConfig and
+# check_derivative_identity accept. 170! is the largest factorial below the
+# float range, and prod_i a_i! <= (sum_i a_i)!, so the sqrt(a!) scaling of
+# every index of degree <= 170 is finite.
+_MAX_DEGREE = 170
+
+
 def _sqrt_fact_prod(idx: tuple[int, ...]) -> float:
     return math.sqrt(math.prod(math.factorial(a) for a in idx))
 

@@ -16,6 +16,7 @@ import numpy as np
 from .hermite import (
     HermiteExpansion,
     SparsePolynomial,
+    _MAX_DEGREE,
     _poly_doc,
     from_hermite,
     poly_from_json,
@@ -63,7 +64,7 @@ class RandomPolyConfig:
     orthonormal Hermite products of total degree <= degree, rescaled so the
     resulting polynomial has Gaussian L2 norm 1. Raises ValueError for sizes
     whose num_vars * C(num_vars + degree, degree) exponent entries exceed
-    ``_MAX_ENSEMBLE_ENTRIES``."""
+    ``_MAX_ENSEMBLE_ENTRIES`` and for a degree above ``_MAX_DEGREE``."""
 
     num_vars: int
     degree: int
@@ -80,6 +81,8 @@ class RandomPolyConfig:
                 f"num_vars * C(num_vars + degree, degree) must be <= {_MAX_ENSEMBLE_ENTRIES}, "
                 f"got num_vars={self.num_vars}, degree={self.degree}"
             )
+        if d > _MAX_DEGREE:
+            raise ValueError(f"degree must be <= {_MAX_DEGREE}, got {d}")
 
 
 def hermite_indices(num_vars: int, max_degree: int) -> list[tuple[int, ...]]:

@@ -75,12 +75,12 @@ def test_03_design_moments_enumeration():
     s_small = build_sampler(3, 4, 2, tv_budget=0.06)
     assert s_small.q == 53 and s_small.q**4 <= 10**7
     rep_ex = verify_moments(s_small, max_order=4, mode="exhaustive")
-    ok &= rep_ex.passed
+    ok &= all(row["passed"] == 1 for row in rep_ex)
     # Monte-Carlo branch at q = 211: 10^6 drawn seeds
     s_big = build_sampler(3, 4, 2, tv_budget=3 / 211)
     assert s_big.q == 211 and s_big.q**4 > 10**7
     rep_mc = verify_moments(s_big, max_order=4, mode="mc", n_samples=10**6, rng_seed=3)
-    ok &= rep_mc.passed
+    ok &= all(row["passed"] == 1 for row in rep_mc)
     _report(3, "design moments by enumeration", ok, time.monotonic() - t0, 120.0)
 
 

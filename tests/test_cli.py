@@ -618,10 +618,12 @@ class TestArgumentErrors:
 
     # Sizes above the bounds on a random ensemble (2^22 exponent entries),
     # Monte-Carlo moments (2^25 samples) and derivative orders (num_vars**ell
-    # of 2^11). Each died with a MemoryError traceback and exit 1, so each
-    # runs as its own process, limited to a 2 GB address space. An
-    # ensemble's size is set by num_vars and its degree together, and the
-    # error names both keys, whichever of them is large.
+    # of 2^11, num_vars**max(ell, 1) for an explicit polynomial). Each died
+    # with a MemoryError traceback and exit 1, so each runs as its own
+    # process, limited to a 2 GB address space. An ensemble's size is set by
+    # num_vars and its degree together, and the error names both keys,
+    # whichever of them is large. Degrees and orders above 170 either raised
+    # OverflowError from sqrt(171!) or ran for minutes.
     @pytest.mark.parametrize(
         "command, config, key, bound",
         [
@@ -641,8 +643,30 @@ class TestArgumentErrors:
              "config samples.n_samples", "must be <= 33554432"),
             (["check", "deriv"], {"samples": {"ells": [25], "n_samples": 100}},
              "config samples.ells", "must be <= 2048, got 3**25"),
+            (["check", "deriv"], {"ensemble": {"poly": {"num_vars": 10**16, "terms": []}},
+                                  "samples": {"ells": [0], "n_samples": 100}},
+             "config ensemble.poly:", "num_vars must be <= 2048"),
+            (["check", "cw"], {"ensemble": {"num_vars": 1, "degrees": [171]},
+                               "samples": {"epsilons": [0.1], "n_samples": 100}},
+             "config ensemble.num_vars and ensemble.degrees:", "degree must be <= 170, got 171"),
+            (["check", "cw"], {"ensemble": {"num_vars": 1, "degrees": [10**6]},
+                               "samples": {"epsilons": [0.1], "n_samples": 100}},
+             "config ensemble.num_vars and ensemble.degrees:", "degree must be <= 170, got 1000000"),
+            (["check", "deriv"], {"ensemble": {"poly": {"num_vars": 1, "terms": [{"exps": [171], "coef": 1.0}]}},
+                                  "samples": {"ells": [1], "n_samples": 100}},
+             "config ensemble.poly:", "degree must be <= 170, got 171"),
+            (["check", "deriv"], {"ensemble": {"poly": {"num_vars": 1, "terms": [{"exps": [10**5], "coef": 1.0}]}},
+                                  "samples": {"ells": [0], "n_samples": 100}},
+             "config ensemble.poly:", "degree must be <= 170, got 100000"),
+            (["check", "deriv"], {"ensemble": {"poly": {"num_vars": 1, "terms": [{"exps": [2], "coef": 1.0}]}},
+                                  "samples": {"ells": [10**7], "n_samples": 100}},
+             "config samples.ells:", "ells must be <= 170, got 10000000"),
         ],
-        ids=["fool", "cw", "cw-degree", "deriv-ensemble", "deriv-degree", "moments-mc", "deriv-ells"],
+        ids=[
+            "fool", "cw", "cw-degree", "deriv-ensemble", "deriv-degree", "moments-mc", "deriv-ells",
+            "deriv-num_vars-ell-0", "cw-degree-171", "cw-degree-10^6", "deriv-poly-degree-171",
+            "deriv-poly-degree-10^5", "deriv-ells-10^7",
+        ],
     )
     def test_size_beyond_bound(self, tmp_path, command, config, key, bound):
         def limit_memory():

@@ -50,8 +50,8 @@ class TestEstimateGap:
     def test_ci_structure(self):
         f = random_ptf(RandomPolyConfig(2, 1, 3))
         est = estimate_gap(f, "gaussian", 10_000, "analytic", master_seed="00")
-        assert est.ci95[0] == pytest.approx(est.gap - 1.96 * est.stderr)
-        assert est.ci95[1] == pytest.approx(est.gap + 1.96 * est.stderr)
+        assert est.ci_lo == pytest.approx(est.gap - 1.96 * est.stderr)
+        assert est.ci_hi == pytest.approx(est.gap + 1.96 * est.stderr)
 
     def test_analytic_rejected_for_degree_two(self):
         f = random_ptf(RandomPolyConfig(2, 2, 5))
@@ -65,7 +65,7 @@ class TestEstimateGap:
         covered = 0
         for rep in range(50):
             est = estimate_gap(f, "gaussian", 4000, "analytic", master_seed=f"{rep:02x}")
-            if est.ci95[0] <= 0.0 <= est.ci95[1]:
+            if est.ci_lo <= 0.0 <= est.ci_hi:
                 covered += 1
         assert covered >= 40
 
@@ -204,10 +204,11 @@ class TestDerivativeIdentity:
         with pytest.raises(ValueError, match=r"^ells must be >= 0, got \[-1\]$"):
             check_derivative_identity(p, [-1], 100)
 
-    @pytest.mark.parametrize("n, last", [(2, 11), (4, 5), (45, 2), (2048, 1)])
+    @pytest.mark.parametrize("n, last", [(2, 11), (4, 5), (45, 2), (2048, 1), (1, 170)])
     def test_tuple_cap(self, monkeypatch, n, last):
-        # num_vars**ell ordered variable tuples, at most 2^11, for each order.
-        p = SparsePolynomial(n, {(1,) * 2 + (0,) * (n - 2): 1.0})
+        # num_vars**ell ordered variable tuples, at most 2^11, for each order,
+        # and no order above 170, the cap that one variable meets first.
+        p = SparsePolynomial(n, {(1,) * min(n, 2) + (0,) * (n - 2): 1.0})
         if last > 1:
             rep = check_derivative_identity(p, [0, last], 3, master_seed="24")
             assert [row["ell"] for row in rep.rows] == [0, last]
@@ -227,8 +228,55 @@ class TestDerivativeIdentity:
         with pytest.raises(Reached):
             check_derivative_identity(p, [last], 3)
         for ell in (last + 1, 10**18):
-            with pytest.raises(ValueError, match=rf"^num_vars\*\*ell must be <= 2048, got {n}\*\*{ell}$"):
+            if n == 1:
+                message = rf"^ells must be <= 170, got {ell}$"
+            else:
+                message = rf"^num_vars\*\*ell must be <= 2048, got {n}\*\*{ell}$"
+            with pytest.raises(ValueError, match=message):
                 check_derivative_identity(p, [1, ell], 3)
+
+    @pytest.mark.parametrize(
+        "last, first, message",
+        [
+            # Every order draws num_vars normals a sample, ell 0 too.
+            (SparsePolynomial(2048, {}), SparsePolynomial(2049, {}), "num_vars must be <= 2048, got 2049"),
+            (SparsePolynomial(2048, {}), SparsePolynomial(10**16, {}), "num_vars must be <= 2048, got 10000000000000000"),
+            # sqrt(171!) is beyond the float range.
+            (SparsePolynomial(1, {(170,): 1.0}), SparsePolynomial(1, {(171,): 1.0}), "degree must be <= 170, got 171"),
+            (SparsePolynomial(1, {(170,): 1.0}), SparsePolynomial(1, {(100_000,): 1.0}), "degree must be <= 170, got 100000"),
+        ],
+        ids=["num_vars", "num_vars-huge", "degree", "degree-huge"],
+    )
+    def test_poly_cap(self, monkeypatch, last, first, message):
+        # The largest polynomial goes on to take its derivatives, stubbed out;
+        # the next is rejected before any derivative is taken or row drawn.
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached
+
+        monkeypatch.setattr(harness, "_mixed_partials", reached)
+        monkeypatch.setattr(harness, "_unit_rng", None)
+        with pytest.raises(Reached):
+            check_derivative_identity(last, [0], 3)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_derivative_identity(first, [0], 3)
+
+    def test_unit_draw_is_read_in_place(self, monkeypatch):
+        # Each unit draws its Gaussian rows once in Fortran order, so the
+        # X.T that evaluate_batch reads is contiguous: no partial copies it.
+        seen = []
+        evaluate = SparsePolynomial.evaluate_batch
+
+        def spy(self, X):
+            seen.append(X.flags.f_contiguous)
+            return evaluate(self, X)
+
+        monkeypatch.setattr(SparsePolynomial, "evaluate_batch", spy)
+        p = SparsePolynomial(3, {(1, 1, 0): 1.0, (0, 0, 2): 0.5})
+        check_derivative_identity(p, [0, 1, 2], 100, master_seed="25")
+        assert len(seen) == 1 + 3 + 6 and all(seen)
 
     def test_beyond_degree_both_zero(self):
         p = SparsePolynomial(1, {(1,): 1.0})

@@ -117,7 +117,8 @@ class TestRandomPtf:
 
     @pytest.mark.parametrize(
         "last, first",
-        [((202, 2), (203, 2)), ((2047, 1), (2048, 1)), ((1, 2**22 - 1), (1, 2**22)), ((19, 6), (20, 6))],
+        # One variable meets the degree cap of 170 first; four meet this cap at 68.
+        [((202, 2), (203, 2)), ((2047, 1), (2048, 1)), ((4, 68), (4, 69)), ((19, 6), (20, 6))],
     )
     def test_ensemble_size_cap(self, last, first):
         # 2^22 exponent entries, num_vars * C(num_vars + degree, degree), is the
@@ -127,6 +128,16 @@ class TestRandomPtf:
         message = rf"^num_vars \* C\(num_vars \+ degree, degree\) must be <= 4194304, got num_vars={first[0]}, degree={first[1]}$"
         with pytest.raises(ValueError, match=message):
             RandomPolyConfig(*first, 0)
+
+    @pytest.mark.parametrize("num_vars, degree", [(1, 171), (2, 171), (1, 10**6)])
+    def test_degree_cap(self, num_vars, degree):
+        # sqrt(a!) of a degree-171 index a can be beyond the float range: it
+        # raised OverflowError at one variable, and degree 10^6 (10^6 + 1
+        # entries) built He_j tables for minutes.
+        assert random_ptf(RandomPolyConfig(1, 170, 0)).poly.degree == 170
+        assert RandomPolyConfig(num_vars, 170, 0).degree == 170
+        with pytest.raises(ValueError, match=rf"^degree must be <= 170, got {degree}$"):
+            RandomPolyConfig(num_vars, degree, 0)
 
     def test_ensemble_size_cap_at_huge_sizes(self):
         # Rejected in a few steps, without C(num_vars + degree, degree) in full.
