@@ -48,22 +48,22 @@ __all__ = [
 _MAX_ELL = 2**62
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
+def _check_unit(name: str, value: float) -> None:
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1)")
 
 
-def blend_weights(epsilon: float, ell: int) -> np.ndarray:
-    """Unit-norm geometric blend weights w_i ∝ (1-eps^2)^((i-1)/2), as a
+def blend_weights(delta: float, ell: int) -> np.ndarray:
+    """Unit-norm geometric blend weights w_i ∝ (1-delta^2)^((i-1)/2), as a
     float64 array of length ell; sum of squares is exactly 1.
 
     Built by cumulative products so consecutive ratios equal
-    sqrt(1 - eps^2) to the last ulp.
+    sqrt(1 - delta^2) to the last ulp.
     """
-    _check_epsilon(epsilon)
+    _check_unit("delta", delta)
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    beta = math.sqrt(1.0 - epsilon * epsilon)
+    beta = math.sqrt(1.0 - delta * delta)
     raw = np.cumprod(np.concatenate(([1.0], np.full(ell - 1, beta))))
     z = math.sqrt(float(np.sum(raw * raw)))
     return raw / z
@@ -118,10 +118,11 @@ def plan(n: int, d: int, k: int, epsilon: float, ell_cap: int | None = None) -> 
 
     Raises ValueError if n, d or k is not an integer >= 1, if n is above
     2^16, if the design needs more Gauss-Hermite points than the rule has,
-    if the chain length overflows without a cap or if the statistical
-    budget needs a modulus beyond 2^62.
+    if the chain length formula passes 2^62 (with or without ell_cap, as
+    no such plan meets its budget) or if the statistical budget needs a
+    modulus beyond 2^62.
     """
-    _check_epsilon(epsilon)
+    _check_unit("epsilon", epsilon)
     n, d, k = as_index(n, "n"), as_index(d, "d"), as_index(k, "k")
     if d < 1 or k < 1 or n < 1:
         raise ValueError("need n, d, k >= 1")
@@ -131,12 +132,11 @@ def plan(n: int, d: int, k: int, epsilon: float, ell_cap: int | None = None) -> 
     delta = epsilon ** (1.0 / 3.0)
     log_term = k * (2 * d + 1) * math.log(1.0 / epsilon)
     raw_ell = delta**-2 * log_term
+    # No cap rescues such a chain: q >= M*n*ell / eps^k >= 31 / eps^k and
+    # q <= 2^62 need eps^k >= 31 * 2^-62, which keeps raw_ell below 2^46.
     if not math.isfinite(raw_ell) or raw_ell > _MAX_ELL:
-        if ell_cap is None:
-            raise ValueError("chain length overflows; supply ell_cap")
-        ell_formula = _MAX_ELL
-    else:
-        ell_formula = max(1, math.ceil(raw_ell))
+        raise ValueError("chain length overflows")
+    ell_formula = max(1, math.ceil(raw_ell))
     truncated = ell_cap is not None and ell_cap < ell_formula
     ell = min(ell_formula, ell_cap) if ell_cap is not None else ell_formula
     if ell < 1:
@@ -262,15 +262,11 @@ class _TilePipeline:
             return bits >> 3, (bits & 7).astype(np.uint64), np.uint64(64 - width)
 
         # A block is its top min(B, 57) bits, reduced mod q, then for
-        # B > 57 the remaining bits in chunks small enough that
-        # (r << width) + chunk stays below 2^64 for any r < q, so each
-        # chunk is shifted in with one reduction.
-        head = min(B, _WINDOW_BITS)
-        step = min(_WINDOW_BITS, 64 - (q - 1).bit_length())
-        self.fields = [field(0, head)]
-        for pos in range(head, B, step):
-            width = min(step, B - pos)
-            self.fields.append(field(pos, width) + (_shift_steps(q, width, 2**width - 1),))
+        # B > 57 its last B - 57 bits, shifted in by reduced steps. As
+        # q <= 2^62, B <= 78, so that tail is at most 21 bits: one window.
+        self.fields = [field(0, min(B, _WINDOW_BITS))]
+        if (tail := B - _WINDOW_BITS) > 0:
+            self.fields.append(field(_WINDOW_BITS, tail) + (_shift_steps(q, tail, 2**tail - 1),))
         self.contraction = fam._contraction
         self.lookup = sampler._lookup
         w = blend_weights(config.delta, ell)
@@ -288,7 +284,7 @@ class _TilePipeline:
         self.blocks = np.empty(shape, dtype=np.uint64)
         self.quot = np.empty(shape, dtype=np.uint64)
         if len(self.fields) > 1:
-            self.chunk = np.empty(shape, dtype=np.uint64)
+            self.tail = np.empty(shape, dtype=np.uint64)
         m = rows * ell
         self.contraction_buffers = self.contraction.buffers(m)
         # Lookup and gather buffers, design-major (ell, rows, n). They are
@@ -310,7 +306,7 @@ class _TilePipeline:
         blocks = self._field(rows, fields[0], self.blocks[:rows])
         _reduce(blocks, q, quot)
         for spec in fields[1:]:
-            _shift_in(blocks, spec[3], self._field(rows, spec, self.chunk[:rows]), q, quot)
+            _shift_in(blocks, spec[3], self._field(rows, spec, self.tail[:rows]), q, quot)
         return blocks.view(np.int64).reshape(rows * self.ell, self.K)
 
     def run(self, words: np.ndarray, out: np.ndarray) -> None:

@@ -420,20 +420,26 @@ def check_derivative_identity(
     and directions each sample, derivatives taken exactly) against the
     exact falling-factorial value from the Hermite decomposition. Raises
     ValueError for a polynomial that ``_check_deriv_poly`` rejects, and for
-    an ell above ``_MAX_DEGREE`` or with ``num_vars**ell`` above
-    ``_MAX_VAR_TUPLES``, before any row is drawn."""
+    an ell above ``_MAX_DEGREE``, with ``num_vars**ell`` above
+    ``_MAX_VAR_TUPLES`` or whose exact value squared is beyond the float
+    range, before any row is drawn."""
     if len(ells) == 0:
         raise ValueError("ells must not be empty")
     if any(ell < 0 for ell in ells):
         raise ValueError(f"ells must be >= 0, got {list(ells)}")
     _check_deriv_poly(p)
     n = p.num_vars
+    exact = {}
     for ell in ells:
         # 2**bit_length exceeds the bound, so n**ell does iff n**min(ell, bit_length) does.
         if n ** min(ell, _MAX_VAR_TUPLES.bit_length()) > _MAX_VAR_TUPLES:
             raise ValueError(f"num_vars**ell must be <= {_MAX_VAR_TUPLES}, got {n}**{ell}")
         if ell > _MAX_DEGREE:
             raise ValueError(f"ells must be <= {_MAX_DEGREE}, got {ell}")
+        # The stderr sums D^4, whose mean is at least exact^2.
+        exact[ell] = derivative_moment_rhs(p, ell)
+        if not math.isfinite(exact[ell] * exact[ell]):
+            raise ValueError(f"exact value {exact[ell]:.3g} at ell {ell} squares beyond the float range")
     rows = []
     for ell in ells:
         partials = _mixed_partials(p, ell)
@@ -461,17 +467,16 @@ def check_derivative_identity(
         mean = s1 / n_samples
         var = max(s2 / n_samples - mean * mean, 0.0)
         stderr = math.sqrt(var / n_samples)
-        exact = derivative_moment_rhs(p, ell)
-        if exact == 0.0:
+        if exact[ell] == 0.0:
             rel = 0.0 if mean == 0.0 else math.inf
         else:
-            rel = abs(mean - exact) / exact
+            rel = abs(mean - exact[ell]) / exact[ell]
         rows.append(
             {
                 "ell": ell,
                 "n_samples": n_samples,
                 "estimate": mean,
-                "exact": exact,
+                "exact": exact[ell],
                 "rel_error": rel,
                 "stderr": stderr,
                 "passed": int(rel <= tol),
@@ -490,20 +495,13 @@ def _smooth_expectation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 1.0 - 2.0 * np.vectorize(normal_cdf, otypes=[float])(-b / (1.0 + a))
 
 
-def _square_shell(r: float, m: int) -> np.ndarray:
-    """m points walking the square max(|a|,|b|) = r."""
-    pts = np.empty((m, 2))
-    for j in range(m):
-        s = 8.0 * r * j / m
-        if s < 2 * r:
-            pts[j] = (-r + s, -r)
-        elif s < 4 * r:
-            pts[j] = (r, -r + (s - 2 * r))
-        elif s < 6 * r:
-            pts[j] = (r - (s - 4 * r), r)
-        else:
-            pts[j] = (-r, r - (s - 6 * r))
-    return pts
+def _square_shell(r: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates a and b of m points walking the square max(|a|,|b|) = r."""
+    s = 8.0 * r * np.arange(m) / m
+    sides = [s < 2 * r, s < 4 * r, s < 6 * r]
+    a = np.select(sides, [-r + s, r, r - (s - 4 * r)], -r)
+    b = np.select(sides, [-r, -r + (s - 2 * r), r], r - (s - 6 * r))
+    return a, b
 
 
 def _sorted_shells(shells: Sequence[float]) -> list[float]:
@@ -541,21 +539,18 @@ def check_prop4_1d(k: int, shells: Sequence[float] = (0.2, 0.1, 0.05)) -> Report
     a = A.ravel()
     b = B.ravel()
     exps = [(i, j) for t in range(k) for i in range(t + 1) for j in [t - i]]
-    design = np.stack([(a / h) ** i * (b / h) ** j for i, j in exps], axis=1)
-    target = _smooth_expectation(a, b)
-    coefs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+
+    def monomials(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.stack([(a / h) ** i * (b / h) ** j for i, j in exps], axis=1)
+
+    coefs, _, rank, _ = np.linalg.lstsq(monomials(a, b), _smooth_expectation(a, b), rcond=None)
     if rank < len(exps):
         raise ValueError("singular fit matrix (degenerate grid)")
-
-    def fitted(pts: np.ndarray) -> np.ndarray:
-        cols = np.stack([(pts[:, 0] / h) ** i * (pts[:, 1] / h) ** j for i, j in exps], axis=1)
-        return cols @ coefs
-
     rows = []
     max_res = []
     for r in shells:
-        pts = _square_shell(r, _SHELL_POINTS)
-        res = np.abs(_smooth_expectation(pts[:, 0], pts[:, 1]) - fitted(pts))
+        a, b = _square_shell(r, _SHELL_POINTS)
+        res = np.abs(_smooth_expectation(a, b) - monomials(a, b) @ coefs)
         max_res.append(float(res.max()))
         rows.append({"radius": r, "max_residual": max_res[-1]})
     slope = float(np.polyfit(np.log(shells), np.log(max_res), 1)[0])
@@ -588,8 +583,6 @@ class ExperimentSpec:
 
 
 def _fmt_cell(v) -> str:
-    if isinstance(v, bool):
-        return str(int(v))
     if isinstance(v, float):
         return format(v, ".12g")
     return str(v)

@@ -208,6 +208,11 @@ class TestArgumentErrors:
         assert not (tmp_path / "out.jsonl").exists()
         return errors[0]
 
+    def test_sample_without_config(self, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        line = self._rejects(["sample", "--out", str(out)], capsys, tmp_path)
+        assert "config is missing generator.n" in line
+
     def test_negative_samples(self, tmp_path, capsys):
         cfg = tmp_path / "gen.json"
         cfg.write_text(json.dumps({"generator": {"n": 3, "d": 1, "k": 1, "epsilon": 0.4, "ell_cap": 4}}))
@@ -549,6 +554,10 @@ class TestArgumentErrors:
             # the chain length overflows without ell_cap
             (["sample"], {"generator": {"n": 2, "d": 1, "k": 1, "epsilon": 1e-300}, "samples": {"count": 5}},
              "config generator.epsilon: chain length overflows"),
+            # and with it: no cap makes such a plan meet its budget
+            (["sample"], {"generator": {"n": 2, "d": 1, "k": 1, "epsilon": 1e-300, "ell_cap": 2},
+                          "samples": {"count": 5}},
+             "config generator.epsilon: chain length overflows"),
             # the budget epsilon^k / (n ell) needs a prime beyond 2^62
             (["sample"], {"generator": {**GEN, "k": 3, "epsilon": 1e-7}, "samples": {"count": 5}},
              "config generator.epsilon: tv_budget"),
@@ -562,7 +571,7 @@ class TestArgumentErrors:
                         "samples": {"n_gen": 100, "baseline": "analytic"}},
              "config samples.baseline: analytic baseline exists only for degree-1 PTFs"),
         ],
-        ids=["sample-chain", "sample-budget", "fool-chain", "prop4-k", "fool-baseline", "fool-analytic"],
+        ids=["sample-chain", "sample-chain-capped", "sample-budget", "fool-chain", "prop4-k", "fool-baseline", "fool-analytic"],
     )
     def test_library_error_names_key(self, tmp_path, capsys, command, config, key):
         cfg = tmp_path / "bad.json"
@@ -661,11 +670,19 @@ class TestArgumentErrors:
             (["check", "deriv"], {"ensemble": {"poly": {"num_vars": 1, "terms": [{"exps": [2], "coef": 1.0}]}},
                                   "samples": {"ells": [10**7], "n_samples": 100}},
              "config samples.ells:", "ells must be <= 170, got 10000000"),
+            # Exact values whose square overflows wrote inf or nan rows with
+            # numpy's RuntimeWarning and exited 1.
+            (["check", "deriv"], {"ensemble": {"poly": {"num_vars": 1, "terms": [{"exps": [170], "coef": 1.0}]}},
+                                  "samples": {"ells": [0, 1], "n_samples": 100}},
+             "config samples.ells:", "exact value inf at ell 0 squares beyond the float range"),
+            (["check", "deriv"], {"ensemble": {"poly": {"num_vars": 1, "terms": [{"exps": [120], "coef": 1.0}]}},
+                                  "samples": {"ells": [0], "n_samples": 100}},
+             "config samples.ells:", "exact value 4.57e+233 at ell 0 squares beyond the float range"),
         ],
         ids=[
             "fool", "cw", "cw-degree", "deriv-ensemble", "deriv-degree", "moments-mc", "deriv-ells",
             "deriv-num_vars-ell-0", "cw-degree-171", "cw-degree-10^6", "deriv-poly-degree-171",
-            "deriv-poly-degree-10^5", "deriv-ells-10^7",
+            "deriv-poly-degree-10^5", "deriv-ells-10^7", "deriv-poly-x^170", "deriv-poly-x^120",
         ],
     )
     def test_size_beyond_bound(self, tmp_path, command, config, key, bound):
@@ -681,6 +698,7 @@ class TestArgumentErrors:
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stdout + proc.stderr
+        assert "RuntimeWarning" not in proc.stdout + proc.stderr
         errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("gaussprg: error: ")]
         assert len(errors) == 1 and key in errors[0] and bound in errors[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]

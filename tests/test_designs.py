@@ -11,7 +11,9 @@ import pytest
 from gaussprg import designs
 from gaussprg.designs import (
     _MAX_QUAD_POINTS,
+    DesignSampler,
     KWiseFamily,
+    Quadrature1D,
     _he_values,
     _limb_split,
     _tv_tolerance,
@@ -35,7 +37,7 @@ from gaussprg.generator import plan
 
 class TestPrimes:
     def test_small(self):
-        assert [m for m in range(2, 30) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+        assert [m for m in range(-3, 30) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
     def test_next_prime(self):
         assert next_prime(40) == 41
@@ -446,6 +448,37 @@ class TestDesignSample:
             design_sample(s, (1, s.q))
         with pytest.raises(ValueError, match=r"\[0, q\)"):
             design_sample(s, (1.5, 0))
+
+
+_Q101 = KWiseFamily.standard(101, 2, 2)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gaussian_moment(-1), "^j must be non-negative$"),
+        (lambda: Quadrature1D(np.array([0.0, 1.0]), np.array([1.0])), "^nodes and weights must be equal-length"),
+        (lambda: Quadrature1D(np.array([]), np.array([])), "^nodes and weights must be equal-length"),
+        (lambda: Quadrature1D(np.array([0.0, 1.0]), np.array([1.0, 0.0])), "^weights must be strictly positive$"),
+        (lambda: KWiseFamily.standard(5, 0, 4), "^independence order k must be >= 1$"),
+        (lambda: KWiseFamily(5, 2, 3, np.array([0, 1])), "^eval_points must have length n$"),
+        (lambda: KWiseFamily(5, 2, 2, np.array([0, 5])), r"^eval_points must lie in \[0, q\)$"),
+        (lambda: KWiseFamily(5, 2, 2, np.array([1, 1])), "^eval_points must be pairwise distinct$"),
+        (lambda: kwise_eval_batch(_Q101, np.zeros((3, 3), dtype=np.int64)), r"^seeds must have shape \(B, 2\)$"),
+        (lambda: kwise_eval_batch(_Q101, np.zeros(2, dtype=np.int64)), r"^seeds must have shape \(B, 2\)$"),
+        (lambda: thresholds_from_weights(np.full(4, 0.25), 3), "^q=3 is too coarse for 4 atoms$"),
+        (lambda: DesignSampler(gauss_hermite(3), _Q101, np.array([50, 101])), "^need one cumulative threshold per atom$"),
+        (lambda: DesignSampler(gauss_hermite(3), _Q101, np.array([50, 10, 101])), "^thresholds must be nondecreasing"),
+        (lambda: DesignSampler(gauss_hermite(3), _Q101, np.array([-1, 50, 101])), "^thresholds must be nondecreasing"),
+        (lambda: DesignSampler(gauss_hermite(3), _Q101, np.array([10, 50, 100])), "^thresholds must be nondecreasing"),
+        # 4 * (q - 1)^2 >= 2^53 at q = 3 * 10^9
+        (lambda: design_sample_batch_f64(build_sampler(3, 4, 4, 1e-9), np.zeros((1, 4))),
+         "^q too large for the exact float64 contraction$"),
+    ],
+)
+def test_argument_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestSeedBits:

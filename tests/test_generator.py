@@ -54,6 +54,15 @@ class TestPlan:
             plan(4, 1, 2, 1e-120)  # ell astronomically large, no cap
         with pytest.raises(ValueError):
             plan(4, 1, 2, 0.25, ell_cap="50")
+        with pytest.raises(ValueError, match="^ell_cap must be >= 1$"):
+            plan(4, 1, 2, 0.25, ell_cap=0)
+
+    @pytest.mark.parametrize("ell_cap", [None, 2])
+    def test_chain_overflow(self, ell_cap):
+        # No cap rescues a chain past 2^62: its budget epsilon^k / (n ell)
+        # would need a prime beyond 2^62.
+        with pytest.raises(ValueError, match="^chain length overflows$"):
+            plan(2, 1, 1, 1e-300, ell_cap)
 
     @pytest.mark.parametrize(
         "args, name",

@@ -168,8 +168,11 @@ CONSTANT = PTF(SparsePolynomial(1, {(0,): 1.0}))
         (lambda: check_carbery_wright([X_POLY, CONSTANT], [0.1], 100), "degree >= 1"),
         (lambda: check_tail_bound([CONSTANT], [2.0], 100), "degree >= 1"),
         (lambda: check_derivative_identity(X_POLY.poly, [], 100), "ells must not be empty"),
+        (lambda: check_carbery_wright([X_POLY], [0.1, -0.1], 100), r"epsilons must be >= 0, got \[0.1, -0.1\]"),
+        (lambda: estimate_gap(X_POLY, "gaussian", 0), "sample count must be >= 1, got 0"),
     ],
-    ids=["cw-no-eps", "cw-no-poly", "tail-no-N", "tail-no-poly", "cw-degree-0", "tail-degree-0", "deriv-no-ell"],
+    ids=["cw-no-eps", "cw-no-poly", "tail-no-N", "tail-no-poly", "cw-degree-0", "tail-degree-0", "deriv-no-ell",
+         "cw-negative-eps", "gap-no-rows"],
 )
 def test_check_rejects_empty_or_constant_input(monkeypatch, call, message):
     # A report of 0 rows would pass vacuously, and a degree-0 polynomial
@@ -241,11 +244,18 @@ class TestDerivativeIdentity:
             # Every order draws num_vars normals a sample, ell 0 too.
             (SparsePolynomial(2048, {}), SparsePolynomial(2049, {}), "num_vars must be <= 2048, got 2049"),
             (SparsePolynomial(2048, {}), SparsePolynomial(10**16, {}), "num_vars must be <= 2048, got 10000000000000000"),
-            # sqrt(171!) is beyond the float range.
-            (SparsePolynomial(1, {(170,): 1.0}), SparsePolynomial(1, {(171,): 1.0}), "degree must be <= 170, got 171"),
-            (SparsePolynomial(1, {(170,): 1.0}), SparsePolynomial(1, {(100_000,): 1.0}), "degree must be <= 170, got 100000"),
+            # sqrt(171!) is beyond the float range. A small coefficient keeps
+            # x^170's exact value within the next bound.
+            (SparsePolynomial(1, {(170,): 1e-120}), SparsePolynomial(1, {(171,): 1.0}), "degree must be <= 170, got 171"),
+            (SparsePolynomial(1, {(170,): 1e-120}), SparsePolynomial(1, {(100_000,): 1.0}), "degree must be <= 170, got 100000"),
+            # The stderr sums D^4, whose mean is at least exact^2: x^85's
+            # exact value is 6.7e152, its square 4.4e305; x^170's is inf.
+            (SparsePolynomial(1, {(85,): 1.0}), SparsePolynomial(1, {(86,): 1.0}),
+             r"exact value 1.14e\+155 at ell 0 squares beyond the float range"),
+            (SparsePolynomial(1, {(85,): 1.0}), SparsePolynomial(1, {(170,): 1.0}),
+             "exact value inf at ell 0 squares beyond the float range"),
         ],
-        ids=["num_vars", "num_vars-huge", "degree", "degree-huge"],
+        ids=["num_vars", "num_vars-huge", "degree", "degree-huge", "moment", "moment-inf"],
     )
     def test_poly_cap(self, monkeypatch, last, first, message):
         # The largest polynomial goes on to take its derivatives, stubbed out;
@@ -683,6 +693,21 @@ class TestAtomicWrites:
                 raise OSError("disk full")
         assert afile.read_text() == "keep\n" and out.read_text() == "old\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "y.csv"]
+
+    def test_failed_rename_is_a_value_error(self, tmp_path, monkeypatch):
+        # The temporary file is complete but cannot replace the target.
+        out = tmp_path / "y.csv"
+        out.write_text("old\n")
+
+        def no_replace(src, dst):
+            raise OSError("read-only file system")
+
+        monkeypatch.setattr(harness.os, "replace", no_replace)
+        with pytest.raises(ValueError, match="^cannot write .*y.csv: read-only file system$"):
+            with harness._atomic_open(str(out)) as fh:
+                fh.write("new\n")
+        assert out.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [out]
 
     def test_writes_replace_whole_files(self, tmp_path):
         out = tmp_path / "sub" / "m.csv"

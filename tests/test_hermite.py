@@ -264,3 +264,24 @@ class TestPolynomialType:
         p = SparsePolynomial(2, {(1, 0): 1.5, (0, 2): -2.0})
         q = poly_from_json(poly_to_json(p))
         assert q.num_vars == p.num_vars and q.terms == p.terms
+        # Integral floats read as integers.
+        q = poly_from_json({"num_vars": 1.0, "terms": [{"exps": [2.0], "coef": 1.0}]})
+        assert q.num_vars == 1 and q.terms == {(2,): 1.0}
+        assert type(next(iter(q.terms))[0]) is int
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: SparsePolynomial(2, {}).evaluate([1.0]), "^expected 2 coordinates, got 1$"),
+            (lambda: SparsePolynomial(2, {}).evaluate_batch(np.zeros((3, 1))), r"^expected shape \(N, 2\)$"),
+            (lambda: SparsePolynomial(2, {}).evaluate_batch(np.zeros(2)), r"^expected shape \(N, 2\)$"),
+            (lambda: SparsePolynomial(2, {}).partial_derivative(2), "^variable index 2 out of range$"),
+            (lambda: SparsePolynomial(2, {}).partial_derivative(-1), "^variable index -1 out of range$"),
+            (lambda: SparsePolynomial(1, {}) * SparsePolynomial(2, {}), "^mismatched num_vars$"),
+            (lambda: degree_part(SparsePolynomial(1, {(2,): 1.0}), -1), "^k must be non-negative$"),
+            (lambda: derivative_moment_rhs(SparsePolynomial(1, {(2,): 1.0}), -1), "^ell must be non-negative$"),
+        ],
+    )
+    def test_argument_errors(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussprg import designs
-from gaussprg._bits import derive_key, philox_at, stream_bytes, stream_words
+from gaussprg._bits import derive_key, extract_blocks, normalize_hex_seed, philox_at, stream_bytes, stream_words
 from gaussprg.designs import KWiseFamily, _limb_split, build_sampler, design_sample_batch, is_prime, next_prime
 from gaussprg.generator import plan, sample, sample_batch, total_seed_bits
 
@@ -375,6 +375,32 @@ def test_bit_generator_continues_across_calls():
     bitgen = philox_at(key, 11, nwords)
     parts = [stream_words(key, 11 + lo, n, nwords, bitgen) for lo, n in ((0, 2), (2, 0), (2, 4), (6, 3))]
     assert np.array_equal(np.concatenate(parts), whole)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: philox_at(1, -1, 7), "^index must be non-negative and width positive$"),
+        (lambda: philox_at(1, 0, 0), "^index must be non-negative and width positive$"),
+        (lambda: stream_words(1, -1, 2, 7), "^index/count must be non-negative and width positive$"),
+        (lambda: stream_words(1, 0, -1, 7), "^index/count must be non-negative and width positive$"),
+        (lambda: stream_words(1, 0, 2, 0), "^index/count must be non-negative and width positive$"),
+        (lambda: extract_blocks(np.zeros(4, dtype=np.uint8), 1, 8), "^data must be a 2-D uint8 array$"),
+        (lambda: extract_blocks(np.zeros((1, 4), dtype=np.int64), 1, 8), "^data must be a 2-D uint8 array$"),
+        (lambda: extract_blocks(np.zeros((1, 4), dtype=np.uint8), 1, 0), "^block_bits must be positive$"),
+        (lambda: extract_blocks(np.zeros((1, 2), dtype=np.uint8), 3, 8), "^rows carry 16 bits, need 24$"),
+    ],
+)
+def test_stream_argument_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("raw, canon", [("0xAB", "ab"), (" 0XaB ", "ab"), ("", "00"), ("abc", "0abc"), ("0ABC", "0abc")])
+def test_normalize_hex_seed(raw, canon):
+    # These rules decide which stream --seed reads.
+    assert normalize_hex_seed(raw) == canon
+    assert derive_key(raw, "x") == derive_key(canon, "x")
 
 
 @pytest.mark.parametrize("index", [1.5, 2.0, "3"])
