@@ -22,8 +22,16 @@ from hypothesis import strategies as st
 
 from gaussprg import designs
 from gaussprg._bits import derive_key, extract_blocks, normalize_hex_seed, philox_at, stream_bytes, stream_words
-from gaussprg.designs import KWiseFamily, _limb_split, build_sampler, design_sample_batch, is_prime, next_prime
-from gaussprg.generator import plan, sample, sample_batch, total_seed_bits
+from gaussprg.designs import (
+    KWiseFamily,
+    _limb_split,
+    build_sampler,
+    design_sample_batch,
+    is_prime,
+    next_prime,
+    sampler_to_json,
+)
+from gaussprg.generator import config_to_json, plan, sample, sample_batch, total_seed_bits
 
 # plan arguments -> (master seed, count, start, SHA-256 of the little-endian
 # float64 output). One plan per limb split of the contraction: symbols in
@@ -254,6 +262,38 @@ def test_large_n_batch_matches_sample(args):
     out = sample_batch(config, seed_hex, count, start=start)
     for i in (0, 5, count - 1):
         assert out[i].tobytes() == _reference_row(config, seed_hex, start + i).tobytes(), f"row {i}"
+
+
+# SHA-256 of the plan JSON that `gaussprg plan` prints (without its newline)
+# and whose hash is `fool`'s generator_id: config_to_json of every pinned
+# plan, and sampler_to_json of the checks-gauss moment samplers.
+PLAN_JSON_GOLDEN = {
+    (8, 1, 2, 0.25, 200): "02f0b80f7616ff1f705433807a31d0eeb9d91fd054dea0a19e89d88899badd7d",
+    (4, 1, 3, 0.01, 2): "badbf9ca8af2d4ee4acb62355e9dd48337945698cf7aff1e4c2e7c1d8348deac",
+    (4, 1, 3, 1e-4, 2): "3aea79dc0b3fbfa51a211ce5fb74aa29ea0b4fd0e3147d3701e717650a922561",
+    (4, 1, 3, 1e-5, 2): "6e2a33fa577193ff1a5c5f1defc5aed4f89ee9a818ac9e9a3456ee599eb1e366",
+    (4, 1, 3, 5e-6, 2): "1c097923f5f95dcb5f8042e84822ad47c545bd1dca1d13ea09ad0494a898810a",
+    (1, 1, 2, 0.25, 200): "8648cf1f9c5d94b6e400fc3296a2bb82a511b701f8f9d186b54bf35e65fd9ca6",
+    (8, 1, 2, 0.01, 200): "ebf7125f5d2b5497ec111cdc321180a057a999754e5d2bb1ae3fb6a3db827660",
+    (8, 1, 2, 0.25, 1): "48b878e6a1ab84bfabeace838cdc0234ba52a4d661d5cf17f1fd24b76ac5bca5",
+    (200, 1, 2, 0.25, 200): "e973e67b82e89b0d0f9be45584ef3d8279f458d454a41a9aa88b37854ae3cfed",
+}
+SAMPLER_JSON_GOLDEN = {
+    (3, 4, 2, 0.06): "547eb7ab793b8cdf15cd67ab7d950fd05f8d48eb3994011ab1cde605cf9f6af2",
+    (3, 4, 2, 3 / 211): "62e9841172af08d985a90453963a71dde7a1ede6776707a3bcc731071fbcec33",
+}
+
+
+@pytest.mark.parametrize("args", list(PLAN_JSON_GOLDEN))
+def test_plan_json_golden_digest(args):
+    text = config_to_json(_config(args))
+    assert hashlib.sha256(text.encode()).hexdigest() == PLAN_JSON_GOLDEN[args]
+
+
+@pytest.mark.parametrize("args", list(SAMPLER_JSON_GOLDEN))
+def test_sampler_json_golden_digest(args):
+    text = sampler_to_json(build_sampler(*args))
+    assert hashlib.sha256(text.encode()).hexdigest() == SAMPLER_JSON_GOLDEN[args]
 
 
 @pytest.mark.parametrize("args", PLANS)
