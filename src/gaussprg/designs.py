@@ -177,7 +177,8 @@ def gauss_hermite(M: int) -> Quadrature1D:
 
 @dataclass(frozen=True)
 class KWiseFamily:
-    """Degree-(k-1) polynomial evaluation family over F_q.
+    """Degree-(k-1) polynomial evaluation family over F_q, at the points
+    0..n-1.
 
     A uniform seed of k field coefficients makes any k of the n evaluation
     outputs jointly uniform over F_q^k.
@@ -186,7 +187,6 @@ class KWiseFamily:
     q: int
     k: int
     n: int
-    eval_points: np.ndarray
 
     def __post_init__(self) -> None:
         if self.q > _MAX_PRIME:
@@ -197,30 +197,18 @@ class KWiseFamily:
             raise ValueError("independence order k must be >= 1")
         if not 1 <= self.n <= self.q:
             raise ValueError("need 1 <= n <= q distinct evaluation points")
-        pts = np.asarray(self.eval_points, dtype=np.int64)
-        if pts.shape != (self.n,):
-            raise ValueError("eval_points must have length n")
-        if np.any(pts < 0) or np.any(pts >= self.q):
-            raise ValueError("eval_points must lie in [0, q)")
-        if len(set(pts.tolist())) != self.n:
-            raise ValueError("eval_points must be pairwise distinct")
-        object.__setattr__(self, "eval_points", pts)
-
-    @classmethod
-    def standard(cls, q: int, k: int, n: int) -> "KWiseFamily":
-        return cls(q, k, n, np.arange(n, dtype=np.int64))
 
     @functools.cached_property
     def _contraction(self) -> _Contraction:
         """The family's read-only exact contraction, built on first use."""
-        return _Contraction(self)
+        return _Contraction(self.q, self.k, range(self.n))
 
 
 def kwise_eval(family: KWiseFamily, seed: Sequence[int], i: int) -> int:
     """Value of the seed polynomial at evaluation point i (Horner, mod q)."""
     if not 0 <= i < family.n:
         raise ValueError(f"coordinate index {i} out of range")
-    return _horner(_seed_list(family, seed), int(family.eval_points[i]), family.q)
+    return _horner(_seed_list(family, seed), i, family.q)
 
 
 def _seed_list(family: KWiseFamily, seed: Sequence[int]) -> list[int]:
@@ -310,7 +298,8 @@ def _shift_in(r: np.ndarray, steps: list[int], low: np.ndarray, q: np.uint64, qu
 
 
 class _Contraction:
-    """Seed polynomials of one family at all n points, exact mod q <= 2^62.
+    """Degree-(K-1) seed polynomials at n points in [0, q), exact mod
+    q <= 2^62.
 
     One float64 matmul of symbol limbs against the limb table (see
     :func:`_limb_split`); block (i, j) of the table is limb j of
@@ -318,15 +307,14 @@ class _Contraction:
     the table is read-only and callers pass their own :meth:`buffers`.
     """
 
-    def __init__(self, family: KWiseFamily):
-        q, K, n = family.q, family.k, family.n
+    def __init__(self, q: int, K: int, points: Sequence[int]):
+        n = len(points)
         nS, a, nP, b = _limb_split(K, q)
         self.K, self.n, self.q, self.nS, self.a, self.nP = K, n, np.uint64(q), nS, a, nP
         # Row i*K + t holds the limbs of (x^t << a*i) mod q at every point
         # x. The powers come from Python integers, exact for any q <= 2^62
         # (an int64 product (q-1)*x would overflow), one power t at a time,
         # so only its nS rows are ever held as objects.
-        points = family.eval_points.tolist()
         shifts = np.uint64(b) * np.arange(nP, dtype=np.uint64)[:, None]
         mask = np.uint64(2**b - 1)
         self.table = np.empty((nS * K, nP * n))
@@ -506,18 +494,11 @@ class DesignSampler:
 
     quadrature: Quadrature1D
     family: KWiseFamily
-    thresholds: np.ndarray
 
-    def __post_init__(self) -> None:
-        th = np.asarray(self.thresholds, dtype=np.int64)
-        M = self.quadrature.M
-        if th.shape != (M,):
-            raise ValueError("need one cumulative threshold per atom")
-        # Gaps of zero mark atoms below the 1/q mass resolution; every
-        # representable atom must get a non-empty interval, ending at q.
-        if np.any(np.diff(th) < 0) or th[0] < 0 or th[-1] != self.family.q:
-            raise ValueError("thresholds must be nondecreasing and end at q")
-        object.__setattr__(self, "thresholds", th)
+    @functools.cached_property
+    def thresholds(self) -> np.ndarray:
+        """Cumulative atom cutoffs in [0, q) (:func:`thresholds_from_weights`)."""
+        return thresholds_from_weights(self.quadrature.weights, self.q)
 
     @property
     def q(self) -> int:
@@ -600,9 +581,7 @@ def build_sampler(M: int, K: int, n: int, tv_budget: float) -> DesignSampler:
     q = next_prime(lo) if lo <= _MAX_PRIME else lo
     if q > _MAX_PRIME:
         raise ValueError(f"tv_budget {tv_budget} needs a prime beyond 2^62")
-    quad = gauss_hermite(M)
-    thresholds = thresholds_from_weights(quad.weights, q)
-    sampler = DesignSampler(quad, KWiseFamily.standard(q, K, n), thresholds)
+    sampler = DesignSampler(gauss_hermite(M), KWiseFamily(q, K, n))
     if sampler.exact_tv > sampler.tv_bound:
         raise ValueError(
             f"q={q} too coarse for the {M}-atom rule (tv {sampler.exact_tv:.3g})"
@@ -610,10 +589,10 @@ def build_sampler(M: int, K: int, n: int, tv_budget: float) -> DesignSampler:
     return sampler
 
 
-def _design_atoms(seed: list[int], points: list[int], thresholds: list[int], q: int) -> list[int]:
-    """Atom of the seed polynomial's value at each point, over Python
+def _design_atoms(seed: list[int], n: int, thresholds: list[int], q: int) -> list[int]:
+    """Atom of the seed polynomial's value at each point 0..n-1, over Python
     integers: Horner's rule mod q, then ``bisect`` on the thresholds."""
-    return [bisect.bisect_right(thresholds, _horner(seed, x, q)) for x in points]
+    return [bisect.bisect_right(thresholds, _horner(seed, x, q)) for x in range(n)]
 
 
 def design_sample(sampler: DesignSampler, seed: Sequence[int]) -> np.ndarray:
@@ -621,7 +600,7 @@ def design_sample(sampler: DesignSampler, seed: Sequence[int]) -> np.ndarray:
     :func:`kwise_eval` checks them. It runs over Python integers and is the
     reference that :func:`design_sample_batch` is held to."""
     fam = sampler.family
-    atoms = _design_atoms(_seed_list(fam, seed), fam.eval_points.tolist(), sampler.thresholds.tolist(), fam.q)
+    atoms = _design_atoms(_seed_list(fam, seed), fam.n, sampler.thresholds.tolist(), fam.q)
     return sampler.quadrature.nodes[atoms]
 
 
@@ -752,7 +731,7 @@ def verify_moments(
         # drawn unit by unit: chunked integers() calls on one Generator give
         # the rows of a single call, and the contraction is exact, so the
         # rows do not depend on the unit size.
-        head = KWiseFamily(sampler.q, k, m, sampler.family.eval_points[:m])
+        head = KWiseFamily(sampler.q, k, m)
         Y = np.empty((m, n_samples))
         for lo in range(0, n_samples, _UNIT):
             seeds = rng.integers(0, sampler.q, size=(min(_UNIT, n_samples - lo), k), dtype=np.int64)
@@ -794,7 +773,7 @@ def sampler_to_json(sampler: DesignSampler) -> str:
         "q": sampler.q,
         "K": sampler.family.k,
         "n": sampler.n,
-        "eval_points": sampler.family.eval_points.tolist(),
+        "eval_points": list(range(sampler.n)),
         "nodes": sampler.quadrature.nodes.tolist(),
         "weights": sampler.quadrature.weights.tolist(),
         "thresholds": sampler.thresholds.tolist(),

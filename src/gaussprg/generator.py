@@ -81,8 +81,6 @@ class GeneratorConfig:
     ell: int
     ell_formula: int
     truncated: bool
-    design_order: int
-    quad_points: int
     tv_budget: float
     sampler: DesignSampler
     ell_cap: int | None = None
@@ -152,8 +150,6 @@ def plan(n: int, d: int, k: int, epsilon: float, ell_cap: int | None = None) -> 
         ell=ell,
         ell_formula=ell_formula,
         truncated=truncated,
-        design_order=design_order,
-        quad_points=quad_points,
         tv_budget=tv_budget,
         sampler=sampler,
         ell_cap=ell_cap,
@@ -197,13 +193,12 @@ def sample(config: GeneratorConfig, seed_bits_data: bytes) -> np.ndarray:
     sampler, K, q = config.sampler, config.kwise_order, config.q
     data = np.frombuffer(seed_bits_data, dtype=np.uint8)[None, :]
     symbols = symbols_from_bytes(sampler, data, config.ell * K)[0].tolist()
-    points = sampler.family.eval_points.tolist()
     thresholds = sampler.thresholds.tolist()
     nodes = sampler.quadrature.nodes.tolist()
     w = blend_weights(config.delta, config.ell).tolist()
     out = [0.0] * config.n
     for i in range(config.ell):
-        for j, atom in enumerate(_design_atoms(symbols[i * K : (i + 1) * K], points, thresholds, q)):
+        for j, atom in enumerate(_design_atoms(symbols[i * K : (i + 1) * K], config.n, thresholds, q)):
             out[j] += w[i] * nodes[atom]
     return np.array(out)
 
@@ -362,8 +357,8 @@ def config_to_json(config: GeneratorConfig) -> str:
         "ell_formula": config.ell_formula,
         "ell_cap": config.ell_cap,
         "truncated": config.truncated,
-        "design_order": config.design_order,
-        "quad_points": config.quad_points,
+        "design_order": config.kwise_order,
+        "quad_points": config.sampler.M,
         "tv_budget": config.tv_budget,
         "seed": seed_breakdown(config),
         "sampler": json.loads(sampler_to_json(config.sampler)),

@@ -57,7 +57,7 @@ def test_01_quadrature_exactness():
 
 def test_02_kwise_uniformity():
     t0 = time.monotonic()
-    fam = KWiseFamily.standard(5, 2, 4)
+    fam = KWiseFamily(5, 2, 4)
     ok = True
     for i, j in itertools.combinations(range(4), 2):
         counts = {}

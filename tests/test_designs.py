@@ -11,9 +11,9 @@ import pytest
 from gaussprg import designs
 from gaussprg.designs import (
     _MAX_QUAD_POINTS,
-    DesignSampler,
     KWiseFamily,
     Quadrature1D,
+    _Contraction,
     _he_values,
     _limb_split,
     _tv_tolerance,
@@ -176,17 +176,17 @@ class TestGaussHermite:
 
 class TestKWiseFamily:
     def test_direct_evaluation(self):
-        fam = KWiseFamily.standard(5, 2, 5)
+        fam = KWiseFamily(5, 2, 5)
         assert kwise_eval(fam, (2, 3), 4) == (2 + 3 * 4) % 5
 
     def test_degenerate_k1(self):
-        fam = KWiseFamily.standard(7, 1, 4)
+        fam = KWiseFamily(7, 1, 4)
         for i in range(4):
             assert kwise_eval(fam, (5,), i) == 5
 
     def test_exhaustive_pair_uniform_q3(self):
         # q=3, K=2, n=2: the 9 seeds hit each pair of outputs exactly once
-        fam = KWiseFamily.standard(3, 2, 2)
+        fam = KWiseFamily(3, 2, 2)
         seen = {}
         for seed in itertools.product(range(3), repeat=2):
             pair = (kwise_eval(fam, seed, 0), kwise_eval(fam, seed, 1))
@@ -195,7 +195,7 @@ class TestKWiseFamily:
 
     def test_exhaustive_pair_uniform_q5_n4(self):
         # (q, K, n) = (5, 2, 4): all 25 seeds, every coordinate pair uniform
-        fam = KWiseFamily.standard(5, 2, 4)
+        fam = KWiseFamily(5, 2, 4)
         for i, j in itertools.combinations(range(4), 2):
             seen = {}
             for seed in itertools.product(range(5), repeat=2):
@@ -204,17 +204,18 @@ class TestKWiseFamily:
             assert seen == {p: 1 for p in itertools.product(range(5), repeat=2)}
 
     # At K = 120 (the plans' order) the contraction splits symbols and
-    # powers into (nS, nP) limbs (1, 1), (1, 2), (2, 3) and (3, 3).
+    # powers into (nS, nP) limbs (1, 1), (1, 2), (2, 3) and (3, 3). The
+    # points 0..97 hold the small points 0, 1, 3 and 97 at every q.
     @pytest.mark.parametrize("q", [101, 488000017, 488000000000011, 3903999999999999013])
     def test_batch_matches_scalar(self, q):
-        K = 120
-        fam = KWiseFamily(q, K, 5, np.array([0, 1, 3, 97, q - 1]))
+        K, n = 120, 98
+        fam = KWiseFamily(q, K, n)
         rng = np.random.default_rng(3)
         seeds = np.vstack([np.full((1, K), q - 1), rng.integers(0, q, size=(20, K), dtype=np.int64)])
         vals = kwise_eval_batch(fam, seeds)
-        assert vals.dtype == np.int64 and vals.shape == (21, 5)
+        assert vals.dtype == np.int64 and vals.shape == (21, n)
         for b in range(21):
-            for i in range(5):
+            for i in range(n):
                 assert vals[b, i] == kwise_eval(fam, seeds[b], i)
 
     @pytest.mark.parametrize(
@@ -231,14 +232,14 @@ class TestKWiseFamily:
         ],
     )
     def test_batch_rejects_seeds_outside_field(self, seeds):
-        fam = KWiseFamily.standard(5, 2, 4)
+        fam = KWiseFamily(5, 2, 4)
         with pytest.raises(ValueError, match=r"\[0, q\)"):
             kwise_eval_batch(fam, seeds)
 
     def test_modulus_above_two_to_62(self):
         q = next_prime(2**62)
         with pytest.raises(ValueError, match="2\\^62"):
-            KWiseFamily.standard(q, 2, 2)
+            KWiseFamily(q, 2, 2)
 
     @pytest.mark.parametrize("q", [101, 488000017, 3903999999999999013])
     def test_power_table_is_exact(self, q):
@@ -246,7 +247,7 @@ class TestKWiseFamily:
         # Row i*K + t of the limb table, its nP column blocks of b-bit limbs
         # recombined, is (x^t << a*i) mod q at each point x.
         points = (0, 1, 3, 97)
-        table = KWiseFamily(q, 120, 4, np.array(points))._contraction.table
+        table = _Contraction(q, 120, points).table
         nS, a, nP, b = _limb_split(120, q)
         for i, t in itertools.product(range(nS), range(120)):
             limbs = table[i * 120 + t].reshape(nP, 4).astype(np.uint64).tolist()
@@ -254,7 +255,7 @@ class TestKWiseFamily:
             assert got == [(pow(x, t, q) << (a * i)) % q for x in points]
 
     def test_errors(self):
-        fam = KWiseFamily.standard(5, 2, 4)
+        fam = KWiseFamily(5, 2, 4)
         with pytest.raises(ValueError):
             kwise_eval(fam, (1, 2), 4)
         with pytest.raises(ValueError):
@@ -262,9 +263,9 @@ class TestKWiseFamily:
         with pytest.raises(ValueError, match=r"\[0, q\)"):
             kwise_eval(fam, (1.5, 0), 0)
         with pytest.raises(ValueError):
-            KWiseFamily.standard(6, 2, 4)  # composite modulus
+            KWiseFamily(6, 2, 4)  # composite modulus
         with pytest.raises(ValueError):
-            KWiseFamily.standard(3, 2, 4)  # n > q
+            KWiseFamily(3, 2, 4)  # n > q
 
 
 class TestThresholds:
@@ -450,7 +451,7 @@ class TestDesignSample:
             design_sample(s, (1.5, 0))
 
 
-_Q101 = KWiseFamily.standard(101, 2, 2)
+_Q101 = KWiseFamily(101, 2, 2)
 
 
 @pytest.mark.parametrize(
@@ -460,17 +461,10 @@ _Q101 = KWiseFamily.standard(101, 2, 2)
         (lambda: Quadrature1D(np.array([0.0, 1.0]), np.array([1.0])), "^nodes and weights must be equal-length"),
         (lambda: Quadrature1D(np.array([]), np.array([])), "^nodes and weights must be equal-length"),
         (lambda: Quadrature1D(np.array([0.0, 1.0]), np.array([1.0, 0.0])), "^weights must be strictly positive$"),
-        (lambda: KWiseFamily.standard(5, 0, 4), "^independence order k must be >= 1$"),
-        (lambda: KWiseFamily(5, 2, 3, np.array([0, 1])), "^eval_points must have length n$"),
-        (lambda: KWiseFamily(5, 2, 2, np.array([0, 5])), r"^eval_points must lie in \[0, q\)$"),
-        (lambda: KWiseFamily(5, 2, 2, np.array([1, 1])), "^eval_points must be pairwise distinct$"),
+        (lambda: KWiseFamily(5, 0, 4), "^independence order k must be >= 1$"),
         (lambda: kwise_eval_batch(_Q101, np.zeros((3, 3), dtype=np.int64)), r"^seeds must have shape \(B, 2\)$"),
         (lambda: kwise_eval_batch(_Q101, np.zeros(2, dtype=np.int64)), r"^seeds must have shape \(B, 2\)$"),
         (lambda: thresholds_from_weights(np.full(4, 0.25), 3), "^q=3 is too coarse for 4 atoms$"),
-        (lambda: DesignSampler(gauss_hermite(3), _Q101, np.array([50, 101])), "^need one cumulative threshold per atom$"),
-        (lambda: DesignSampler(gauss_hermite(3), _Q101, np.array([50, 10, 101])), "^thresholds must be nondecreasing"),
-        (lambda: DesignSampler(gauss_hermite(3), _Q101, np.array([-1, 50, 101])), "^thresholds must be nondecreasing"),
-        (lambda: DesignSampler(gauss_hermite(3), _Q101, np.array([10, 50, 100])), "^thresholds must be nondecreasing"),
         # 4 * (q - 1)^2 >= 2^53 at q = 3 * 10^9
         (lambda: design_sample_batch_f64(build_sampler(3, 4, 4, 1e-9), np.zeros((1, 4))),
          "^q too large for the exact float64 contraction$"),
@@ -500,10 +494,9 @@ class TestSeedBits:
         assert seed_bits(b) == 2 * seed_bits(a)
 
 
-def _enumerated_values(family: KWiseFamily, i: int) -> np.ndarray:
-    """Values at point i over all q^k seeds, one seed at a time."""
+def _enumerated_values(family: KWiseFamily, x: int) -> np.ndarray:
+    """Values at point x over all q^k seeds, one seed at a time."""
     q = family.q
-    x = int(family.eval_points[i])
     vals = np.zeros(1, dtype=np.int64)
     for t in range(family.k):
         step = (np.arange(q, dtype=np.int64) * pow(x, t, q)) % q
@@ -511,23 +504,23 @@ def _enumerated_values(family: KWiseFamily, i: int) -> np.ndarray:
     return vals
 
 
-def _enumerated_tables(family: KWiseFamily):
-    """Marginal count tables at points 0 and 1 and their pair table."""
+def _enumerated_tables(family: KWiseFamily, x0: int, x1: int):
+    """Marginal count tables at points x0 and x1 and their pair table."""
     q = family.q
-    v0, v1 = _enumerated_values(family, 0), _enumerated_values(family, 1)
+    v0, v1 = _enumerated_values(family, x0), _enumerated_values(family, x1)
     pair = np.bincount(v0 * q + v1, minlength=q * q).reshape(q, q)
     return np.bincount(v0, minlength=q), np.bincount(v1, minlength=q), pair
 
 
 def _small_families():
-    """Every (q <= 13, k <= 4) family with q^k <= 3*10^5 at point pairs that
-    include 0 and q - 1."""
+    """Every (q <= 13, k <= 4) family with q^k <= 3*10^5, at its n = q
+    points, with point pairs that include 0 and q - 1."""
     for q in (2, 3, 5, 7, 11, 13):
         for k in range(1, 5):
             assert q**k <= 3 * 10**5
             pairs = {(0, q - 1), (q - 1, 0), (1, q - 1), (q - 1, q // 2)}
             for pts in sorted(p for p in pairs if p[0] != p[1]):
-                yield KWiseFamily(q, k, 2, np.array(pts))
+                yield pytest.param(KWiseFamily(q, k, q), pts, id=f"q{q}-k{k}-{list(pts)}")
 
 
 class TestSeedSpaceCounts:
@@ -536,9 +529,9 @@ class TestSeedSpaceCounts:
     # pair of values is uniform on F_q^2. Enumerating the q^k seeds checks
     # that identity.
     @staticmethod
-    def _assert_uniform(family):
+    def _assert_uniform(family, points=(0, 1)):
         q, k = family.q, family.k
-        counts0, counts1, pair = _enumerated_tables(family)
+        counts0, counts1, pair = _enumerated_tables(family, *points)
         assert np.all(counts0 == q ** (k - 1)) and np.all(counts1 == q ** (k - 1))
         if k >= 2:
             assert np.all(pair == q ** (k - 2))
@@ -546,11 +539,9 @@ class TestSeedSpaceCounts:
             # a constant polynomial: both points read the seed
             assert np.array_equal(pair, np.eye(q, dtype=np.int64))
 
-    @pytest.mark.parametrize(
-        "family", list(_small_families()), ids=lambda f: f"q{f.q}-k{f.k}-{f.eval_points.tolist()}"
-    )
-    def test_matches_enumeration(self, family):
-        self._assert_uniform(family)
+    @pytest.mark.parametrize("family, points", list(_small_families()))
+    def test_matches_enumeration(self, family, points):
+        self._assert_uniform(family, points)
 
     def test_q53_k4_pair_table(self):
         # the checks-gauss exhaustive sampler
@@ -588,7 +579,7 @@ class TestVerifyMoments:
         gaps = np.diff(np.concatenate(([0], s.thresholds)))
         assert gaps[0] == gaps[-1] == 0
         rows = verify_moments(s, 4, mode="exhaustive")
-        _, _, pair = _enumerated_tables(s.family)
+        _, _, pair = _enumerated_tables(s.family, 0, 1)
         atom_of = np.searchsorted(s.thresholds, np.arange(s.q), side="right")
         atom_pair = np.zeros((M, M))
         np.add.at(atom_pair, (atom_of[:, None], atom_of[None, :]), pair / s.q**K)

@@ -29,9 +29,8 @@ class TestPlan:
 
     def test_design_order(self):
         cfg = plan(4, 1, 2, 0.25, ell_cap=50)
-        assert cfg.design_order == 90
-        assert cfg.quad_points == 46
         assert cfg.kwise_order == 90
+        assert cfg.sampler.M == 46
 
     def test_cap_semantics(self):
         full = plan(4, 1, 2, 0.001, ell_cap=10**6)
@@ -199,6 +198,35 @@ class TestSampling:
             second = y[:, i] ** 2
             se = float(second.std(ddof=1)) / math.sqrt(N)
             assert abs(float(second.mean()) - 1.0) <= 3 * se + abs(disc_second - 1.0)
+
+    def test_output_law_beyond_k(self):
+        # n = 200 > K = 90: any K coordinates of a design are independent,
+        # and so are the designs, so any 4 output coordinates are independent
+        # copies of the blend y = sum_i w_i Z_i, with Z_i i.i.d. on the atom
+        # law. With mu and m2 its first two moments, E[y] = mu * sum(w) and
+        # E[y^2] = m2 * sum(w^2) + mu^2 * (sum(w)^2 - sum(w^2)), so
+        # E[prod_{j in S} y_j^2] = E[y^2]^|S| exactly, up to the block bias.
+        # mu is not 0: q is odd and the 46 gaps are not symmetric.
+        cfg = plan(200, 1, 2, 0.25, 200)
+        assert cfg.n > cfg.kwise_order
+        s, w = cfg.sampler, blend_weights(cfg.delta, cfg.ell)
+        mu = float(s.atom_probs @ s.quadrature.nodes)
+        m2 = float(s.atom_probs @ s.quadrature.nodes**2)
+        mean = mu * w.sum()
+        second = m2 * (w @ w) + mu**2 * (w.sum() ** 2 - w @ w)
+        N = 8000
+        y = sample_batch(cfg, "3c", N)
+        z_mean = (y.mean(axis=0) - mean) / (y.std(axis=0, ddof=1) / math.sqrt(N))
+        assert np.max(np.abs(z_mean)) <= 5
+        # Random sets over all 200 coordinates, plus sets whose points agree
+        # mod K or straddle it.
+        rng = np.random.default_rng(0)
+        sets = [sorted(rng.choice(200, size=r, replace=False)) for r in (1, 2, 3, 4) for _ in range(5)]
+        sets += [[0, 199], [89, 90], [5, 95], [0, 90, 180], [0, 66, 133, 199]]
+        for S in sets:
+            prod = np.prod(y[:, S] ** 2, axis=1)
+            z = (prod.mean() - second ** len(S)) / (prod.std(ddof=1) / math.sqrt(N))
+            assert abs(z) <= 5, (S, z)
 
     def test_start_offset_consistency(self):
         cfg = plan(3, 1, 1, 0.4, ell_cap=6)

@@ -76,6 +76,19 @@ class TestEstimateGap:
         b = estimate_gap(f, cfg, 60_000, "analytic", master_seed="aa", jobs=3)
         assert a == b
 
+    def test_chain_length_negative_control(self):
+        # One k-wise independent design does not fool the halfspace
+        # sign(x0 - 0.3): its exact gap is -0.1222. The planned blend of
+        # 21 designs does. Both are judged by fool's rule
+        # |gap| <= 3 * stderr + 0.02.
+        f = PTF(SparsePolynomial(8, {(1,) + (0,) * 7: 1.0, (0,) * 8: -0.3}))
+        passed = {}
+        for ell_cap in (1, None):
+            cfg = plan(8, 1, 2, 0.25, ell_cap=ell_cap)
+            est = estimate_gap(f, cfg, 25_000, "analytic", master_seed="0a")
+            passed[cfg.ell] = abs(est.gap) <= 3 * est.stderr + 0.02
+        assert passed == {1: False, 21: True}
+
     def test_gaussian_stream_values(self):
         # Both Gaussian streams, each ending in a partial unit (30,001 and
         # 55,555 samples): 2 * positives / samples - 1, exactly.

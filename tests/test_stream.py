@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from gaussprg import designs
 from gaussprg._bits import derive_key, extract_blocks, normalize_hex_seed, philox_at, stream_bytes, stream_words
 from gaussprg.designs import (
-    KWiseFamily,
+    _Contraction,
     _limb_split,
     build_sampler,
     design_sample_batch,
@@ -334,8 +334,10 @@ def _horner(q: int, points, row) -> list[int]:
 def _check_contraction(q: int, K: int, points, symbols) -> None:
     # Every batch also carries the all-(q-1) row, the largest dot products.
     rows = [[q - 1] * K] + [list(r) for r in symbols]
-    # The family's contraction is the one the tile pipeline runs.
-    contract = KWiseFamily(q, K, len(points), np.array(points, dtype=np.int64))._contraction
+    # The tile pipeline runs this class, which each family builds at its
+    # points 0..n-1. Here it takes any points in [0, q); with x = q - 1 the
+    # table holds its largest entries, q - 1.
+    contract = _Contraction(q, K, points)
     got = contract(np.array(rows, dtype=np.uint64).view(np.int64), contract.buffers(len(rows)))
     assert [[int(v) for v in row] for row in got] == [_horner(q, points, r) for r in rows]
 
