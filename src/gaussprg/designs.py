@@ -109,7 +109,7 @@ def gaussian_moment(j: int) -> float:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Quadrature1D:
     """Finite atom set (nodes ascending, positive weights summing to 1)."""
 
@@ -489,11 +489,17 @@ class DesignSampler:
     """Deterministic map from k field-symbol seeds to n atom coordinates.
 
     tv_bound = M/q bounds the statistical distance between each
-    coordinate's law (under a uniform seed) and the exact atom law.
+    coordinate's law (under a uniform seed) and the exact atom law of the
+    M-point Gauss-Hermite rule.
     """
 
-    quadrature: Quadrature1D
+    M: int
     family: KWiseFamily
+
+    @functools.cached_property
+    def quadrature(self) -> Quadrature1D:
+        """The M-point rule (:func:`gauss_hermite`)."""
+        return gauss_hermite(self.M)
 
     @functools.cached_property
     def thresholds(self) -> np.ndarray:
@@ -507,10 +513,6 @@ class DesignSampler:
     @property
     def n(self) -> int:
         return self.family.n
-
-    @property
-    def M(self) -> int:
-        return self.quadrature.M
 
     @property
     def tv_bound(self) -> float:
@@ -581,7 +583,7 @@ def build_sampler(M: int, K: int, n: int, tv_budget: float) -> DesignSampler:
     q = next_prime(lo) if lo <= _MAX_PRIME else lo
     if q > _MAX_PRIME:
         raise ValueError(f"tv_budget {tv_budget} needs a prime beyond 2^62")
-    sampler = DesignSampler(gauss_hermite(M), KWiseFamily(q, K, n))
+    sampler = DesignSampler(M, KWiseFamily(q, K, n))
     if sampler.exact_tv > sampler.tv_bound:
         raise ValueError(
             f"q={q} too coarse for the {M}-atom rule (tv {sampler.exact_tv:.3g})"
@@ -691,15 +693,16 @@ def verify_moments(
     every q and k. Monte-Carlo mode draws
     ``n_samples`` seeds (2 to ``_MAX_MC_SAMPLES``) in 25,000-seed units, evaluates only
     coordinates 0 and 1 (about 32 bytes per sample at peak) and checks
-    against that bound plus 4 standard errors. Only orders 1..max_order
-    (max_order >= 1) that the quadrature matches (<= 2M-1) are compared.
+    against that bound plus 4 standard errors. Orders 1..min(max_order,
+    2M-1) are compared (max_order >= 1), the ones the quadrature matches: a
+    larger max_order adds no row and no work.
     """
     if max_order < 1:
         raise ValueError(f"max_order must be >= 1, got {max_order}")
     _check_mode(mode)
     k = sampler.family.k
     nodes = sampler.quadrature.nodes
-    orders = [j for j in range(1, max_order + 1) if j <= sampler.quadrature.order]
+    orders = range(1, min(max_order, sampler.quadrature.order) + 1)
     m = min(sampler.n, 2)
     # (scope, orders, target) of every check; each mode appends one
     # (empirical, standard error) per check, in this order.

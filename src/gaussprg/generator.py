@@ -18,6 +18,7 @@ design order 10*d*(3k+3), per-design statistical budget eps^k/(n*ell).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -46,6 +47,15 @@ __all__ = [
 ]
 
 _MAX_ELL = 2**62
+# The most output terms (ell * n) and the most Philox words that one sample
+# may need: sample_batch holds a whole row at once. One row, in a child
+# process under a 2 GB RLIMIT_AS with one BLAS thread on a 2-vCPU VM, peaked at
+# - 4.19M terms (n = 2^16, ell 64): 550 MiB at plan(65536,1,1,0.001,64) and
+#   912 MiB at k = 3, 528 MiB of it held before the row (the table);
+# - 4.0M words (n = 1, ell 70,000): 407 MiB;
+# - 4.19M terms and 3.4M words (n = 146, d = 2): 719 MiB.
+# A row of 23M words (n = 1, epsilon 1e-6) ran out of the address space.
+_MAX_ROW_SIZE = 2**22
 
 
 def _check_unit(name: str, value: float) -> None:
@@ -71,19 +81,47 @@ def blend_weights(delta: float, ell: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Fully planned generator: dimensions, blend schedule, shared sampler."""
+    """Generator plan: (n, d, k, epsilon, ell_cap), checked by :func:`plan`.
+    Every other parameter is derived from them (see the module docstring)."""
 
     n: int
     d: int
     k: int
     epsilon: float
-    delta: float
-    ell: int
-    ell_formula: int
-    truncated: bool
-    tv_budget: float
-    sampler: DesignSampler
     ell_cap: int | None = None
+
+    @property
+    def delta(self) -> float:
+        return self.epsilon ** (1.0 / 3.0)
+
+    @functools.cached_property
+    def ell_formula(self) -> int:
+        """ceil(delta^-2 * ln(eps^-k(2d+1))), or ValueError past 2^62."""
+        log_term = self.k * (2 * self.d + 1) * math.log(1.0 / self.epsilon)
+        raw_ell = self.delta**-2 * log_term
+        # No cap rescues such a chain: q >= M*n*ell / eps^k >= 31 / eps^k and
+        # q <= 2^62 need eps^k >= 31 * 2^-62, which keeps raw_ell below 2^46.
+        if not math.isfinite(raw_ell) or raw_ell > _MAX_ELL:
+            raise ValueError("chain length overflows")
+        return max(1, math.ceil(raw_ell))
+
+    @property
+    def ell(self) -> int:
+        return self.ell_formula if self.ell_cap is None else min(self.ell_formula, self.ell_cap)
+
+    @property
+    def truncated(self) -> bool:
+        return self.ell_cap is not None and self.ell_cap < self.ell_formula
+
+    @property
+    def tv_budget(self) -> float:
+        return self.epsilon**self.k / (self.n * self.ell)
+
+    @functools.cached_property
+    def sampler(self) -> DesignSampler:
+        """The one sampler that all ell designs share."""
+        design_order, quad_points = _design_size(self.d, self.k)
+        return build_sampler(quad_points, design_order, self.n, self.tv_budget)
 
     @property
     def q(self) -> int:
@@ -117,43 +155,28 @@ def plan(n: int, d: int, k: int, epsilon: float, ell_cap: int | None = None) -> 
     Raises ValueError if n, d or k is not an integer >= 1, if n is above
     2^16, if the design needs more Gauss-Hermite points than the rule has,
     if the chain length formula passes 2^62 (with or without ell_cap, as
-    no such plan meets its budget) or if the statistical budget needs a
-    modulus beyond 2^62.
+    no such plan meets its budget), if the statistical budget needs a
+    modulus beyond 2^62 or if one sample needs more than ``_MAX_ROW_SIZE``
+    output terms (ell * n) or Philox words.
     """
     _check_unit("epsilon", epsilon)
     n, d, k = as_index(n, "n"), as_index(d, "d"), as_index(k, "k")
     if d < 1 or k < 1 or n < 1:
         raise ValueError("need n, d, k >= 1")
-    design_order, quad_points = _design_size(d, k)
+    _design_size(d, k)
     if ell_cap is not None:
         ell_cap = as_index(ell_cap, "ell_cap")
-    delta = epsilon ** (1.0 / 3.0)
-    log_term = k * (2 * d + 1) * math.log(1.0 / epsilon)
-    raw_ell = delta**-2 * log_term
-    # No cap rescues such a chain: q >= M*n*ell / eps^k >= 31 / eps^k and
-    # q <= 2^62 need eps^k >= 31 * 2^-62, which keeps raw_ell below 2^46.
-    if not math.isfinite(raw_ell) or raw_ell > _MAX_ELL:
-        raise ValueError("chain length overflows")
-    ell_formula = max(1, math.ceil(raw_ell))
-    truncated = ell_cap is not None and ell_cap < ell_formula
-    ell = min(ell_formula, ell_cap) if ell_cap is not None else ell_formula
-    if ell < 1:
+    config = GeneratorConfig(n, d, k, epsilon, ell_cap)
+    if config.ell < 1:
         raise ValueError("ell_cap must be >= 1")
-    tv_budget = epsilon**k / (n * ell)
-    sampler = build_sampler(quad_points, design_order, n, tv_budget)
-    return GeneratorConfig(
-        n=n,
-        d=d,
-        k=k,
-        epsilon=epsilon,
-        delta=delta,
-        ell=ell,
-        ell_formula=ell_formula,
-        truncated=truncated,
-        tv_budget=tv_budget,
-        sampler=sampler,
-        ell_cap=ell_cap,
-    )
+    # total_seed_bits builds the sampler, which runs its own checks first.
+    words = -(-total_seed_bits(config) // 64)
+    if max(config.ell * n, words) > _MAX_ROW_SIZE:
+        raise ValueError(
+            f"one sample needs {config.ell * n} output terms (ell * n) and {words} Philox words;"
+            f" each must be <= {_MAX_ROW_SIZE}"
+        )
+    return config
 
 
 def total_seed_bits(config: GeneratorConfig) -> int:

@@ -762,7 +762,8 @@ def _run_sample(spec: ExperimentSpec, cfg: dict, fh) -> Report:
     _keyed("generator.n", _check_n, cfg["generator"]["n"])
     _keyed("generator.d and generator.k", _design_size, cfg["generator"]["d"], cfg["generator"]["k"])
     # With the schema, n and (d, k) checked, every error of plan is about epsilon: its
-    # range, a chain that overflows without ell_cap, or a budget that needs a prime beyond 2^62.
+    # range, a chain that overflows without ell_cap, a budget that needs a prime beyond 2^62,
+    # or a sample too large to hold.
     config = _keyed("generator.epsilon", plan, **cfg["generator"])
     count = cfg["samples"]["count"]
     block = 4096

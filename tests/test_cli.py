@@ -678,11 +678,21 @@ class TestArgumentErrors:
             (["check", "deriv"], {"ensemble": {"poly": {"num_vars": 1, "terms": [{"exps": [120], "coef": 1.0}]}},
                                   "samples": {"ells": [0], "n_samples": 100}},
              "config samples.ells:", "exact value 4.57e+233 at ell 0 squares beyond the float range"),
+            # One sample of 136M output terms (ell 2,073 at n = 2^16) or of
+            # 139M Philox words (ell 2,244,408 at n = 1) could not be allocated.
+            (["sample"], {"generator": {"n": 65536, "d": 1, "k": 1, "epsilon": 0.001}, "samples": {"count": 1}},
+             "config generator.epsilon:", "135856128 output terms (ell * n) and 112720 Philox words"),
+            (["sample"], {"generator": {"n": 1, "d": 1, "k": 1, "epsilon": 1e-7}, "samples": {"count": 1}},
+             "config generator.epsilon:", "and 138872745 Philox words; each must be <= 4194304"),
+            (["fool"], {"ensemble": {"count": 1, "num_vars": 1}, "generator": {"k": 1, "epsilons": [1e-7]},
+                        "samples": {"n_gen": 1}},
+             "config generator.epsilons:", "and 138872745 Philox words; each must be <= 4194304"),
         ],
         ids=[
             "fool", "cw", "cw-degree", "deriv-ensemble", "deriv-degree", "moments-mc", "deriv-ells",
             "deriv-num_vars-ell-0", "cw-degree-171", "cw-degree-10^6", "deriv-poly-degree-171",
             "deriv-poly-degree-10^5", "deriv-ells-10^7", "deriv-poly-x^170", "deriv-poly-x^120",
+            "sample-row-terms", "sample-row-words", "fool-row-words",
         ],
     )
     def test_size_beyond_bound(self, tmp_path, command, config, key, bound):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -666,6 +667,18 @@ class TestVerifyMoments:
             return verify_moments(s, 4, mode="mc", n_samples=60_001, rng_seed=5)
 
         assert rows(n) == rows(2)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "mc"])
+    def test_max_order_beyond_rule(self, mode):
+        # The 3-point rule matches orders up to 5, so any larger max_order
+        # gives the rows of 5, and orders are not walked up to max_order:
+        # 10^12 of them would run for hours.
+        s = build_sampler(3, 4, 2, tv_budget=0.06)
+        rows = verify_moments(s, 5, mode=mode, n_samples=1000)
+        start = time.perf_counter()
+        assert verify_moments(s, 10**12, mode=mode, n_samples=1000) == rows
+        assert time.perf_counter() - start < 0.5
+        assert len(rows) == 12
 
     @pytest.mark.parametrize("max_order", [0, -1])
     @pytest.mark.parametrize("mode", ["exhaustive", "mc"])

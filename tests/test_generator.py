@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -8,6 +9,7 @@ from gaussprg import designs, generator
 from gaussprg._bits import derive_key, stream_bytes
 from gaussprg.designs import seed_bits
 from gaussprg.generator import (
+    GeneratorConfig,
     blend_weights,
     config_to_json,
     plan,
@@ -90,6 +92,39 @@ class TestPlan:
         message = rf"^\(d, k\) = \({d}, {k}\) needs a {points}-point Gauss-Hermite rule; the limit is 64$"
         with pytest.raises(ValueError, match=message):
             plan(4, d, k, 0.4, ell_cap=5)
+
+    # One sample holds its ell * n output terms and its Philox words at once,
+    # so plan() bounds both. The last accepted and the first rejected plan at
+    # the large-n corner (terms) and the tiny-epsilon corner (words).
+    @pytest.mark.parametrize(
+        "n, d, k, epsilon, ell_cap, terms, words",
+        [(65536, 1, 1, 0.001, 64, 4259840, 3230), (1, 1, 1, 1e-7, 73343, 73344, 4194360)],
+        ids=["large-n", "tiny-epsilon"],
+    )
+    def test_row_size_bound(self, n, d, k, epsilon, ell_cap, terms, words):
+        cfg = plan(n, d, k, epsilon, ell_cap)
+        assert max(cfg.ell * n, -(-total_seed_bits(cfg) // 64)) <= 2**22
+        message = rf"^one sample needs {terms} output terms \(ell \* n\) and {words} Philox words; each must be <= 4194304$"
+        with pytest.raises(ValueError, match=message):
+            plan(n, d, k, epsilon, ell_cap + 1)
+
+    def test_plans_compare_by_value(self):
+        # A plan holds only its inputs; everything else is derived from them.
+        assert [f.name for f in dataclasses.fields(GeneratorConfig)] == ["n", "d", "k", "epsilon", "ell_cap"]
+        a, b = plan(2, 1, 1, 0.4, ell_cap=2), plan(2, 1, 1, 0.4, ell_cap=2)
+        assert a == b and hash(a) == hash(b)
+        assert {a: "a"}[b] == "a" and len({a, b}) == 1
+        # ell 21 either way, but the cap is part of the plan and of its JSON.
+        capped, free = plan(8, 1, 2, 0.25, 200), plan(8, 1, 2, 0.25)
+        assert capped.ell == free.ell and capped != free
+        assert config_to_json(capped) != config_to_json(free)
+        direct = GeneratorConfig(8, 1, 2, 0.25, 200)
+        assert direct == capped and config_to_json(direct) == config_to_json(capped)
+
+    def test_samplers_compare_by_value(self):
+        assert [f.name for f in dataclasses.fields(designs.DesignSampler)] == ["M", "family"]
+        a, b = designs.build_sampler(3, 4, 2, 0.06), designs.build_sampler(3, 4, 2, 0.06)
+        assert a == b and hash(a) == hash(b)
 
 
 class TestBlendWeights:
